@@ -1,14 +1,8 @@
-"""python -m cmasolve: set thread caps before numpy loads, then run."""
+"""python -m cmasolve: run the command line entry point, which caps the
+thread pools before numpy loads."""
 
-import os
 import sys
 
-_threads = os.environ.get("CMASOLVE_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                 "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
-
-from cmasolve.cli import main  # noqa: E402
+from cmasolve.cli import main
 
 sys.exit(main())

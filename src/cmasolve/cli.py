@@ -63,15 +63,19 @@ def _write_profile_csv(profile, path):
 
 # -- subcommands ---------------------------------------------------------------
 
-def _cmd_solve(cfg) -> int:
-    from .iteration import RadialProblemSpec, solve_mam
+def _require_domain(cfg, kind: str, message: str):
+    from .config import ConfigError
 
-    p = cfg.build_problem()
-    if isinstance(p, RadialProblemSpec):
-        from .config import ConfigError
-        raise ConfigError("solve runs on box domains; use the radial "
-                          "subcommand for ball domains")
-    sol = solve_mam(p)
+    if cfg.domain_kind != kind:
+        raise ConfigError(message)
+
+
+def _cmd_solve(cfg) -> int:
+    from .iteration import solve_mam
+
+    _require_domain(cfg, "box", "solve runs on box domains; use the radial "
+                    "subcommand for ball domains")
+    sol = solve_mam(cfg.build_problem())
     _dump_fields(sol.u, cfg.outputs)
     _emit({
         "command": "solve",
@@ -90,13 +94,10 @@ def _cmd_solve(cfg) -> int:
 
 
 def _cmd_radial(cfg) -> int:
-    from .iteration import RadialProblemSpec, solve_mam
+    from .iteration import solve_mam
 
-    p = cfg.build_problem()
-    if not isinstance(p, RadialProblemSpec):
-        from .config import ConfigError
-        raise ConfigError("the radial subcommand needs a ball domain")
-    sol = solve_mam(p)
+    _require_domain(cfg, "ball", "the radial subcommand needs a ball domain")
+    sol = solve_mam(cfg.build_problem())
     if cfg.outputs.get("field_csv"):
         _write_profile_csv(sol.profile, cfg.outputs["field_csv"])
     _emit({
@@ -208,12 +209,8 @@ _VERIFIERS = {
 
 
 def _cmd_verify(cfg, checks: list[str]) -> int:
-    from .config import ConfigError
-    from .iteration import RadialProblemSpec
-
+    _require_domain(cfg, "box", "verify checks run on box domains")
     p = cfg.build_problem()
-    if isinstance(p, RadialProblemSpec):
-        raise ConfigError("verify checks run on box domains")
     rows = []
     for name in checks:
         rows.extend(_VERIFIERS[name](cfg, p))
@@ -254,14 +251,11 @@ def _cmd_study(cfg, kind: str) -> int:
         return EXIT_OK
 
     from .checks import stability_experiment
-    from .iteration import RadialProblemSpec
 
+    _require_domain(cfg, "box", "stability studies run on box domains")
     perturbations = cfg.study.get("perturbations",
                                   [2.0 ** -j for j in range(1, 7)])
-    p = cfg.build_problem()
-    if isinstance(p, RadialProblemSpec):
-        raise ConfigError("stability studies run on box domains")
-    table = stability_experiment(p, perturbations)
+    table = stability_experiment(cfg.build_problem(), perturbations)
     csv_path = cfg.outputs.get("study_csv", "stability.csv")
     with open(csv_path, "w", encoding="ascii") as fh:
         fh.write("delta,dist_l1,err_sup\n")
@@ -313,7 +307,7 @@ def main(argv=None) -> int:
 
     from .config import ConfigError, load_config
     from .errors import HypothesisViolation, SolverError
-    from .expressions import ParseError
+    from .expressions import ExpressionError
 
     try:
         cfg = load_config(args.config)
@@ -324,7 +318,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(cfg, args.check)
         return _cmd_study(cfg, args.kind)
-    except (ConfigError, ParseError, HypothesisViolation) as exc:
+    except (ConfigError, ExpressionError, HypothesisViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except SolverError as exc:

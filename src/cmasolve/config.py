@@ -4,7 +4,10 @@ A config is one JSON object; expressions are strings in the embedded
 arithmetic language (coordinates x1..yn, r2, and t inside right-hand
 sides).  load_config validates structure early so a malformed file
 fails before any solve starts, and RunConfig.build_problem assembles
-the ProblemSpec or RadialProblemSpec the subcommands run on.
+the ProblemSpec or RadialProblemSpec the subcommands run on.  Bounds on
+numbers are those of the objects the config becomes (the grid, the
+radial mesh, the rhs family, SolverConfig); load_config and
+build_problem apply them and report a violation as a ConfigError.
 """
 
 from __future__ import annotations
@@ -16,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import evaluate_on_grid, parse_expression, radial_env
-from .grids import Box, ScalarField, build_grid
+from .grids import MIN_RESOLUTION, Box, ScalarField, build_grid
 from .iteration import ProblemSpec, RadialProblemSpec
+from .radial import MIN_MESH
 from .rhs import ConstantRhs, ExponentialRhs, ExpressionRhs, PowerPlusRhs
 from .solvers import SolverConfig
 
@@ -93,21 +97,14 @@ class RunConfig:
             return lambda r: np.asarray(expr(radial_env(r)), dtype=float)
         return float(src)
 
-    def _family(self, weight):
-        spec = self.rhs_spec
-        if "expression" in spec:
-            return ExpressionRhs(spec["expression"])
-        tag = spec["family"]
-        if tag == "constant":
-            return ConstantRhs(weight)
-        if tag == "exponential":
-            return ExponentialRhs(float(spec.get("kappa", 1.0)), weight)
-        return PowerPlusRhs(float(spec.get("p", 1.0)),
-                            float(spec.get("c", 0.0)), weight)
-
     def build_problem(self, resolution: int | None = None):
         """Assemble the ProblemSpec or RadialProblemSpec to run."""
         res = self.resolution if resolution is None else int(resolution)
+        least, unit = ((MIN_MESH, "mesh intervals on a ball")
+                       if self.domain_kind == "ball"
+                       else (MIN_RESOLUTION, "nodes per axis on a box"))
+        _require(res >= least,
+                 f"resolution {res} is below {least} ({unit})")
         if self.domain_kind == "ball":
             weight = self._mesh_weight(self.rhs_spec.get("weight", 1.0))
             mu = self._mesh_weight(self.mu_src)
@@ -121,8 +118,9 @@ class RunConfig:
             else:
                 bval = float(self.boundary_src)
             return RadialProblemSpec(
-                n=self.n, boundary_value=bval, rhs=self._family(weight),
-                R=self.radius, mesh=res, w_mu=mu, config=self.solver)
+                n=self.n, boundary_value=bval,
+                rhs=_family(self.rhs_spec, weight), R=self.radius,
+                mesh=res, w_mu=mu, config=self.solver)
 
         grid = build_grid(self.box, res)
         weight = self._grid_weight(self.rhs_spec.get("weight", 1.0), grid)
@@ -139,8 +137,9 @@ class RunConfig:
             seed_expr = parse_expression(self.seed_src, self.n,
                                          context="spatial")
             v0 = ScalarField(grid, evaluate_on_grid(seed_expr, grid))
-        return ProblemSpec(boundary=boundary, rhs=self._family(weight),
-                           w_mu=mu, v0=v0, config=self.solver,
+        return ProblemSpec(boundary=boundary,
+                           rhs=_family(self.rhs_spec, weight), w_mu=mu,
+                           v0=v0, config=self.solver,
                            theorem_mode=self.theorem_mode)
 
     def exact_values(self, problem):
@@ -180,6 +179,23 @@ def _parse_domain(raw: dict, n: int):
     return kind, Box(lo=lo, hi=hi), None
 
 
+def _family(spec: dict, weight):
+    """The rhs family a parsed rhs spec names, with the given weight."""
+    if "expression" in spec:
+        return ExpressionRhs(spec["expression"])
+    tag = spec["family"]
+    if tag == "constant":
+        return ConstantRhs(weight)
+    if tag == "exponential":
+        return ExponentialRhs(float(spec.get("kappa", 1.0)), weight)
+    return PowerPlusRhs(float(spec.get("p", 1.0)),
+                        float(spec.get("c", 0.0)), weight)
+
+
+def _rejected(where: str, exc: Exception) -> ConfigError:
+    return ConfigError(f"invalid {where}: {exc}")
+
+
 def _parse_rhs(raw: dict) -> dict:
     _require(isinstance(raw, dict), "rhs must be an object")
     if "expression" in raw:
@@ -192,15 +208,24 @@ def _parse_rhs(raw: dict) -> dict:
              "rhs needs either an expression or a family tag among "
              + ", ".join(sorted(_FAMILY_KEYS)))
     _check_keys(raw, _FAMILY_KEYS[tag], f"rhs ({tag})")
+    # the family's own parameter checks, with a placeholder weight
+    try:
+        _family(raw, 1.0)
+    except (TypeError, ValueError) as exc:
+        raise _rejected(f"rhs ({tag})", exc) from exc
     return dict(raw)
 
 
 def _parse_solver(raw: dict) -> SolverConfig:
     _check_keys(raw, _SOLVER_KEYS, "solver")
     kwargs = dict(raw)
-    if "reg_ladder" in kwargs:
-        kwargs["reg_ladder"] = tuple(float(v) for v in kwargs["reg_ladder"])
-    return SolverConfig(**kwargs)
+    try:
+        if "reg_ladder" in kwargs:
+            kwargs["reg_ladder"] = tuple(float(v)
+                                         for v in kwargs["reg_ladder"])
+        return SolverConfig(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise _rejected("solver settings", exc) from exc
 
 
 def load_config(path) -> RunConfig:
@@ -222,8 +247,10 @@ def load_config(path) -> RunConfig:
     kind, box, radius = _parse_domain(raw["domain"], n)
     _require(kind == "ball" or n <= 2,
              "box domains support n in {1, 2}; use a ball for higher n")
-    resolution = int(raw["resolution"])
-    _require(resolution >= 3, "resolution must be at least 3")
+    try:
+        resolution = int(raw["resolution"])
+    except (TypeError, ValueError) as exc:
+        raise _rejected("resolution", exc) from exc
 
     boundary = raw["boundary"]
     _require(isinstance(boundary, (str, int, float)),

@@ -31,6 +31,10 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 
+# nodes per axis a grid needs so every interior node has its full stencil
+MIN_RESOLUTION = 5
+
+
 class GridError(ValueError):
     """Raised for malformed domains, resolutions, or field data."""
 
@@ -90,10 +94,10 @@ class Grid:
         if len(res) != len(domain.lo):
             raise GridError("resolution length must match box dimension")
         for a, r in enumerate(res):
-            if r < 5:
+            if r < MIN_RESOLUTION:
                 raise GridError(
                     f"resolution {r} on axis {a} leaves the interior too thin "
-                    "(need >= 5 nodes per axis)")
+                    f"(need >= {MIN_RESOLUTION} nodes per axis)")
         self.domain = domain
         self.resolution = res
         self.ndim = len(res)

@@ -11,6 +11,13 @@ ones descend, bracketing the limit.  Both chains are recorded: on a stall
 they are returned as a sub/supersolution bracket instead of a bare
 failure.
 
+Each ProblemSpec owns its f and its prepared state (u0, the bound
+right-hand side, the t-range and the outer residual tolerance).  Both
+are computed on first use and kept on that spec, so the solves, checks
+and verifiers that share one spec solve f at most once, and not at all
+when nothing reads it: a t-independent density freezes to the same
+values at f as at 0.
+
 The balayage step performs the classical local improvement: re-solve on a
 sub-box with the current iterate as boundary data and glue, which never
 decreases a subsolution.
@@ -20,6 +27,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -60,7 +68,9 @@ class OuterStep(NamedTuple):
 @dataclass(frozen=True)
 class ProblemSpec:
     """Grid-mode problem: boundary data, a right-hand-side family, the
-    measure density, and an optional declared subsolution seed."""
+    measure density, and an optional declared subsolution seed.  Its
+    maximal extension `f` and prepared state are solved on first use and
+    kept on the instance."""
 
     boundary: ScalarField
     rhs: object
@@ -82,6 +92,16 @@ class ProblemSpec:
     @property
     def grid(self) -> Grid:
         return self.boundary.grid
+
+    @cached_property
+    def f(self) -> ScalarField:
+        """The maximal psh extension of the boundary data."""
+        return maximal_extension(self.boundary, self.config,
+                                 theorem_mode=self.theorem_mode)
+
+    @cached_property
+    def _state(self) -> dict:
+        return _prepare_state(self)
 
 
 @dataclass(frozen=True)
@@ -133,8 +153,8 @@ class SubsolutionReport:
 class Solution:
     """Converged (or bracketed) outer iteration on a grid."""
 
+    problem: ProblemSpec
     u: ScalarField
-    f: ScalarField
     u0: ScalarField
     phi0: ScalarField | None
     converged: bool
@@ -149,6 +169,11 @@ class Solution:
     bracket_upper: ScalarField
     psh_defect: float
     lip_t: float
+
+    @property
+    def f(self) -> ScalarField:
+        """The problem's maximal extension, solved on first access."""
+        return self.problem.f
 
 
 @dataclass(frozen=True)
@@ -167,7 +192,9 @@ class RadialSolution:
 
 @dataclass(frozen=True)
 class _Prepared:
-    f: ScalarField
+    """A view of a problem's prepared state; f is read from the problem."""
+
+    problem: ProblemSpec
     phi0: ScalarField | None
     u0: ScalarField
     bound: BoundRhs
@@ -176,53 +203,71 @@ class _Prepared:
     lip_t: float
     tol_outer_residual: float
 
+    @property
+    def f(self) -> ScalarField:
+        return self.problem.f
+
 
 def prepare(p: ProblemSpec) -> _Prepared:
-    """Solve for f and u0, bind G, and verify the standing hypotheses.
+    """Solve for u0, bind G, and verify the standing hypotheses, once per
+    problem; f is solved only when the seed or the density reads it.
 
     Raises HypothesisViolation when the sampled monotonicity/positivity
     checks fail or a declared subsolution seed does not check out.
     """
+    return _Prepared(problem=p, **p._state)
+
+
+def _first_iterate(bound: BoundRhs, boundary: ScalarField,
+                   cfg: SolverConfig, f_of) -> tuple[ScalarField, float]:
+    """u0, the solve with G frozen at the maximal extension f = f_of(),
+    and max(0, max f), the top of the t-range the iterates visit.  A
+    t-independent G never calls f_of: G(f, .) is then G(0, .) bit for
+    bit, and f, being psh, peaks on the boundary."""
+    grid = boundary.grid
+    if bound.t_independent:
+        t_freeze = 0.0
+        t_top = float(boundary.values[~grid.interior_mask()].max())
+    else:
+        f = f_of()
+        t_freeze = f.values[grid.interior]
+        t_top = float(f.values.max())
+    u0 = solve_ma_fixed_rhs(bound(t_freeze), boundary, cfg).u
+    return u0, max(0.0, t_top)
+
+
+def _prepare_state(p: ProblemSpec) -> dict:
     cfg = p.config
-    grid = p.grid
-    f = maximal_extension(p.boundary, cfg, theorem_mode=p.theorem_mode)
-    bound = bind_on_grid(p.rhs, grid, p.w_mu)
-    u0 = solve_ma_fixed_rhs(bound(f.values[grid.interior]), p.boundary,
-                            cfg).u
+    bound = bind_on_grid(p.rhs, p.grid, p.w_mu)
+    u0, t_hi = _first_iterate(bound, p.boundary, cfg, lambda: p.f)
 
     phi0 = None
     if p.v0 is not None:
-        phi0 = ScalarField(grid, p.v0.values + f.values)
+        phi0 = ScalarField(p.grid, p.v0.values + p.f.values)
 
     t_lo = float(u0.values.min())
     if phi0 is not None:
         t_lo = min(t_lo, float(phi0.values.min()))
     t_lo -= 1.0
-    t_hi = max(0.0, float(f.values.max()))
     lip = bound.validate(t_lo, t_hi)
     tol_res = 10.0 * max(cfg.tol_inner, cfg.tol_outer * lip)
 
     if p.v0 is not None:
-        rep = subsolution_check(p.v0, p, f=f)
+        rep = subsolution_check(p.v0, p)
         if not rep.passed:
             raise HypothesisViolation(
                 f"declared subsolution seed fails its check "
                 f"(margin {rep.margin:.3e}, above-f gap {rep.upper_gap:.3e}, "
                 f"psh defect {rep.psh_defect:.3e}, tol {rep.tol:.3e})",
                 "v0 is a subsolution")
-    return _Prepared(f, phi0, u0, bound, t_lo, t_hi, lip, tol_res)
+    return dict(phi0=phi0, u0=u0, bound=bound, t_lo=t_lo, t_hi=t_hi,
+                lip_t=lip, tol_outer_residual=tol_res)
 
 
-def initial_iterate(p: ProblemSpec, f: ScalarField | None = None
-                    ) -> ScalarField:
+def initial_iterate(p: ProblemSpec) -> ScalarField:
     """First iterate: solve with the density frozen at the maximal
     extension, which produces a function below f and below the limit."""
-    cfg = p.config
-    if f is None:
-        f = maximal_extension(p.boundary, cfg, theorem_mode=p.theorem_mode)
-    bound = bind_on_grid(p.rhs, p.grid, p.w_mu)
-    return solve_ma_fixed_rhs(bound(f.values[p.grid.interior]), p.boundary,
-                              cfg).u
+    return prepare(p).u0
 
 
 def apply_T(u: ScalarField, p: ProblemSpec,
@@ -347,10 +392,10 @@ def solve_mam(p, tol_outer: float | None = None,
         slack = 2.0 * cfg.tol_inner
         sandwich_ok = bool(
             np.all(prep.phi0.values <= u.values + slack)
-            and np.all(u.values <= prep.f.values + slack))
+            and np.all(u.values <= p.f.values + slack))
 
     return Solution(
-        u=u, f=prep.f, u0=start, phi0=prep.phi0, converged=converged,
+        problem=p, u=u, u0=start, phi0=prep.phi0, converged=converged,
         outer_iters=steps, history=tuple(history),
         final_residual=final_residual,
         tol_outer_residual=prep.tol_outer_residual, residual_ok=residual_ok,
@@ -418,13 +463,13 @@ def subsolution_check(u: ScalarField, p: ProblemSpec,
                       tol: float | None = None,
                       f: ScalarField | None = None) -> SubsolutionReport:
     """Membership check: density dominates G(u, .), u sits below f, and u
-    is discretely psh, all within tol (default 10 h^2 (1 + max G))."""
+    is discretely psh, all within tol (default 10 h^2 (1 + max G)).  f
+    defaults to the problem's own maximal extension."""
     grid = p.grid
     if u.grid != grid:
         raise ValueError("field lives on a different grid")
     if f is None:
-        f = maximal_extension(p.boundary, p.config,
-                              theorem_mode=p.theorem_mode)
+        f = p.f
     bound = bind_on_grid(p.rhs, grid, p.w_mu)
     g_at_u = bound(u.values[grid.interior])
     dens, defect = ma_density(u)
@@ -488,12 +533,11 @@ def balayage_step(u: ScalarField, sub, p: ProblemSpec,
 
     # the local maximal extension and initial iterate mirror the global
     # construction with u's restriction as data
-    f_local = maximal_extension(local_boundary, cfg, theorem_mode=False)
-    u0_local = solve_ma_fixed_rhs(
-        local_bound(f_local.values[local_grid.interior]), local_boundary,
-        cfg).u
+    u0_local, t_hi = _first_iterate(
+        local_bound, local_boundary, cfg,
+        lambda: maximal_extension(local_boundary, cfg, theorem_mode=False))
     t_lo = float(u0_local.values.min()) - 1.0
-    local_bound.validate(t_lo, max(0.0, float(f_local.values.max())))
+    local_bound.validate(t_lo, t_hi)
 
     local_u, conv, _, _, _, _, _ = _picard(
         local_grid, local_bound, local_boundary, cfg, cfg.tol_outer,

@@ -23,6 +23,9 @@ from .solvers import NewtonIterationError, NewtonStagnationError, SolverConfig
 
 __all__ = ["RadialProfile", "radial_residual", "solve_radial"]
 
+# fewest mesh intervals a radial solve accepts
+MIN_MESH = 32
+
 
 @dataclass(frozen=True)
 class RadialProfile:
@@ -162,12 +165,11 @@ def _radial_stage(n, w, h, r, rhs, eps, stage_tol, cfg):
             step = _solve_tridiag(lower, diag, upper, -F)
         except np.linalg.LinAlgError as exc:
             raise NewtonStagnationError(
-                f"radial linearization is singular (residual {rsup:.3e})",
-                residual=rsup, iterate=np.array(w)) from exc
+                rsup, np.array(w),
+                "radial linearization is singular") from exc
         if not np.all(np.isfinite(step)):
-            raise NewtonStagnationError(
-                f"radial Newton step is not finite (residual {rsup:.3e})",
-                residual=rsup, iterate=np.array(w))
+            raise NewtonStagnationError(rsup, np.array(w),
+                                        "radial Newton step is not finite")
         t = 1.0
         accepted = False
         while t >= cfg.min_step:
@@ -181,12 +183,9 @@ def _radial_stage(n, w, h, r, rhs, eps, stage_tol, cfg):
                 break
             t *= cfg.damping
         if not accepted:
-            raise NewtonStagnationError(
-                f"radial Newton stalled at residual {rsup:.3e}",
-                residual=rsup, iterate=np.array(w))
-    raise NewtonIterationError(
-        f"radial Newton used {cfg.max_newton} iterations "
-        f"(residual {rsup:.3e})", residual=rsup, iterate=np.array(w))
+            raise NewtonStagnationError(rsup, np.array(w),
+                                        "radial line search")
+    raise NewtonIterationError(rsup, np.array(w))
 
 
 def solve_radial(n: int, rhs, boundary_value: float, R: float,
@@ -204,8 +203,8 @@ def solve_radial(n: int, rhs, boundary_value: float, R: float,
         raise ValueError("dimension n must be a positive integer")
     if not (R > 0 and np.isfinite(R)):
         raise ValueError("radius R must be positive and finite")
-    if mesh < 32:
-        raise ValueError("mesh must be at least 32 intervals")
+    if mesh < MIN_MESH:
+        raise ValueError(f"mesh must be at least {MIN_MESH} intervals")
     bval = float(boundary_value)
     if bval > 0:
         raise HypothesisViolation("positive boundary value",

@@ -36,11 +36,14 @@ from .linsolve import solve_hermitian_system, solve_poisson_system
 
 
 class NewtonStagnationError(SolverError):
-    """Line search fell below the minimum step with residual above tol."""
+    """Newton could not decrease the residual: the line search fell below
+    the minimum step, or the linearization gave no usable step."""
 
-    def __init__(self, residual: float, iterate: np.ndarray):
+    def __init__(self, residual: float, iterate: np.ndarray,
+                 reason: str | None = None):
+        detail = f" ({reason})" if reason else ""
         super().__init__(
-            f"newton stagnated with residual {residual:.3e}")
+            f"newton stagnated with residual {residual:.3e}{detail}")
         self.residual = residual
         self.iterate = iterate
 

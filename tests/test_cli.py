@@ -191,6 +191,35 @@ class TestConfigValidation:
         assert code == 2
         assert "newton_tol" in err
 
+    @pytest.mark.parametrize("command, overrides, needle", [
+        (("solve",), {"resolution": 3}, "resolution 3 is below 5"),
+        (("solve",), {"resolution": 4}, "resolution 4 is below 5"),
+        (("study", "convergence"),
+         {"study": {"resolutions": [9, 4], "exact": "r2 - 1"}},
+         "resolution 4 is below 5"),
+        (("radial",), {"domain": {"ball": {"radius": 1.0}},
+                       "resolution": 31, "boundary": 0.0},
+         "resolution 31 is below 32"),
+        (("solve",), {"boundary": "log(x1)"}, "log of a non-positive"),
+        (("solve",), {"boundary": "1/0"}, "division by zero"),
+        (("solve",), {"rhs": {"family": "power_plus", "p": 0.5,
+                              "weight": 4.0}}, "p >= 1"),
+        (("solve",), {"solver": {"damping": 1.5}}, "damping"),
+        (("solve",), {"solver": {"tol_inner": -1e-10}}, "tolerances"),
+        (("solve",), {"solver": {"max_newton": 0}}, "iteration caps"),
+        (("solve",), {"solver": {"reg_ladder": [1e-2, 1e-4]}},
+         "must end at 0"),
+    ], ids=["box-res-3", "box-res-4", "study-res-4", "ball-res-31",
+            "log-x1", "one-over-zero", "power-below-1", "damping",
+            "negative-tol", "zero-newton-cap", "open-ladder"])
+    def test_invalid_input_exits_2(self, tmp_path, capsys, command,
+                                   overrides, needle):
+        cfg = write_cfg(tmp_path, **overrides)
+        code, out, err = run(capsys, *command, cfg)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and needle in err
+
 
 class TestVerify:
     def test_subsolution_and_uniqueness(self, tmp_path, capsys):
@@ -303,6 +332,20 @@ class TestStudy:
 
 
 class TestThreadOverride:
+    def test_cli_import_leaves_numpy_unloaded(self):
+        # the caps only take effect when set before numpy first loads
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = ("import sys, cmasolve.cli; "
+                 "print('numpy' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
     def test_env_var_sets_blas_caps(self, monkeypatch):
         from cmasolve.cli import _apply_thread_override
 

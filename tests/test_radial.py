@@ -7,9 +7,13 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from cmasolve.errors import HypothesisViolation
+import cmasolve.radial
+from cmasolve.errors import HypothesisViolation, SolverError
+from cmasolve.iteration import RadialProblemSpec, solve_mam
 from cmasolve.radial import RadialProfile, solve_radial
-from cmasolve.solvers import SolverConfig
+from cmasolve.rhs import ExponentialRhs
+from cmasolve.solvers import (NewtonIterationError, NewtonStagnationError,
+                              SolverConfig)
 
 
 def radial_operator_oracle(n, v_expr, r_sym):
@@ -101,3 +105,43 @@ class TestHypotheses:
             solve_radial(1, lambda v, r: 4.0, 0.0, 1.0, mesh=8)
         with pytest.raises(ValueError, match="radius"):
             solve_radial(1, lambda v, r: 4.0, 0.0, -1.0)
+
+
+class TestNewtonFailures:
+    def test_stall_raises_a_solver_error(self):
+        # the residual stalls at round-off above the absolute tol_inner
+        p = RadialProblemSpec(
+            n=2, boundary_value=0.0,
+            rhs=ExponentialRhs(1.0, w=lambda r: 32.0 * np.exp(1.0 - r ** 2)),
+            mesh=256)
+        try:
+            sol = solve_mam(p)
+        except SolverError as exc:
+            assert isinstance(exc, (NewtonStagnationError,
+                                    NewtonIterationError))
+            assert exc.residual > 0.0
+            assert exc.iterate.shape == (p.mesh + 1,)
+        else:
+            assert sol.converged
+
+    def test_warm_start_stall_falls_back_to_the_ladder(self, monkeypatch):
+        # vanishing density at the axis: the solve walks the ladder
+        cold = solve_radial(2, lambda v, r: 108.0 * r ** 2, 0.0, 1.0,
+                            mesh=64)
+        stage = cmasolve.radial._radial_stage
+        calls = []
+
+        def stall_first(n, w, *args, **kwargs):
+            calls.append(args[3])        # the regularization eps
+            if len(calls) == 1:
+                raise NewtonStagnationError(1.0, np.array(w), "forced")
+            return stage(n, w, *args, **kwargs)
+
+        monkeypatch.setattr(cmasolve.radial, "_radial_stage", stall_first)
+        warm = solve_radial(2, lambda v, r: 108.0 * r ** 2, 0.0, 1.0,
+                            mesh=64, init=cold.values)
+        cfg = SolverConfig()
+        # the failed warm try at eps 0, then every rung of the ladder
+        assert calls == [0.0, *cfg.reg_ladder]
+        assert warm.residual <= cfg.tol_inner
+        assert np.abs(warm.values - cold.values).max() <= 1e-6
