@@ -121,7 +121,7 @@ def _verify_comparison(cfg, p):
     from .solvers import solve_ma_fixed_rhs
 
     rng = np.random.default_rng(cfg.rng_seed)
-    pairs = int(cfg.verify.get("pairs", 20))
+    pairs = cfg.verify.get("pairs", 20)
     grid = p.grid
     norm_scale = 4.0 ** grid.n
     rows = []
@@ -168,9 +168,9 @@ def _verify_demailly(cfg, p):
     u2 = ScalarField(u1.grid, 2.0 * u1.values - shift)
     rows = []
     for eps in cfg.verify.get("eps", [0.1, 0.05, 0.025]):
-        rep = demailly_max_check(u1, u2, float(eps))
+        rep = demailly_max_check(u1, u2, eps)
         row = rep.to_dict()
-        row["eps"] = float(eps)
+        row["eps"] = eps
         rows.append(row)
     return rows
 

@@ -2,8 +2,9 @@
 
 A config is one JSON object; expressions are strings in the embedded
 arithmetic language (coordinates x1..yn, r2, and t inside right-hand
-sides).  load_config validates structure early so a malformed file
-fails before any solve starts, and RunConfig.build_problem assembles
+sides).  load_config validates structure and the type of every value
+early, so a malformed file fails before any solve starts and RunConfig
+holds typed values; RunConfig.build_problem assembles
 the ProblemSpec or RadialProblemSpec the subcommands run on.  Bounds on
 numbers are those of the objects the config becomes (the grid, the
 radial mesh, the rhs family, SolverConfig); load_config and
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +35,8 @@ _TOP_KEYS = {
     "study", "verify",
 }
 _SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverConfig)}
+_SOLVER_INTEGERS = {f.name for f in dataclasses.fields(SolverConfig)
+                    if type(f.default) is int}
 _OUTPUT_KEYS = {"field_csv", "field_bin", "study_csv"}
 _STUDY_KEYS = {"resolutions", "exact", "perturbations"}
 _VERIFY_KEYS = {"eps", "pairs"}
@@ -56,6 +60,45 @@ def _check_keys(d: dict, allowed: set, where: str):
     unknown = set(d) - allowed
     _require(not unknown,
              f"unknown {where} key(s): {', '.join(sorted(unknown))}")
+
+
+def _object(value, where: str) -> dict:
+    _require(isinstance(value, dict), f"{where} must be a JSON object")
+    return dict(value)
+
+
+def _number(value, where: str) -> float:
+    """A finite JSON number; true and false are not numbers here."""
+    # the magnitude test also rejects nan and integers beyond float range
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool)
+             and abs(value) <= sys.float_info.max,
+             f"{where} must be a finite number (got {value!r})")
+    return float(value)
+
+
+def _integer(value, where: str) -> int:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    _require(isinstance(value, int) and not isinstance(value, bool),
+             f"{where} must be an integer (got {value!r})")
+    return value
+
+
+def _list_of(item, value, where: str) -> list:
+    """A JSON list converted entry by entry with item(entry, where)."""
+    _require(isinstance(value, list), f"{where} must be a list")
+    return [item(v, f"{where}[{i}]") for i, v in enumerate(value)]
+
+
+def _positive(value, where: str) -> float:
+    x = _number(value, where)
+    _require(x > 0, f"{where} must be positive (got {x!r})")
+    return x
+
+
+def _string(value, where: str) -> str:
+    _require(isinstance(value, str), f"{where} must be a string")
+    return value
 
 
 @dataclass(frozen=True)
@@ -158,20 +201,21 @@ class RunConfig:
         return evaluate_on_grid(expr, problem.grid)
 
 
-def _parse_domain(raw: dict, n: int):
+def _parse_domain(raw, n: int):
     _require(isinstance(raw, dict) and len(raw) == 1
              and next(iter(raw)) in ("box", "ball"),
              "domain must be {\"box\": {...}} or {\"ball\": {...}}")
     kind = next(iter(raw))
-    body = raw[kind]
+    body = _object(raw[kind], f"domain.{kind}")
     if kind == "ball":
         _check_keys(body, {"radius"}, "domain.ball")
-        radius = float(body.get("radius", 1.0))
-        _require(radius > 0, "ball radius must be positive")
+        radius = _positive(body.get("radius", 1.0), "ball radius")
         return kind, None, radius
     _check_keys(body, {"lo", "hi"}, "domain.box")
-    lo = tuple(float(v) for v in body["lo"])
-    hi = tuple(float(v) for v in body["hi"])
+    for key in ("lo", "hi"):
+        _require(key in body, f"domain.box is missing its {key} corner")
+    lo = tuple(_list_of(_number, body["lo"], "domain.box.lo"))
+    hi = tuple(_list_of(_number, body["hi"], "domain.box.hi"))
     _require(len(lo) == 2 * n and len(hi) == 2 * n,
              f"box corners need {2 * n} coordinates for n = {n}")
     _require(all(a < b for a, b in zip(lo, hi)),
@@ -204,10 +248,12 @@ def _parse_rhs(raw: dict) -> dict:
                  "rhs.expression must be a string")
         return dict(raw)
     tag = raw.get("family")
-    _require(tag in _FAMILY_KEYS,
+    _require(isinstance(tag, str) and tag in _FAMILY_KEYS,
              "rhs needs either an expression or a family tag among "
              + ", ".join(sorted(_FAMILY_KEYS)))
     _check_keys(raw, _FAMILY_KEYS[tag], f"rhs ({tag})")
+    _require(isinstance(raw.get("weight", 1.0), (str, int, float)),
+             "rhs.weight must be an expression string or a number")
     # the family's own parameter checks, with a placeholder weight
     try:
         _family(raw, 1.0)
@@ -216,16 +262,47 @@ def _parse_rhs(raw: dict) -> dict:
     return dict(raw)
 
 
-def _parse_solver(raw: dict) -> SolverConfig:
-    _check_keys(raw, _SOLVER_KEYS, "solver")
-    kwargs = dict(raw)
+def _parse_solver(raw) -> SolverConfig:
+    kwargs = _object(raw, "solver")
+    _check_keys(kwargs, _SOLVER_KEYS, "solver")
+    for key, value in kwargs.items():
+        where = f"solver.{key}"
+        if key == "reg_ladder":
+            kwargs[key] = tuple(_list_of(_number, value, where))
+        elif key in _SOLVER_INTEGERS:
+            kwargs[key] = _integer(value, where)
+        else:
+            kwargs[key] = _number(value, where)
     try:
-        if "reg_ladder" in kwargs:
-            kwargs["reg_ladder"] = tuple(float(v)
-                                         for v in kwargs["reg_ladder"])
         return SolverConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise _rejected("solver settings", exc) from exc
+
+
+def _parse_study(raw) -> dict:
+    study = _object(raw, "study")
+    _check_keys(study, _STUDY_KEYS, "study")
+    if "resolutions" in study:
+        study["resolutions"] = _list_of(_integer, study["resolutions"],
+                                        "study.resolutions")
+    if "exact" in study:
+        _string(study["exact"], "study.exact")
+    if "perturbations" in study:
+        study["perturbations"] = _list_of(_number, study["perturbations"],
+                                          "study.perturbations")
+    return study
+
+
+def _parse_verify(raw) -> dict:
+    verify = _object(raw, "verify")
+    _check_keys(verify, _VERIFY_KEYS, "verify")
+    if "pairs" in verify:
+        verify["pairs"] = _integer(verify["pairs"], "verify.pairs")
+        _require(verify["pairs"] >= 1, "verify.pairs must be at least 1")
+    if "eps" in verify:
+        # smoothing widths of the regularized maximum
+        verify["eps"] = _list_of(_positive, verify["eps"], "verify.eps")
+    return verify
 
 
 def load_config(path) -> RunConfig:
@@ -242,15 +319,12 @@ def load_config(path) -> RunConfig:
     for key in ("n", "domain", "resolution", "boundary", "rhs"):
         _require(key in raw, f"config is missing required key: {key}")
 
-    n = int(raw["n"])
+    n = _integer(raw["n"], "n")
     _require(1 <= n <= 4, "n must be between 1 and 4")
     kind, box, radius = _parse_domain(raw["domain"], n)
     _require(kind == "ball" or n <= 2,
              "box domains support n in {1, 2}; use a ball for higher n")
-    try:
-        resolution = int(raw["resolution"])
-    except (TypeError, ValueError) as exc:
-        raise _rejected("resolution", exc) from exc
+    resolution = _integer(raw["resolution"], "resolution")
 
     boundary = raw["boundary"]
     _require(isinstance(boundary, (str, int, float)),
@@ -264,19 +338,23 @@ def load_config(path) -> RunConfig:
              "subsolution_seed must be an expression string")
     _require(seed is None or kind == "box",
              "subsolution_seed applies to box domains only")
+    theorem_mode = raw.get("theorem_mode", True)
+    _require(isinstance(theorem_mode, bool),
+             "theorem_mode must be true or false")
+    rng_seed = _integer(raw.get("rng_seed", 0), "rng_seed")
+    _require(rng_seed >= 0, "rng_seed must be nonnegative")
 
     solver = _parse_solver(raw.get("solver", {}))
-    outputs = dict(raw.get("outputs", {}))
+    outputs = _object(raw.get("outputs", {}), "outputs")
     _check_keys(outputs, _OUTPUT_KEYS, "outputs")
-    study = dict(raw.get("study", {}))
-    _check_keys(study, _STUDY_KEYS, "study")
-    verify = dict(raw.get("verify", {}))
-    _check_keys(verify, _VERIFY_KEYS, "verify")
+    for key, path in outputs.items():
+        _string(path, f"outputs.{key}")
+    study = _parse_study(raw.get("study", {}))
+    verify = _parse_verify(raw.get("verify", {}))
 
     return RunConfig(
         n=n, domain_kind=kind, box=box, radius=radius,
         resolution=resolution, boundary_src=boundary, rhs_spec=rhs_spec,
-        mu_src=mu, seed_src=seed,
-        theorem_mode=bool(raw.get("theorem_mode", True)),
-        solver=solver, outputs=outputs,
-        rng_seed=int(raw.get("rng_seed", 0)), study=study, verify=verify)
+        mu_src=mu, seed_src=seed, theorem_mode=theorem_mode,
+        solver=solver, outputs=outputs, rng_seed=rng_seed, study=study,
+        verify=verify)

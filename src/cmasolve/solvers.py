@@ -109,21 +109,19 @@ def _interior_density(g) -> np.ndarray:
     return np.asarray(g, dtype=np.float64)
 
 
-def solve_poisson(g, boundary: ScalarField, cfg: SolverConfig | None = None,
-                  init: ScalarField | None = None) -> ScalarField:
+def solve_poisson(g, boundary: ScalarField,
+                  cfg: SolverConfig | None = None) -> ScalarField:
     """Dirichlet solve of lap(u) = g; g may carry either sign.
 
-    Red-black symmetric Gauss-Seidel preconditioned conjugate gradients,
-    stopping when the interior residual sup-norm falls below tol_inner.
-    The boundary ring of the result equals `boundary` bit-exactly.
+    A direct sine-transform solve with refinement sweeps until the
+    interior residual sup-norm falls below tol_inner or reaches its
+    round-off floor.  The boundary ring of the result equals `boundary`
+    bit-exactly.
     """
     cfg = cfg or SolverConfig()
-    grid = boundary.grid
-    rhs = _interior_density(g)
-    x0 = init.values if init is not None else None
-    vals = solve_poisson_system(grid, rhs, boundary.values, x0=x0,
-                                tol=cfg.tol_inner)
-    return ScalarField(grid, vals)
+    vals = solve_poisson_system(boundary.grid, _interior_density(g),
+                                boundary.values, tol=cfg.tol_inner)
+    return ScalarField(boundary.grid, vals)
 
 
 # -- n = 2 Newton machinery --------------------------------------------------
@@ -272,7 +270,7 @@ def solve_ma_fixed_rhs(g, boundary: ScalarField,
         raise ValueError("monge-ampere density must be nonnegative")
 
     if grid.n == 1:
-        u = solve_poisson(g_arr, boundary, cfg, init=init)
+        u = solve_poisson(g_arr, boundary, cfg)
         resid = _poisson_residual(grid, u.values, g_arr)
         defect = float(max(0.0, -_laplacian_quarter_min(grid, u.values)))
         return MaSolveResult(u, resid, 0, defect)
@@ -299,19 +297,21 @@ def solve_ma_fixed_rhs(g, boundary: ScalarField,
         u = np.array(boundary.values)
         u[grid.interior] = init.values[grid.interior]
         if len(ladder) > 1:
-            # warm start: attempt the unregularized problem directly and only
-            # fall back to the full ladder if Newton stalls or loses psh-ness
+            # warm start: attempt the unregularized problem directly; if
+            # Newton stalls, hits its cap or loses psh-ness, the warm iterate
+            # is what failed, so the ladder starts over from the surrogate
             try:
                 ut, rsup, iters, lam1 = _newton_stage(
                     grid, g_arr, np.array(u), cfg, eps_reg=0.0,
                     stage_tol=cfg.tol_inner)
-            except NewtonStagnationError:
+            except (NewtonStagnationError, NewtonIterationError):
                 pass
             else:
                 if float(lam1.min()) >= -psh_slack:
                     defect = float(max(0.0, -float(lam1.min())))
                     return MaSolveResult(ScalarField(grid, ut), rsup, iters,
                                          defect)
+            u = _lap_init(g_arr + ladder[0])
     else:
         if len(ladder) > 1:
             # exactly representable data (e.g. pluriharmonic boundary with

@@ -2,14 +2,21 @@
 
 import json
 import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmasolve.cli import main
 from cmasolve.grids import read_field_bin, read_field_csv
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
+
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "configs")
 
 
 def write_cfg(tmp_path, name="run.json", **overrides):
@@ -209,9 +216,45 @@ class TestConfigValidation:
         (("solve",), {"solver": {"max_newton": 0}}, "iteration caps"),
         (("solve",), {"solver": {"reg_ladder": [1e-2, 1e-4]}},
          "must end at 0"),
+        (("solve",), {"n": "one"}, "n must be an integer"),
+        (("solve",), {"resolution": 9.5}, "resolution must be an integer"),
+        (("verify", "--check", "comparison"), {"rng_seed": "seven"},
+         "rng_seed must be an integer"),
+        (("solve",), {"domain": {"box": {"lo": ["a", -0.5],
+                                         "hi": [0.5, 0.5]}}},
+         "domain.box.lo[0] must be a finite number"),
+        (("solve",), {"domain": {"box": {"lo": [-0.5, -0.5]}}},
+         "missing its hi corner"),
+        (("study", "convergence"),
+         {"study": {"resolutions": 17, "exact": "r2 - 1"}},
+         "study.resolutions must be a list"),
+        (("study", "convergence"),
+         {"study": {"resolutions": [9, "17"], "exact": "r2 - 1"}},
+         "study.resolutions[1] must be an integer"),
+        (("verify", "--check", "comparison"), {"verify": {"pairs": "four"}},
+         "verify.pairs must be an integer"),
+        (("verify", "--check", "demailly"), {"verify": {"eps": ["small"]}},
+         "verify.eps[0] must be a finite number"),
+        (("verify", "--check", "demailly"), {"verify": {"eps": [0.0]}},
+         "verify.eps[0] must be positive"),
+        (("study", "stability"),
+         {"subsolution_seed": "3 * (r2 - 1)",
+          "study": {"perturbations": ["half"]}},
+         "study.perturbations[0] must be a finite number"),
+        (("solve",), {"outputs": {"field_csv": 5}},
+         "outputs.field_csv must be a string"),
+        (("solve",), {"solver": {"tol_inner": float("nan")}},
+         "solver.tol_inner must be a finite number"),
+        (("solve",), {"solver": {"max_newton": 2.5}},
+         "solver.max_newton must be an integer"),
     ], ids=["box-res-3", "box-res-4", "study-res-4", "ball-res-31",
             "log-x1", "one-over-zero", "power-below-1", "damping",
-            "negative-tol", "zero-newton-cap", "open-ladder"])
+            "negative-tol", "zero-newton-cap", "open-ladder",
+            "n-string", "res-fraction", "seed-string", "corner-string",
+            "corner-missing", "resolutions-number", "resolutions-string",
+            "pairs-string", "eps-string", "eps-zero",
+            "perturbation-string", "output-number", "nan-tol",
+            "fractional-newton-cap"])
     def test_invalid_input_exits_2(self, tmp_path, capsys, command,
                                    overrides, needle):
         cfg = write_cfg(tmp_path, **overrides)
@@ -219,6 +262,84 @@ class TestConfigValidation:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and needle in err
+
+
+def _json_values():
+    scalars = (st.none() | st.booleans() | st.integers(-10 ** 20, 10 ** 20)
+               | st.floats(allow_nan=True, allow_infinity=True)
+               | st.text(max_size=8))
+    return st.recursive(
+        scalars,
+        lambda inner: (st.lists(inner, max_size=4)
+                       | st.dictionaries(st.text(max_size=6), inner,
+                                         max_size=3)),
+        max_leaves=8)
+
+
+def _key_paths(node, prefix=()):
+    """Every path of keys and list indices below the root of a config."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _key_paths(child, prefix + (key,))
+
+
+OPTIONAL_KEYS = ("mu_density", "subsolution_seed", "theorem_mode", "solver",
+                 "outputs", "rng_seed", "study", "verify")
+SHIPPED = sorted(os.path.join(CONFIG_DIR, name)
+                 for name in os.listdir(CONFIG_DIR) if name.endswith(".json"))
+
+
+class TestConfigFuzz:
+    """Mutated shipped configs load as typed values or raise ConfigError."""
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_mutated_shipped_config(self, data):
+        from cmasolve import config as config_mod
+
+        with open(data.draw(st.sampled_from(SHIPPED)),
+                  encoding="utf-8") as fh:
+            raw = json.load(fh)
+        # the shipped configs leave some optional sections out; add those
+        absent = [(key,) for key in OPTIONAL_KEYS if key not in raw]
+        path = data.draw(st.sampled_from(list(_key_paths(raw)) + absent))
+        parent = raw
+        for key in path[:-1]:
+            parent = parent[key]
+        if path in absent or data.draw(st.booleans()):
+            parent[path[-1]] = data.draw(_json_values())
+        else:
+            del parent[path[-1]]
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path = os.path.join(tmp, "mutated.json")
+            with open(cfg_path, "w", encoding="utf-8") as fh:
+                json.dump(raw, fh)
+            # loading validates only: it builds no grid or problem to solve
+            with mock.patch.multiple(
+                    config_mod, build_grid=mock.DEFAULT,
+                    ProblemSpec=mock.DEFAULT,
+                    RadialProblemSpec=mock.DEFAULT) as built:
+                try:
+                    cfg = config_mod.load_config(cfg_path)
+                except config_mod.ConfigError:
+                    cfg = None
+            assert not any(m.called for m in built.values())
+        if cfg is None:
+            return
+        assert type(cfg.n) is int and type(cfg.resolution) is int
+        assert type(cfg.rng_seed) is int
+        assert isinstance(cfg.theorem_mode, bool)
+        for key in ("resolutions", "perturbations"):
+            assert isinstance(cfg.study.get(key, []), list)
+        assert all(type(r) is int for r in cfg.study.get("resolutions", []))
+        assert all(type(d) is float
+                   for d in cfg.study.get("perturbations", []))
+        assert type(cfg.verify.get("pairs", 1)) is int
+        assert all(type(e) is float and e > 0
+                   for e in cfg.verify.get("eps", []))
+        assert all(isinstance(v, str) for v in cfg.outputs.values())
 
 
 class TestVerify:

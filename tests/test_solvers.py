@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from cmasolve.grids import (
     DensityField,
@@ -9,6 +10,11 @@ from cmasolve.grids import (
     build_grid,
     ma_density,
     unit_box,
+)
+from cmasolve.linsolve import (
+    LinearSolveError,
+    laplacian_apply,
+    solve_poisson_system,
 )
 from cmasolve.solvers import (
     SolverConfig,
@@ -75,6 +81,46 @@ class TestPoisson:
             u = solve_poisson(dens, ScalarField(g, bvals))
             bmax = bvals[~g.interior_mask()].max()
             assert u.values.max() <= bmax + 1e-9
+
+    @pytest.mark.parametrize("n, res", [(1, 129), (2, 17)])
+    def test_recovers_manufactured_discrete_solution(self, n, res):
+        g = build_grid(unit_box(n), res)
+        exact = np.random.default_rng(7).standard_normal(g.shape)
+        rhs = laplacian_apply(exact, g.spacing)
+        vals = solve_poisson_system(g, rhs, exact)
+        assert np.abs(vals - exact).max() <= 1e-10
+
+    @pytest.mark.parametrize("n, res", [(1, 129), (2, 17)])
+    def test_quadratic_to_roundoff(self, n, res):
+        g = build_grid(unit_box(n), res)
+        bdry = sq_norm_minus_one(g)
+        u = solve_poisson(np.full(g.interior_shape, 4.0 * n), bdry)
+        assert np.abs(u.values - bdry.values).max() <= 1e-12
+
+    def test_boundary_bit_exact_in_4d(self):
+        g = build_grid(unit_box(2), 9)
+        bvals = np.random.default_rng(3).standard_normal(g.shape)
+        vals = solve_poisson_system(g, np.ones(g.interior_shape), bvals)
+        mask = ~g.interior_mask()
+        assert np.array_equal(vals[mask], bvals[mask])
+
+    def test_tolerance_below_roundoff_floor_returns(self):
+        # the Newton surrogate asks for 1e-12 at n = 2, below the round-off
+        # floor of the res-33 Laplacian; the solve stops at the floor
+        g = build_grid(unit_box(2), 33)
+        r2 = (g.points() ** 2).sum(axis=-1)
+        rhs = 8.0 * np.exp(0.5 * (1.0 - r2[g.interior]))
+        vals = solve_poisson_system(g, rhs, r2 - 1.0, tol=1e-12)
+        resid = np.abs(rhs - laplacian_apply(vals, g.spacing)).max()
+        assert resid <= 2e-11
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rhs_raises(self, bad):
+        g = build_grid(unit_box(1), 9)
+        rhs = np.ones(g.interior_shape)
+        rhs[3, 4] = bad
+        with pytest.raises(LinearSolveError, match="non-finite"):
+            solve_poisson_system(g, rhs, np.zeros(g.shape))
 
     def test_4d_laplacian_solve(self):
         g = build_grid(unit_box(2), 9)
@@ -146,6 +192,22 @@ class TestMaFixedRhs:
             u1 = solve_ma_fixed_rhs(g1, bdry, cfg).u
             u2 = solve_ma_fixed_rhs(g2, bdry, cfg).u
             assert (u1.values - u2.values).min() >= -2 * cfg.tol_inner
+
+    def test_failed_warm_start_restarts_the_ladder(self):
+        # a prolonged coarse maximal extension is a poor warm start for the
+        # degenerate problem: Newton from it stalls, and the ladder must
+        # start over from the Laplacian surrogate rather than from it
+        coarse = build_grid(unit_box(2), 9)
+        f9 = maximal_extension(sq_norm_minus_one(coarse))
+        g = build_grid(unit_box(2), 17)
+        bdry = sq_norm_minus_one(g)
+        # corner-aligned linear zoom: multilinear prolongation 9 -> 17
+        warm = ScalarField(g, ndimage.zoom(f9.values, 17 / 9, order=1))
+        zero = np.zeros(g.interior_shape)
+        cfg = SolverConfig()
+        res = solve_ma_fixed_rhs(zero, bdry, cfg, init=warm)
+        assert res.residual <= cfg.tol_inner
+        assert res.psh_defect <= np.sqrt(cfg.tol_inner)
 
     def test_negative_density_rejected(self):
         g = build_grid(unit_box(2), 7)
