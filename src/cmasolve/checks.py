@@ -250,8 +250,9 @@ def stability_experiment(p: ProblemSpec, perturbations,
     cfg = p.config
     grid = p.grid
     if not getattr(p.rhs, "t_independent", False):
-        raise ValueError("stability runs need data independent of the "
-                         "solution value; use a constant-family rhs")
+        raise HypothesisViolation(
+            "stability runs need data independent of the solution value; "
+            "use a constant-family rhs", "t-independent density")
     if p.v0 is None:
         raise HypothesisViolation(
             "no dominating seed supplied",
@@ -267,8 +268,9 @@ def stability_experiment(p: ProblemSpec, perturbations,
     for delta in perturbations:
         hj = h_base * (1.0 + float(delta) * shape)
         if float(hj.min()) < 0.0:
-            raise ValueError(f"perturbation {delta:g} makes the density "
-                             "negative")
+            raise HypothesisViolation(
+                f"perturbation {delta:g} makes the density negative",
+                "nonnegative density")
         excess = float((hj - cap.values).max())
         if excess > slack:
             raise HypothesisViolation(

@@ -23,6 +23,7 @@ quadratics, which makes every polynomial of degree <= 2 a useful oracle.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from math import factorial
@@ -362,14 +363,19 @@ def _csv_header(n: int) -> str:
 
 def write_field_csv(field: ScalarField, path) -> None:
     grid = field.grid
-    pts = grid.points().reshape(-1, grid.ndim)
-    vals = field.values.ravel()
-    mask = grid.interior_mask().ravel()
+    coords = [[repr(float(c)) for c in axis] for axis in grid.axes]
+    # storage order is lexicographic in the axes, the order product yields;
+    # values and flags are listed one slab of the first axis at a time, so
+    # no Python list of the whole field is held
+    prefixes = map(",".join, itertools.product(*coords))
+    values = itertools.chain.from_iterable(
+        slab.ravel().tolist() for slab in field.values)
+    flags = itertools.chain.from_iterable(
+        slab.ravel().tolist() for slab in grid.interior_mask())
     with open(path, "w") as fh:
         fh.write(_csv_header(grid.n) + "\n")
-        for i in range(vals.size):
-            row = ",".join(repr(float(c)) for c in pts[i])
-            fh.write(f"{row},{float(vals[i])!r},{int(mask[i])}\n")
+        fh.writelines(f"{prefix},{value!r},{flag:d}\n"
+                      for prefix, value, flag in zip(prefixes, values, flags))
 
 
 def read_field_csv(path, grid: Grid | None = None) -> ScalarField:

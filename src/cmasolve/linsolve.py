@@ -2,23 +2,27 @@
 
 Two systems arise.  Constant-coefficient Laplacian problems (the n = 1
 equation and Newton initialization in any dimension) are solved directly:
-the Dirichlet Laplacian diagonalizes in the sine basis, so one pair of
-DST-I transforms (orthonormal scaling, self-inverse) and a division by its
-eigenvalues invert it, in the manner of the fast Poisson solvers of
-Buzbee, Golub & Nielson (SIAM J. Numer. Anal. 7, 1970).  The Newton
-correction systems for n = 2 carry variable coefficients and mixed second
-derivatives, so those are solved with BiCGStab preconditioned by the same
-sine-basis inverse of a constant-coefficient surrogate.
+the Dirichlet Laplacian diagonalizes in the sine basis, so the orthonormal
+DST-I (a symmetric, self-inverse matrix per axis), a division by the
+eigenvalues and the DST-I again invert it, in the manner of the fast
+Poisson solvers of Buzbee, Golub & Nielson (SIAM J. Numer. Anal. 7, 1970).
+The transform is applied as one dense matrix product per axis: at the
+interior sizes of the n = 2 grids (tens of nodes per axis) that beats an
+FFT-based DST on one thread; on the larger n = 1 grids it is slightly
+slower, and one transform serves both.  The Newton correction systems
+for n = 2 carry variable coefficients and mixed second derivatives, so
+those are solved with BiCGStab preconditioned by the same sine-basis
+inverse of a constant-coefficient surrogate; their operator is applied by
+one fused stencil kernel that accumulates in place.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.fft import dstn
 from scipy.sparse.linalg import LinearOperator, bicgstab
 
 from .errors import SolverError
-from .grids import Grid, mixed_difference, second_difference
+from .grids import Grid, _shift, second_difference
 
 
 class LinearSolveError(SolverError):
@@ -83,23 +87,81 @@ def solve_poisson_system(grid: Grid, rhs: np.ndarray, boundary: np.ndarray,
 # matrix per interior node (the cofactor of the current complex Hessian)
 # and scale = 4^n n! / 4.
 
+def _cross_views(d: np.ndarray, axis: int):
+    """The two views whose difference centres `d` along `axis` (2 or 3).
+
+    `d` is a first difference along axis 0 or 1, already cut to the
+    interior of axes 0 and 1 and spanning axes 2 and 3 in full; both views
+    are cut to the interior block."""
+    plus = [slice(None), slice(None), slice(1, -1), slice(1, -1)]
+    minus = list(plus)
+    plus[axis], minus[axis] = slice(2, None), slice(None, -2)
+    return d[tuple(plus)], d[tuple(minus)]
+
+
 def hermitian_form_apply(full: np.ndarray, spacing, a, g, br, bi,
                          scale: float) -> np.ndarray:
-    out = a * (second_difference(full, 0, spacing[0])
-               + second_difference(full, 1, spacing[1]))
-    out += g * (second_difference(full, 2, spacing[2])
-                + second_difference(full, 3, spacing[3]))
-    out += (2.0 * br) * (mixed_difference(full, 0, 2, spacing[0], spacing[2])
-                         + mixed_difference(full, 1, 3, spacing[1], spacing[3]))
-    out += (2.0 * bi) * (mixed_difference(full, 0, 3, spacing[0], spacing[3])
-                         - mixed_difference(full, 1, 2, spacing[1], spacing[2]))
-    out *= scale
+    """L v on the interior block, for v given on the full grid.
+
+    Accumulates in place into interior-sized buffers: each pair of second
+    differences shares one centre term, and the four mixed terms come from
+    two first differences, along axes 0 and 1, each shared by the two mixed
+    derivatives it enters.  scale and the spacings are folded into scalar
+    weights, so no per-node weight array is formed.
+    """
+    h = spacing
+    c = [scale / (hk * hk) for hk in h]
+    core = _shift(full, {})
+    out = np.empty(core.shape)
+    acc = np.empty(core.shape)
+    tmp = np.empty(core.shape)
+    # a (v_x1x1 + v_y1y1) + g (v_x2x2 + v_y2y2)
+    for coef, axes, dst in ((a, (0, 1), out), (g, (2, 3), acc)):
+        np.multiply(core, -2.0 * (c[axes[0]] + c[axes[1]]), out=dst)
+        for ax in axes:
+            np.add(_shift(full, {ax: 1}), _shift(full, {ax: -1}), out=tmp)
+            tmp *= c[ax]
+            dst += tmp
+        dst *= coef
+    out += acc
+    # 2 br (v_x1x2 + v_y1y2) + 2 bi (v_x1y2 - v_y1x2).  A mixed derivative
+    # is a centred difference of a first difference over 4 h_j h_k, so with
+    # the factor 2 its weight is scale / (2 h_j h_k).  br pairs axes (0, 2)
+    # with (1, 3) and bi pairs (0, 3) with -(1, 2): the axis-0 terms go in
+    # first, relative to the weight of their axis-1 partner, so the axis-1
+    # first difference can reuse the buffer and be added in place.
+    terms = ((acc, 2, scale / (2.0 * h[1] * h[3]), br),
+             (tmp, 3, -scale / (2.0 * h[1] * h[2]), bi))
+    d = np.subtract(full[2:, 1:-1], full[:-2, 1:-1])
+    for part, p, weight, _ in terms:
+        np.subtract(*_cross_views(d, p), out=part)
+        part *= scale / (2.0 * h[0] * h[p]) / weight
+    np.subtract(full[1:-1, 2:], full[1:-1, :-2], out=d)
+    for part, p, weight, coef in terms:
+        plus, minus = _cross_views(d, 5 - p)
+        part += plus
+        part -= minus
+        part *= weight
+        part *= coef
+        out += part
     return out
 
 
 def _sine_eigenvalues(m: int, h: float) -> np.ndarray:
     k = np.arange(1, m + 1)
     return (2.0 * np.cos(k * np.pi / (m + 1)) - 2.0) / h ** 2
+
+
+def _sine_matrix(m: int) -> np.ndarray:
+    """Orthonormal DST-I matrix: symmetric and its own inverse.
+
+    The phase j k pi / (m + 1) is reduced modulo 2 pi in integers first:
+    sin of the unreduced phase (up to about m pi) carries an absolute error
+    of order m eps, which left the matrix orthogonal only to about m eps.
+    """
+    k = np.arange(1, m + 1)
+    phase = np.outer(k, k) % (2 * (m + 1))
+    return np.sqrt(2.0 / (m + 1)) * np.sin(phase * (np.pi / (m + 1)))
 
 
 def make_sine_preconditioner(grid: Grid, s_pairs) -> "callable":
@@ -109,18 +171,27 @@ def make_sine_preconditioner(grid: Grid, s_pairs) -> "callable":
     every coefficient 1 this is the exact inverse of the interior Dirichlet
     Laplacian (solve_poisson_system); otherwise it is a spectral
     preconditioner for the Hermitian-form operator with the mixed terms
-    dropped and coefficients averaged.
+    dropped and coefficients averaged.  The sine basis is applied as one
+    dense product per axis: tensordot over axis 0 moves the transformed
+    axis last, so after one product per axis the axes are back in order.
     """
     interior = grid.interior_shape
     denom = np.zeros(interior)
     for a, m in enumerate(interior):
         lam = s_pairs[a // 2] * _sine_eigenvalues(m, grid.spacing[a])
         denom = denom + lam.reshape((1,) * a + (m,) + (1,) * (len(interior) - a - 1))
+    inv_denom = 1.0 / denom
+    mats = [_sine_matrix(m) for m in interior]
+
+    def transform(r: np.ndarray) -> np.ndarray:
+        for mat in mats:
+            r = np.tensordot(r, mat, axes=([0], [0]))
+        return r
 
     def apply(r: np.ndarray) -> np.ndarray:
-        rhat = dstn(r, type=1, norm="ortho")
-        rhat /= denom
-        return dstn(rhat, type=1, norm="ortho")
+        rhat = transform(r)
+        rhat *= inv_denom
+        return transform(rhat)
 
     return apply
 
@@ -150,7 +221,7 @@ def solve_hermitian_system(grid: Grid, coeffs, rhs: np.ndarray, scale: float,
     w01 = 1.0 / h[0] ** 2 + 1.0 / h[1] ** 2
     w23 = 1.0 / h[2] ** 2 + 1.0 / h[3] ** 2
     dconst = s_pairs[0] * w01 + s_pairs[1] * w23
-    s_rel = np.sqrt(scale * (a * w01 + g * w23) / dconst)
+    inv_s = 1.0 / np.sqrt(scale * (a * w01 + g * w23) / dconst)
     work = np.zeros(grid.shape)
 
     def matvec(v: np.ndarray) -> np.ndarray:
@@ -159,8 +230,9 @@ def solve_hermitian_system(grid: Grid, coeffs, rhs: np.ndarray, scale: float,
                                     scale).ravel()
 
     def psolve(v: np.ndarray) -> np.ndarray:
-        r = v.reshape(interior) / s_rel
-        return (precond(r) / s_rel).ravel()
+        z = precond(v.reshape(interior) * inv_s)
+        z *= inv_s
+        return z.ravel()
 
     A = LinearOperator((size, size), matvec=matvec, dtype=np.float64)
     M = LinearOperator((size, size), matvec=psolve, dtype=np.float64)

@@ -32,7 +32,11 @@ from .grids import (
     mixed_difference,
     second_difference,
 )
-from .linsolve import solve_hermitian_system, solve_poisson_system
+from .linsolve import (
+    laplacian_apply,
+    solve_hermitian_system,
+    solve_poisson_system,
+)
 
 
 class NewtonStagnationError(SolverError):
@@ -271,8 +275,9 @@ def solve_ma_fixed_rhs(g, boundary: ScalarField,
 
     if grid.n == 1:
         u = solve_poisson(g_arr, boundary, cfg)
-        resid = _poisson_residual(grid, u.values, g_arr)
-        defect = float(max(0.0, -_laplacian_quarter_min(grid, u.values)))
+        lap = laplacian_apply(u.values, grid.spacing)
+        resid = float(np.abs(lap - g_arr).max())
+        defect = float(max(0.0, -(float(lap.min()) / 4.0)))
         return MaSolveResult(u, resid, 0, defect)
     if grid.n != 2:
         raise SolverError("grid solves are implemented for n in {1, 2}; "
@@ -337,18 +342,6 @@ def solve_ma_fixed_rhs(g, boundary: ScalarField,
         iters_total += iters
     defect = float(max(0.0, -float(lam1.min())))
     return MaSolveResult(ScalarField(grid, u), rsup, iters_total, defect)
-
-
-def _poisson_residual(grid: Grid, vals: np.ndarray, g_arr: np.ndarray) -> float:
-    out = (second_difference(vals, 0, grid.spacing[0])
-           + second_difference(vals, 1, grid.spacing[1]))
-    return float(np.abs(out - g_arr).max())
-
-
-def _laplacian_quarter_min(grid: Grid, vals: np.ndarray) -> float:
-    out = (second_difference(vals, 0, grid.spacing[0])
-           + second_difference(vals, 1, grid.spacing[1]))
-    return float(out.min()) / 4.0
 
 
 def maximal_extension(boundary: ScalarField, cfg: SolverConfig | None = None,

@@ -247,6 +247,12 @@ class TestConfigValidation:
          "solver.tol_inner must be a finite number"),
         (("solve",), {"solver": {"max_newton": 2.5}},
          "solver.max_newton must be an integer"),
+        (("study", "stability"), {}, "independent of the solution value"),
+        (("study", "stability"),
+         {"rhs": {"family": "constant", "weight": 8.0},
+          "subsolution_seed": "3 * (r2 - 1)",
+          "study": {"perturbations": [-3.0]}},
+         "makes the density negative"),
     ], ids=["box-res-3", "box-res-4", "study-res-4", "ball-res-31",
             "log-x1", "one-over-zero", "power-below-1", "damping",
             "negative-tol", "zero-newton-cap", "open-ladder",
@@ -254,7 +260,8 @@ class TestConfigValidation:
             "corner-missing", "resolutions-number", "resolutions-string",
             "pairs-string", "eps-string", "eps-zero",
             "perturbation-string", "output-number", "nan-tol",
-            "fractional-newton-cap"])
+            "fractional-newton-cap", "stability-t-dependent",
+            "stability-negative-density"])
     def test_invalid_input_exits_2(self, tmp_path, capsys, command,
                                    overrides, needle):
         cfg = write_cfg(tmp_path, **overrides)

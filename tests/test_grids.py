@@ -261,6 +261,27 @@ class TestIntegrateAndDumps:
         assert back.grid == g
         assert np.array_equal(back.values, u.values)
 
+    @pytest.mark.parametrize("box, res", [
+        (Box((-0.3, 0.1), (0.7, 1.9)), (9, 13)),
+        (unit_box(2), 7),
+    ], ids=["n1-anisotropic", "n2"])
+    def test_csv_rows_match_per_row_format(self, tmp_path, box, res):
+        # one row per node in storage order: repr of every coordinate, of
+        # the value, and the interior flag as 0/1
+        g = build_grid(box, res)
+        rng = np.random.default_rng(17)
+        u = ScalarField(g, 1e3 * rng.standard_normal(g.shape))
+        pts = g.points().reshape(-1, g.ndim)
+        vals = u.values.ravel()
+        mask = g.interior_mask().ravel()
+        rows = [",".join(repr(float(c)) for c in pts[i])
+                + f",{float(vals[i])!r},{int(mask[i])}\n"
+                for i in range(vals.size)]
+        path = tmp_path / "u.csv"
+        write_field_csv(u, path)
+        body = path.read_bytes().split(b"\n", 1)[1]
+        assert body == "".join(rows).encode()
+
     def test_csv_header_names(self, tmp_path):
         g = build_grid(unit_box(2), 5)
         u = ScalarField(g, np.zeros(g.shape))

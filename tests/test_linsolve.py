@@ -1,0 +1,116 @@
+"""Kernels of the matrix-free linear solvers: the fused Hermitian-form
+operator and the sine-basis inverse of the Laplacian."""
+
+import numpy as np
+import pytest
+
+from cmasolve.grids import (
+    Box,
+    build_grid,
+    mixed_difference,
+    second_difference,
+    unit_box,
+)
+from cmasolve.linsolve import (
+    _sine_matrix,
+    hermitian_form_apply,
+    laplacian_apply,
+    make_sine_preconditioner,
+)
+
+ANISOTROPIC = Box((0.0, 0.0, 0.0, 0.0), (0.5, 0.3, 0.7, 0.4))
+
+
+def reference_form(full, h, a, g, br, bi, scale):
+    """The operator term by term from the grid's own stencils."""
+    out = a * (second_difference(full, 0, h[0])
+               + second_difference(full, 1, h[1]))
+    out += g * (second_difference(full, 2, h[2])
+                + second_difference(full, 3, h[3]))
+    out += (2.0 * br) * (mixed_difference(full, 0, 2, h[0], h[2])
+                         + mixed_difference(full, 1, 3, h[1], h[3]))
+    out += (2.0 * bi) * (mixed_difference(full, 0, 3, h[0], h[3])
+                         - mixed_difference(full, 1, 2, h[1], h[2]))
+    return scale * out
+
+
+class TestHermitianFormApply:
+    @pytest.mark.parametrize("box, res", [(unit_box(2), 9),
+                                          (ANISOTROPIC, 9),
+                                          (ANISOTROPIC, (7, 9, 8, 6))],
+                             ids=["unit", "anisotropic", "mixed-res"])
+    def test_matches_stencil_reference(self, box, res):
+        grid = build_grid(box, res)
+        rng = np.random.default_rng(3)
+        full = rng.standard_normal(grid.shape)
+        a, g = (rng.random(grid.interior_shape) + 0.1 for _ in range(2))
+        br, bi = (rng.standard_normal(grid.interior_shape) for _ in range(2))
+        got = hermitian_form_apply(full, grid.spacing, a, g, br, bi, 8.0)
+        want = reference_form(full, grid.spacing, a, g, br, bi, 8.0)
+        assert got.shape == grid.interior_shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_leaves_its_inputs_alone(self):
+        grid = build_grid(ANISOTROPIC, 7)
+        rng = np.random.default_rng(4)
+        full = rng.standard_normal(grid.shape)
+        coeffs = [rng.random(grid.interior_shape) for _ in range(4)]
+        before = [full.copy()] + [c.copy() for c in coeffs]
+        first = hermitian_form_apply(full, grid.spacing, *coeffs, 2.0)
+        second = hermitian_form_apply(full, grid.spacing, *coeffs, 2.0)
+        assert first is not second
+        assert np.array_equal(first, second)
+        for old, new in zip(before, [full] + coeffs):
+            assert np.array_equal(old, new)
+
+
+class TestSineBasis:
+    @pytest.mark.parametrize("m", [1, 2, 7, 15, 127, 255])
+    def test_matrix_is_orthonormal_and_self_inverse(self, m):
+        s = _sine_matrix(m)
+        assert np.array_equal(s, s.T)
+        assert np.abs(s @ s - np.eye(m)).max() < 4e-15
+
+    @pytest.mark.parametrize("box, res", [
+        (unit_box(1), 129),
+        (unit_box(2), 17),
+        (Box((-0.3, 0.1), (0.7, 1.9)), (33, 17)),
+        (ANISOTROPIC, (9, 7, 11, 8)),
+    ], ids=["n1-res129", "n2-res17", "n1-anisotropic", "n2-anisotropic"])
+    def test_unit_coefficients_invert_the_laplacian(self, box, res):
+        grid = build_grid(box, res)
+        inverse = make_sine_preconditioner(grid, (1.0,) * grid.n)
+        rng = np.random.default_rng(6)
+        rhs = rng.standard_normal(grid.interior_shape)
+        full = np.zeros(grid.shape)
+        full[grid.interior] = inverse(rhs)
+        back = laplacian_apply(full, grid.spacing)
+        assert np.abs(back - rhs).max() <= 1e-11 * np.abs(rhs).max()
+        # and the other way round: the inverse of lap v is v
+        v = np.zeros(grid.shape)
+        v[grid.interior] = rng.standard_normal(grid.interior_shape)
+        again = inverse(laplacian_apply(v, grid.spacing))
+        assert np.abs(again - v[grid.interior]).max() <= (
+            1e-11 * np.abs(v).max())
+
+    def test_surrogate_coefficients_scale_each_pair(self):
+        # with s_pairs (s1, s2) the inverse is that of s1 lap_1 + s2 lap_2
+        grid = build_grid(ANISOTROPIC, 8)
+        s1, s2 = 3.0, 0.25
+        inverse = make_sine_preconditioner(grid, (s1, s2))
+        rng = np.random.default_rng(8)
+        v = np.zeros(grid.shape)
+        v[grid.interior] = rng.standard_normal(grid.interior_shape)
+        h = grid.spacing
+        op = s1 * (second_difference(v, 0, h[0]) + second_difference(v, 1, h[1]))
+        op += s2 * (second_difference(v, 2, h[2])
+                    + second_difference(v, 3, h[3]))
+        assert np.abs(inverse(op) - v[grid.interior]).max() <= 1e-12
+
+    def test_input_is_not_modified(self):
+        grid = build_grid(unit_box(2), 9)
+        inverse = make_sine_preconditioner(grid, (1.0, 2.0))
+        r = np.random.default_rng(9).standard_normal(grid.interior_shape)
+        kept = r.copy()
+        inverse(r)
+        assert np.array_equal(r, kept)
