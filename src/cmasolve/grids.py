@@ -262,56 +262,71 @@ def mixed_difference(values: np.ndarray, ax_a: int, ax_b: int,
             + _shift(values, {ax_a: -1, ax_b: -1})) / (4.0 * h_a * h_b)
 
 
-def complex_hessian(u: ScalarField) -> HermitianField:
-    """Discrete complex Hessian H[u] at every interior node.
+def _hessian_entries(vals: np.ndarray, h) -> tuple:
+    """Real entries of H on the interior block: (H11,) for n = 1 and
+    (H11, H22, Re H12, Im H12) for n = 2; grids carry no other n."""
+    if vals.ndim not in (2, 4):
+        raise GridError("complex Hessians are implemented for n in {1, 2}")
+    h11 = 0.25 * (second_difference(vals, 0, h[0])
+                  + second_difference(vals, 1, h[1]))
+    if vals.ndim == 2:
+        return (h11,)
+    h22 = 0.25 * (second_difference(vals, 2, h[2])
+                  + second_difference(vals, 3, h[3]))
+    re12 = 0.25 * (mixed_difference(vals, 0, 2, h[0], h[2])
+                   + mixed_difference(vals, 1, 3, h[1], h[3]))
+    im12 = 0.25 * (mixed_difference(vals, 0, 3, h[0], h[3])
+                   - mixed_difference(vals, 1, 2, h[1], h[2]))
+    return h11, h22, re12, im12
 
-    The lower triangle is the conjugate mirror of the computed upper
-    triangle, so Hermitian symmetry holds exactly rather than to rounding.
+
+def _det_and_eigmin(entries) -> tuple[np.ndarray, np.ndarray]:
+    """det H and its smallest eigenvalue from _hessian_entries' output."""
+    if len(entries) == 1:
+        return entries[0], entries[0]
+    h11, h22, re12, im12 = entries
+    off = re12 ** 2 + im12 ** 2
+    det = h11 * h22 - off
+    disc = np.sqrt(0.25 * (h11 - h22) ** 2 + off)
+    lam1 = 0.5 * (h11 + h22) - disc
+    return det, lam1
+
+
+def _entries_of(H: HermitianField) -> tuple:
+    v = H.values
+    if H.grid.n == 1:
+        return (v[..., 0, 0].real,)
+    if H.grid.n != 2:
+        raise GridError("complex Hessians are implemented for n in {1, 2}")
+    return (v[..., 0, 0].real, v[..., 1, 1].real, v[..., 0, 1].real,
+            v[..., 0, 1].imag)
+
+
+def complex_hessian(u: ScalarField) -> HermitianField:
+    """Discrete complex Hessian H[u] at every interior node, n in {1, 2}.
+
+    The lower triangle is the conjugate mirror of the upper one, so
+    Hermitian symmetry holds exactly rather than to rounding.
     """
     grid = u.grid
-    n = grid.n
-    vals = u.values
-    h = grid.spacing
-    H = np.zeros(grid.interior_shape + (n, n), dtype=np.complex128)
-    for j in range(n):
-        xj, yj = 2 * j, 2 * j + 1
-        H[..., j, j] = 0.25 * (second_difference(vals, xj, h[xj])
-                               + second_difference(vals, yj, h[yj]))
-        for k in range(j + 1, n):
-            xk, yk = 2 * k, 2 * k + 1
-            re = (mixed_difference(vals, xj, xk, h[xj], h[xk])
-                  + mixed_difference(vals, yj, yk, h[yj], h[yk]))
-            im = (mixed_difference(vals, xj, yk, h[xj], h[yk])
-                  - mixed_difference(vals, yj, xk, h[yj], h[xk]))
-            H[..., j, k] = 0.25 * (re + 1j * im)
-            H[..., k, j] = np.conj(H[..., j, k])
+    entries = _hessian_entries(u.values, grid.spacing)
+    H = np.zeros(grid.interior_shape + (grid.n, grid.n), dtype=np.complex128)
+    H[..., 0, 0] = entries[0]
+    if grid.n == 2:
+        H[..., 1, 1] = entries[1]
+        H[..., 0, 1] = entries[2] + 1j * entries[3]
+        H[..., 1, 0] = np.conj(H[..., 0, 1])
     return HermitianField(grid, H)
 
 
 def hessian_determinant(H: HermitianField) -> np.ndarray:
     """Signed det H per interior node (real by Hermitian symmetry)."""
-    v = H.values
-    n = H.grid.n
-    if n == 1:
-        return v[..., 0, 0].real.copy()
-    if n == 2:
-        return (v[..., 0, 0].real * v[..., 1, 1].real
-                - np.abs(v[..., 0, 1]) ** 2)
-    return np.linalg.det(v).real
+    return np.array(_det_and_eigmin(_entries_of(H))[0])
 
 
 def hessian_eigmin(H: HermitianField) -> np.ndarray:
     """Smallest eigenvalue of H per interior node."""
-    v = H.values
-    n = H.grid.n
-    if n == 1:
-        return v[..., 0, 0].real.copy()
-    if n == 2:
-        a = v[..., 0, 0].real
-        d = v[..., 1, 1].real
-        return 0.5 * (a + d) - np.sqrt(0.25 * (a - d) ** 2
-                                       + np.abs(v[..., 0, 1]) ** 2)
-    return np.linalg.eigvalsh(v)[..., 0]
+    return np.array(_det_and_eigmin(_entries_of(H))[1])
 
 
 def ma_normalization(n: int) -> float:
@@ -331,9 +346,7 @@ def ma_density(u: ScalarField) -> MaDensity:
     measure density, and the departure from plurisubharmonicity is
     surfaced as psh_defect = max over nodes of max(0, -lambda_min(H)).
     """
-    H = complex_hessian(u)
-    det = hessian_determinant(H)
-    lam = hessian_eigmin(H)
+    det, lam = _det_and_eigmin(_hessian_entries(u.values, u.grid.spacing))
     defect = float(max(0.0, -lam.min())) if lam.size else 0.0
     dens = ma_normalization(u.grid.n) * det
     np.maximum(dens, 0.0, out=dens)

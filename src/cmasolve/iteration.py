@@ -9,7 +9,8 @@ reverses order; starting from u0 (whose density uses the maximal
 extension f) the even-indexed iterates then climb and the odd-indexed
 ones descend, bracketing the limit.  Both chains are recorded: on a stall
 they are returned as a sub/supersolution bracket instead of a bare
-failure.
+failure.  Grid and radial problems run this one loop (_picard), each
+with its own frozen-density solve, so both report the chain certificate.
 
 Each ProblemSpec owns its f and its prepared state (u0, the bound
 right-hand side, the t-range and the outer residual tolerance).  Both
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import HypothesisViolation
 from .grids import Box, Grid, ScalarField, ma_density
-from .radial import RadialProfile, radial_residual, solve_radial
+from .radial import RadialProfile, _finish, radial_residual, solve_radial
 from .rhs import BoundRhs, bind_on_grid, bind_on_mesh
 from .solvers import SolverConfig, maximal_extension, solve_ma_fixed_rhs
 from .expressions import grid_env
@@ -187,6 +188,7 @@ class RadialSolution:
     final_residual: float
     tol_outer_residual: float
     residual_ok: bool
+    chains_ok: bool
     lip_t: float
 
 
@@ -292,35 +294,37 @@ def apply_T(u: ScalarField, p: ProblemSpec,
     return solve_ma_fixed_rhs(dens, p.boundary, p.config, init=init).u
 
 
-def _picard(grid: Grid, bound: BoundRhs, boundary: ScalarField,
-            cfg: SolverConfig, tol_outer: float, max_outer: int,
-            u0: ScalarField):
+def _picard(solve, interior, bound: BoundRhs, cfg: SolverConfig,
+            tol_outer: float, max_outer: int, u0: np.ndarray):
     """Damped fixed-point loop with even/odd chain accounting.
 
-    Returns (u, converged, steps, history, lower_env, upper_env,
-    chains_ok).  Envelopes are full-shape arrays: the running max of even
-    iterates (a climbing subsolution chain) and min of odd iterates.
+    solve(dens, init) solves the frozen-density problem for the density
+    dens, warm-started from the node values init, and returns (values,
+    residual, newton_iters, psh_defect); interior indexes the nodes the
+    density is evaluated at.  Step k warm-starts from iterate k - 2, and
+    step 1 from u0.  Returns (u, converged, steps, history, lower_env,
+    upper_env, chains_ok).  Envelopes are full-shape arrays: the running
+    max of even iterates (a climbing subsolution chain) and min of odd
+    iterates.
     """
     slack = 2.0 * cfg.tol_inner
     u_cur = u0
-    last_by_parity = {0: np.array(u0.values), 1: None}
-    lower_env = np.array(u0.values)
+    last_by_parity = {0: np.array(u0), 1: None}
+    lower_env = np.array(u0)
     upper_env = None
     chains_ok = True
     history = []
     converged = False
     steps = 0
     for k in range(1, max_outer + 1):
-        dens = bound(u_cur.values[grid.interior])
+        dens = bound(u_cur[interior])
         warm = last_by_parity[k % 2]
-        init = ScalarField(grid, warm) if warm is not None else u_cur
-        res = solve_ma_fixed_rhs(dens, boundary, cfg, init=init)
+        vals, *stats = solve(dens, u_cur if warm is None else warm)
         if cfg.theta == 1.0:
-            new_vals = np.array(res.u.values)
+            new_vals = np.array(vals)
         else:
-            new_vals = u_cur.values + cfg.theta * (res.u.values
-                                                   - u_cur.values)
-        change = float(np.abs(new_vals - u_cur.values).max())
+            new_vals = u_cur + cfg.theta * (vals - u_cur)
+        change = float(np.abs(new_vals - u_cur).max())
         parity = k % 2
         prev = last_by_parity[parity]
         if parity == 1:
@@ -337,17 +341,25 @@ def _picard(grid: Grid, bound: BoundRhs, boundary: ScalarField,
             if prev is not None and float((prev - new_vals).max()) > slack:
                 chains_ok = False
             np.maximum(lower_env, new_vals, out=lower_env)
-        last_by_parity[parity] = np.array(new_vals)
-        history.append(OuterStep(change, res.residual, res.newton_iters,
-                                 res.psh_defect))
-        u_cur = ScalarField(grid, new_vals)
+        last_by_parity[parity] = new_vals
+        history.append(OuterStep(change, *stats))
+        u_cur = new_vals
         steps = k
         if change < tol_outer:
             converged = True
             break
     if upper_env is None:
-        upper_env = np.array(u_cur.values)
+        upper_env = np.array(u_cur)
     return u_cur, converged, steps, history, lower_env, upper_env, chains_ok
+
+
+def _grid_solver(boundary: ScalarField, cfg: SolverConfig):
+    """The frozen-density grid solve in the form _picard calls it."""
+    def solve(dens, init):
+        res = solve_ma_fixed_rhs(dens, boundary, cfg,
+                                 init=ScalarField(boundary.grid, init))
+        return res.u.values, res.residual, res.newton_iters, res.psh_defect
+    return solve
 
 
 def solve_mam(p, tol_outer: float | None = None,
@@ -362,13 +374,13 @@ def solve_mam(p, tol_outer: float | None = None,
     (grid problems only); its interior is taken as-is and the boundary
     ring is replaced by the problem's boundary data.
     """
+    cfg = p.config
+    tol_outer = cfg.tol_outer if tol_outer is None else tol_outer
+    max_outer = cfg.max_outer if max_outer is None else max_outer
     if isinstance(p, RadialProblemSpec):
         if init is not None:
             raise ValueError("explicit initialization is grid-only")
         return _solve_mam_radial(p, tol_outer, max_outer)
-    cfg = p.config
-    tol_outer = cfg.tol_outer if tol_outer is None else tol_outer
-    max_outer = cfg.max_outer if max_outer is None else max_outer
     prep = prepare(p)
     grid = p.grid
 
@@ -380,7 +392,9 @@ def solve_mam(p, tol_outer: float | None = None,
         start = ScalarField(grid, vals)
 
     u, converged, steps, history, lower_env, upper_env, chains_ok = _picard(
-        grid, prep.bound, p.boundary, cfg, tol_outer, max_outer, start)
+        _grid_solver(p.boundary, cfg), grid.interior, prep.bound, cfg,
+        tol_outer, max_outer, start.values)
+    u = ScalarField(grid, u)
 
     dens, defect = ma_density(u)
     final_residual = float(np.abs(
@@ -407,47 +421,27 @@ def solve_mam(p, tol_outer: float | None = None,
 
 def _solve_mam_radial(p: RadialProblemSpec, tol_outer, max_outer):
     cfg = p.config
-    tol_outer = cfg.tol_outer if tol_outer is None else tol_outer
-    max_outer = cfg.max_outer if max_outer is None else max_outer
     r = np.linspace(0.0, p.R, p.mesh + 1)
     bound = bind_on_mesh(p.rhs, r[:-1], p.w_mu)
 
-    # the radial maximal extension of constant boundary data is constant
-    f_nodes = np.full(p.mesh, p.boundary_value)
-    dens0 = bound(f_nodes)
-    prof = solve_radial(p.n, lambda v, rr: dens0, p.boundary_value, p.R,
-                        p.mesh, cfg)
+    def solve(dens, init=None):
+        prof = solve_radial(p.n, lambda v, rr: dens, p.boundary_value, p.R,
+                            p.mesh, cfg, init=init)
+        return (prof.values, prof.residual, prof.newton_iters,
+                max(0.0, -prof.vprime_min))
 
-    t_lo = float(prof.values.min()) - 1.0
+    # the radial maximal extension of constant boundary data is constant
+    u0, *u0_stats = solve(bound(np.full(p.mesh, p.boundary_value)))
+
+    t_lo = float(u0.min()) - 1.0
     lip = bound.validate(t_lo, 0.0)
     tol_res = 10.0 * max(cfg.tol_inner, cfg.tol_outer * lip)
 
-    history = []
-    converged = False
-    steps = 0
-    last_by_parity = {0: np.array(prof.values), 1: None}
-    for k in range(1, max_outer + 1):
-        dens = bound(prof.values[:-1])
-        warm = last_by_parity[k % 2]
-        nxt = solve_radial(p.n, lambda v, rr: dens, p.boundary_value, p.R,
-                           p.mesh, cfg, init=warm)
-        if cfg.theta == 1.0:
-            new_vals = np.array(nxt.values)
-        else:
-            new_vals = prof.values + cfg.theta * (nxt.values - prof.values)
-        change = float(np.abs(new_vals - prof.values).max())
-        last_by_parity[k % 2] = np.array(new_vals)
-        vprime = np.gradient(new_vals, p.R / p.mesh)
-        prof = RadialProfile(r=np.array(r), values=new_vals,
-                             residual=nxt.residual,
-                             newton_iters=nxt.newton_iters,
-                             vprime_min=float(vprime.min()))
-        history.append(OuterStep(change, nxt.residual, nxt.newton_iters,
-                                 max(0.0, -prof.vprime_min)))
-        steps = k
-        if change < tol_outer:
-            converged = True
-            break
+    u, converged, steps, history, _, _, chains_ok = _picard(
+        solve, slice(None, -1), bound, cfg, tol_outer, max_outer, u0)
+    last = history[-1] if history else OuterStep(0.0, *u0_stats)
+    prof = _finish(r, u, last.inner_residual, last.newton_iters,
+                   p.R / p.mesh)
 
     final_residual = radial_residual(
         p.n, prof.values, p.R, lambda v, rr: bound(v))
@@ -456,7 +450,7 @@ def _solve_mam_radial(p: RadialProblemSpec, tol_outer, max_outer):
                           final_residual=final_residual,
                           tol_outer_residual=tol_res,
                           residual_ok=bool(final_residual <= tol_res),
-                          lip_t=lip)
+                          chains_ok=chains_ok, lip_t=lip)
 
 
 def subsolution_check(u: ScalarField, p: ProblemSpec,
@@ -539,14 +533,14 @@ def balayage_step(u: ScalarField, sub, p: ProblemSpec,
     t_lo = float(u0_local.values.min()) - 1.0
     local_bound.validate(t_lo, t_hi)
 
-    local_u, conv, _, _, _, _, _ = _picard(
-        local_grid, local_bound, local_boundary, cfg, cfg.tol_outer,
-        cfg.max_outer, u0_local)
+    local_u, conv, *_ = _picard(
+        _grid_solver(local_boundary, cfg), local_grid.interior, local_bound,
+        cfg, cfg.tol_outer, cfg.max_outer, u0_local.values)
     if not conv:
         warnings.warn("local balayage solve did not meet the outer "
                       "tolerance; returning the glued best iterate")
 
     glued = np.array(u.values)
     inner_block = tuple(slice(w[0] + 1, w[1] - 1) for w in windows)
-    glued[inner_block] = local_u.values[local_grid.interior]
+    glued[inner_block] = local_u[local_grid.interior]
     return ScalarField(grid, glued)

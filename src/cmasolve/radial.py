@@ -5,9 +5,10 @@ expression n! (v'' + v'/r) (2 v'/r)^(n-1), which makes every dimension n
 tractable on a uniform r-mesh.  The axis r = 0 is handled by ghost-node
 reflection v(-h) = v(h), so v'(0) = 0 and v'/r carries its limit v''(0);
 second-order accuracy holds up to the axis.  The discrete system is solved
-by damped Newton with a tridiagonal Jacobian, walking the same
-regularization ladder as the grid solver when the right-hand side
-degenerates.
+by the grid solver's damped Newton loop and regularization ladder
+(solvers._walk_ladder) with a tridiagonal Jacobian: radial iterates take
+no eigenvalue guard and no psh test, and the ladder starts from the
+quadratic profile of the mean density.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import HypothesisViolation
-from .solvers import NewtonIterationError, NewtonStagnationError, SolverConfig
+from .solvers import NewtonStagnationError, SolverConfig, _walk_ladder
 
 __all__ = ["RadialProfile", "radial_residual", "solve_radial"]
 
@@ -142,25 +143,39 @@ def _solve_tridiag(lower, diag, upper, rhs_vec):
     return solve_banded((1, 1), ab, rhs_vec)
 
 
-def _radial_stage(n, w, h, r, rhs, eps, stage_tol, cfg):
-    fact = math.factorial(n)
-    floor = cfg.psd_floor
-    if eps > 0:
-        # at a regularized solution B sits near (eps/norm)^{1/n}-scale
-        floor = max(floor, 0.25 * (eps / (fact * 4.0 ** n)) ** (1.0 / n))
+class _RadialNewton:
+    """The radial system at density + eps: tridiagonal Jacobian
+    corrections with the rhs slope, and the quadratic profile of the mean
+    density at w0 (or at the boundary value) as surrogate.  Radial
+    iterates take no eigenvalue guard and no psh test.  The state is
+    (residual, rhs values, A, B)."""
 
-    def residual(wv):
-        op, A, B = _residual_parts(n, wv, h, r)
-        base = _eval_rhs(rhs, wv[:-1], r[:-1])
-        return op - (base + eps), base, A, B
+    def __init__(self, n, rhs, bval, R, mesh, cfg, w0=None):
+        self.n, self.rhs, self.bval, self.R, self.cfg = n, rhs, bval, R, cfg
+        self.h = R / mesh
+        self.r = np.linspace(0.0, R, mesh + 1)
+        self.norm = math.factorial(n) * 4.0 ** n
+        self.index = slice(None, -1)
+        base0 = _eval_rhs(rhs, np.full(mesh, bval) if w0 is None
+                          else w0[:-1], self.r[:-1])
+        self.min_density = float(base0.min())
+        self.mean_density = float(base0.mean())
 
-    F, base, A, B = residual(w)
-    rsup = float(np.abs(F).max())
-    for it in range(cfg.max_newton):
-        if rsup <= stage_tol:
-            return w, rsup, it
-        slope = _rhs_slope(rhs, w[:-1], r[:-1], base)
-        lower, diag, upper = _jacobian_bands(n, h, r, A, B, slope, floor)
+    def evaluate(self, w, eps):
+        op, A, B = _residual_parts(self.n, w, self.h, self.r)
+        base = _eval_rhs(self.rhs, w[:-1], self.r[:-1])
+        F = op - (base + eps)
+        return float(np.abs(F).max()), None, (F, base, A, B)
+
+    def correct(self, w, state, rsup, eps):
+        F, base, A, B = state
+        floor = self.cfg.psd_floor
+        if eps > 0:
+            # at a regularized solution B sits near (eps/norm)^{1/n}-scale
+            floor = max(floor, 0.25 * (eps / self.norm) ** (1.0 / self.n))
+        slope = _rhs_slope(self.rhs, w[:-1], self.r[:-1], base)
+        lower, diag, upper = _jacobian_bands(self.n, self.h, self.r, A, B,
+                                             slope, floor)
         try:
             step = _solve_tridiag(lower, diag, upper, -F)
         except np.linalg.LinAlgError as exc:
@@ -170,22 +185,13 @@ def _radial_stage(n, w, h, r, rhs, eps, stage_tol, cfg):
         if not np.all(np.isfinite(step)):
             raise NewtonStagnationError(rsup, np.array(w),
                                         "radial Newton step is not finite")
-        t = 1.0
-        accepted = False
-        while t >= cfg.min_step:
-            trial = np.array(w)
-            trial[:-1] += t * step
-            tF, tbase, tA, tB = residual(trial)
-            trsup = float(np.abs(tF).max())
-            if trsup <= (1.0 - 1e-4 * t) * rsup:
-                w, F, base, A, B, rsup = trial, tF, tbase, tA, tB, trsup
-                accepted = True
-                break
-            t *= cfg.damping
-        if not accepted:
-            raise NewtonStagnationError(rsup, np.array(w),
-                                        "radial line search")
-    raise NewtonIterationError(rsup, np.array(w))
+        return step
+
+    def surrogate(self, eps):
+        c = ((self.mean_density + eps) / self.norm) ** (1.0 / self.n)
+        w = self.bval + c * (self.r ** 2 - self.R ** 2)
+        w[-1] = self.bval
+        return w
 
 
 def solve_radial(n: int, rhs, boundary_value: float, R: float,
@@ -210,60 +216,15 @@ def solve_radial(n: int, rhs, boundary_value: float, R: float,
         raise HypothesisViolation("positive boundary value",
                                   "boundary data nonpositive")
 
-    fact = math.factorial(n)
-    norm = fact * 4.0 ** n
-    h = R / mesh
-    r = np.linspace(0.0, R, mesh + 1)
-
-    def quadratic_start(c):
-        w = bval + c * (r ** 2 - R ** 2)
-        w[-1] = bval
-        return w
-
+    w0 = None
     if init is not None:
         w0 = np.asarray(init, dtype=float).copy()
-        if w0.shape != r.shape:
-            raise ValueError(f"init needs {r.size} node values")
+        if w0.shape != (mesh + 1,):
+            raise ValueError(f"init needs {mesh + 1} node values")
         w0[-1] = bval
-        base0 = _eval_rhs(rhs, w0[:-1], r[:-1])
-    else:
-        w0 = None
-        base0 = _eval_rhs(rhs, np.full(mesh, bval), r[:-1])
-    ladder = cfg.reg_ladder if base0.min() <= cfg.reg_ladder[0] else (0.0,)
-
-    if len(ladder) > 1:
-        if w0 is not None:
-            # warm start: try the unregularized problem before the ladder
-            try:
-                w, rsup, it = _radial_stage(n, np.array(w0), h, r, rhs, 0.0,
-                                            cfg.tol_inner, cfg)
-            except NewtonStagnationError:
-                pass
-            else:
-                return _finish(r, w, rsup, it, h)
-        else:
-            # exactly representable degenerate data: accept the quadratic
-            # (or constant) profile instead of smearing ladder error
-            c_plain = (max(float(base0.mean()), 0.0) / norm) ** (1.0 / n)
-            w = quadratic_start(c_plain)
-            op, A, B = _residual_parts(n, w, h, r)
-            F = op - _eval_rhs(rhs, w[:-1], r[:-1])
-            rsup = float(np.abs(F).max())
-            if rsup <= cfg.tol_inner:
-                return _finish(r, w, rsup, 0, h)
-
-    if w0 is None:
-        c0 = ((float(base0.mean()) + ladder[0]) / norm) ** (1.0 / n)
-        w = quadratic_start(c0)
-    else:
-        w = np.array(w0)
-    iters = 0
-    for eps in ladder:
-        stage_tol = cfg.tol_inner if eps == 0.0 else max(cfg.tol_inner,
-                                                         1e-2 * eps)
-        w, rsup, it = _radial_stage(n, w, h, r, rhs, eps, stage_tol, cfg)
-        iters += it
-    return _finish(r, w, rsup, iters, h)
+    backend = _RadialNewton(n, rhs, bval, R, mesh, cfg, w0)
+    w, rsup, iters, _ = _walk_ladder(backend, cfg, w0)
+    return _finish(backend.r, w, rsup, iters, backend.h)
 
 
 def radial_residual(n: int, values: np.ndarray, R: float, rhs) -> float:

@@ -14,6 +14,11 @@ decrease and an eigenvalue guard keeping the iterate plurisubharmonic up
 to the current regularization.  Degenerate densities (min g near zero) are
 handled by a warm-started regularization ladder g + eps for decreasing
 eps, ending at the true problem.
+
+The Newton loop (_newton_stage) and the ladder walk (_walk_ladder) are
+the only ones in the package: the radial solver runs them too, with a
+backend that supplies its own evaluation, correction, surrogate start and
+psh measure.
 """
 
 from __future__ import annotations
@@ -26,11 +31,10 @@ import numpy as np
 from .errors import SolverError
 from .grids import (
     DensityField,
-    Grid,
     ScalarField,
+    _det_and_eigmin,
+    _hessian_entries,
     ma_normalization,
-    mixed_difference,
-    second_difference,
 )
 from .linsolve import (
     laplacian_apply,
@@ -128,29 +132,107 @@ def solve_poisson(g, boundary: ScalarField,
     return ScalarField(boundary.grid, vals)
 
 
-# -- n = 2 Newton machinery --------------------------------------------------
+# -- one Newton loop and regularization-ladder walk ---------------------------
+#
+# A backend discretizes one frozen-density problem.  It supplies
+#   norm, index         the Monge-Ampere constant, and where a correction
+#                       lands in the node-value array;
+#   min_density         the density minimum that selects the ladder;
+#   evaluate(u, eps)    (sup residual, lambda_min or None, state) of the
+#                       problem at density + eps; None skips the
+#                       eigenvalue guard and the psh test;
+#   correct(u, state, rsup, eps)   the Newton correction at the unknowns;
+#   surrogate(eps)      a starting iterate for density + eps.
 
-def _hessian_entries(vals: np.ndarray, h) -> tuple:
-    """(H11, H22, Re H12, Im H12) on the interior block, n = 2."""
-    h11 = 0.25 * (second_difference(vals, 0, h[0])
-                  + second_difference(vals, 1, h[1]))
-    h22 = 0.25 * (second_difference(vals, 2, h[2])
-                  + second_difference(vals, 3, h[3]))
-    re12 = 0.25 * (mixed_difference(vals, 0, 2, h[0], h[2])
-                   + mixed_difference(vals, 1, 3, h[1], h[3]))
-    im12 = 0.25 * (mixed_difference(vals, 0, 3, h[0], h[3])
-                   - mixed_difference(vals, 1, 2, h[1], h[2]))
-    return h11, h22, re12, im12
+def _newton_stage(backend, u: np.ndarray, eps: float, stage_tol: float,
+                  cfg: SolverConfig):
+    """Damped Newton at regularization eps from u, to sup residual below
+    stage_tol; returns (u, rsup, iters, lambda_min).
+
+    Each step backtracks on the sup residual with the Armijo test
+    (1 - 1e-4 alpha).  With an eigenvalue guard, the first
+    residual-decreasing step that fails it is kept, and taken when no
+    decreasing step passes it.
+    """
+    # the stage_tol/norm allowance keeps the guard feasible in the
+    # degenerate endgame, where iterates carry lam1 ~ -eps at roundoff
+    # scale; without it backtracking prefers crawling near-zero steps
+    # that keep lam1 positive over full Newton steps
+    guard = cfg.psd_floor - eps - stage_tol / backend.norm
+    rsup, lam1, state = backend.evaluate(u, eps)
+    iters = 0
+    while rsup >= stage_tol:
+        if iters >= cfg.max_newton:
+            raise NewtonIterationError(rsup, u)
+        iters += 1
+        delta = backend.correct(u, state, rsup, eps)
+
+        alpha = 1.0
+        step = fallback = None
+        while alpha >= cfg.min_step:
+            trial = u.copy()
+            trial[backend.index] += alpha * delta
+            t_rsup, t_lam1, t_state = backend.evaluate(trial, eps)
+            if t_rsup <= (1.0 - 1e-4 * alpha) * rsup:
+                if t_lam1 is None or t_lam1 >= guard:
+                    step = (trial, t_rsup, t_lam1, t_state)
+                    break
+                if fallback is None:
+                    fallback = (trial, t_rsup, t_lam1, t_state)
+            alpha *= cfg.damping
+        # the guard is infeasible near degenerate limits; take the
+        # residual-decreasing step and let psh_defect report
+        step = step or fallback
+        if step is None:
+            raise NewtonStagnationError(rsup, u, "line search")
+        u, rsup, lam1, state = step
+    return u, rsup, iters, lam1
 
 
-def _det_and_eigmin(entries) -> tuple[np.ndarray, np.ndarray]:
-    h11, h22, re12, im12 = entries
-    off = re12 ** 2 + im12 ** 2
-    det = h11 * h22 - off
-    disc = np.sqrt(0.25 * (h11 - h22) ** 2 + off)
-    lam1 = 0.5 * (h11 + h22) - disc
-    return det, lam1
+def _walk_ladder(backend, cfg: SolverConfig, init: np.ndarray | None = None):
+    """Solve backend's problem, walking the regularization ladder when its
+    density reaches down to the first rung; returns (u, rsup, iters,
+    lambda_min).
 
+    With init, the unregularized problem is tried from it first.  If
+    Newton stalls, hits its cap or loses psh-ness, the warm iterate is
+    what failed, so the ladder starts over from the surrogate.
+    """
+    # degenerate accepts need psh-ness as well as a small residual; sqrt
+    # scale because det is quadratic in the Hessian near flat iterates
+    psh_slack = float(np.sqrt(cfg.tol_inner))
+    ladder = (cfg.reg_ladder if backend.min_density <= cfg.reg_ladder[0]
+              else (0.0,))
+    if init is not None:
+        try:
+            u, rsup, iters, lam1 = _newton_stage(backend, init, 0.0,
+                                                 cfg.tol_inner, cfg)
+        except (NewtonStagnationError, NewtonIterationError):
+            pass
+        else:
+            if lam1 is None or lam1 >= -psh_slack:
+                return u, rsup, iters, lam1
+    elif len(ladder) > 1:
+        # exactly representable data (e.g. pluriharmonic boundary with
+        # g = 0) is solved by the surrogate itself; accept it and skip the
+        # ladder, which would smear O(sqrt(tol)) regularization error over
+        # the iterate
+        u = backend.surrogate(0.0)
+        rsup, lam1, _ = backend.evaluate(u, 0.0)
+        if rsup <= cfg.tol_inner and (lam1 is None or lam1 >= -psh_slack):
+            return u, rsup, 0, lam1
+
+    u = backend.surrogate(ladder[0])
+    iters_total = 0
+    for eps in ladder:
+        stage_tol = cfg.tol_inner if eps == 0.0 else max(cfg.tol_inner,
+                                                         1e-2 * eps)
+        u, rsup, iters, lam1 = _newton_stage(backend, u, eps, stage_tol, cfg)
+        iters_total += iters
+    return u, rsup, iters_total, lam1
+
+
+# -- the n = 2 grid backend ---------------------------------------------------
 
 def _floored_cofactor(entries, floor: float) -> tuple:
     """Coefficients of cof(H) with H's eigenvalues floored at `floor`.
@@ -189,71 +271,53 @@ def _floored_cofactor(entries, floor: float) -> tuple:
     return a11, a22, ar, ai
 
 
-def _newton_stage(grid: Grid, g_target: np.ndarray, u: np.ndarray,
-                  cfg: SolverConfig, eps_reg: float, stage_tol: float):
-    """Damped Newton for 32 det H[u] = g_target, updating u in place."""
-    norm = ma_normalization(2)
-    core = grid.interior
-    h = grid.spacing
+class _GridNewton:
+    """32 det H[u] = g + eps on an n = 2 grid: floored-cofactor
+    corrections and the isotropic Laplacian surrogate.  The state is
+    (Hessian entries, residual)."""
 
-    entries = _hessian_entries(u, h)
-    det, lam1 = _det_and_eigmin(entries)
-    resid = norm * det - g_target
-    rsup = float(np.abs(resid).max())
-    # the stage_tol/norm allowance keeps the guard feasible in the
-    # degenerate endgame, where iterates carry lam1 ~ -eps at roundoff
-    # scale; without it backtracking prefers crawling near-zero steps
-    # that keep lam1 positive over full Newton steps
-    guard = cfg.psd_floor - eps_reg - stage_tol / norm
+    def __init__(self, g: np.ndarray, boundary: ScalarField,
+                 cfg: SolverConfig):
+        self.grid = boundary.grid
+        self.boundary = boundary
+        self.g = g
+        self.cfg = cfg
+        self.norm = ma_normalization(2)
+        self.index = self.grid.interior
+        self.min_density = float(g.min())
 
-    iters = 0
-    while rsup >= stage_tol:
-        if iters >= cfg.max_newton:
-            raise NewtonIterationError(rsup, u)
-        iters += 1
+    def evaluate(self, u, eps):
+        entries = _hessian_entries(u, self.grid.spacing)
+        det, lam1 = _det_and_eigmin(entries)
+        resid = self.g + eps
+        np.subtract(self.norm * det, resid, out=resid)
+        return (float(np.abs(resid).max()), float(lam1.min()),
+                (entries, resid))
+
+    def correct(self, u, state, rsup, eps):
+        entries, resid = state
         # residual-proportional eigenvalue floor: near degenerate limits
         # the cofactor loses rank and unfloored steps degrade to the
         # Krylov solver's accept threshold; tying the floor to the
         # current defect keeps the linearization uniformly invertible
         # while vanishing at the solution
-        floor = max(cfg.psd_floor, (eps_reg + rsup) / norm)
+        floor = max(self.cfg.psd_floor, (eps + rsup) / self.norm)
         coeffs = _floored_cofactor(entries, floor)
         # inexact Newton: the correction only needs to beat the damping
         # granularity, and the outer loop measures the true nonlinear
         # residual anyway, so a 1e-3 relative solve changes nothing but
         # the Krylov iteration count (1e-12 requests hit maxiter on the
         # degenerate rungs and fell back to ~1e-4 quality regardless)
-        delta = solve_hermitian_system(grid, coeffs, -resid,
-                                       scale=norm / 4.0,
-                                       rtol=1e-3, accept_rtol=1e-2)
+        return solve_hermitian_system(self.grid, coeffs, -resid,
+                                      scale=self.norm / 4.0,
+                                      rtol=1e-3, accept_rtol=1e-2)
 
-        alpha = 1.0
-        accepted = False
-        fallback = None
-        while alpha >= cfg.min_step:
-            trial = u.copy()
-            trial[core] += alpha * delta
-            t_entries = _hessian_entries(trial, h)
-            t_det, t_lam1 = _det_and_eigmin(t_entries)
-            t_resid = norm * t_det - g_target
-            t_rsup = float(np.abs(t_resid).max())
-            if t_rsup <= (1.0 - 1e-4 * alpha) * rsup:
-                state = (trial, t_entries, t_resid, t_lam1, t_rsup)
-                if float(t_lam1.min()) >= guard:
-                    accepted = True
-                    break
-                if fallback is None:
-                    fallback = state
-            alpha *= cfg.damping
-        if not accepted:
-            if fallback is None:
-                raise NewtonStagnationError(rsup, u)
-            # the eigenvalue guard is infeasible near degenerate limits;
-            # take the residual-decreasing step and let psh_defect report
-            state = fallback
-        u, entries, resid, lam1, rsup = (state[0], state[1], state[2],
-                                         state[3], state[4])
-    return u, rsup, iters, lam1
+    def surrogate(self, eps):
+        # isotropic surrogate det = dens/norm via lap u = 4n (dens/norm)^(1/n)
+        # at n = 2
+        lap_rhs = 8.0 * np.power((self.g + eps) / self.norm, 0.5)
+        return solve_poisson_system(self.grid, lap_rhs, self.boundary.values,
+                                    tol=max(1e-2 * self.cfg.tol_inner, 1e-13))
 
 
 def solve_ma_fixed_rhs(g, boundary: ScalarField,
@@ -264,6 +328,7 @@ def solve_ma_fixed_rhs(g, boundary: ScalarField,
     n = 1 delegates to the Poisson solver.  n = 2 runs damped Newton with
     cofactor linearization; when min(g) falls below the first rung of the
     regularization ladder the solve walks the ladder with warm starts.
+    init, when given, supplies the interior of a warm start.
     """
     cfg = cfg or SolverConfig()
     grid = boundary.grid
@@ -283,65 +348,13 @@ def solve_ma_fixed_rhs(g, boundary: ScalarField,
         raise SolverError("grid solves are implemented for n in {1, 2}; "
                           "use the radial solver for higher dimension")
 
-    norm = ma_normalization(2)
-    if g_arr.min() <= cfg.reg_ladder[0]:
-        ladder = cfg.reg_ladder
-    else:
-        ladder = (0.0,)
-    # degenerate accepts need psh-ness as well as a small residual; sqrt scale
-    # because det is quadratic in the Hessian near flat iterates
-    psh_slack = float(np.sqrt(cfg.tol_inner))
-
-    def _lap_init(dens):
-        # isotropic surrogate det = dens/norm via lap u = 4n (dens/norm)^(1/n)
-        lap_rhs = 4.0 * grid.n * np.power(dens / norm, 1.0 / grid.n)
-        return solve_poisson_system(grid, lap_rhs, boundary.values,
-                                    tol=max(1e-2 * cfg.tol_inner, 1e-13))
-
+    warm = None
     if init is not None:
-        u = np.array(boundary.values)
-        u[grid.interior] = init.values[grid.interior]
-        if len(ladder) > 1:
-            # warm start: attempt the unregularized problem directly; if
-            # Newton stalls, hits its cap or loses psh-ness, the warm iterate
-            # is what failed, so the ladder starts over from the surrogate
-            try:
-                ut, rsup, iters, lam1 = _newton_stage(
-                    grid, g_arr, np.array(u), cfg, eps_reg=0.0,
-                    stage_tol=cfg.tol_inner)
-            except (NewtonStagnationError, NewtonIterationError):
-                pass
-            else:
-                if float(lam1.min()) >= -psh_slack:
-                    defect = float(max(0.0, -float(lam1.min())))
-                    return MaSolveResult(ScalarField(grid, ut), rsup, iters,
-                                         defect)
-            u = _lap_init(g_arr + ladder[0])
-    else:
-        if len(ladder) > 1:
-            # exactly representable data (e.g. pluriharmonic boundary with
-            # g = 0) is solved by the surrogate init itself; accept it and
-            # skip the ladder, which would smear O(sqrt(tol)) regularization
-            # error over the iterate
-            u_plain = _lap_init(g_arr)
-            entries = _hessian_entries(u_plain, grid.spacing)
-            det, lam1 = _det_and_eigmin(entries)
-            rsup = float(np.abs(norm * det - g_arr).max())
-            if rsup <= cfg.tol_inner and float(lam1.min()) >= -psh_slack:
-                defect = float(max(0.0, -float(lam1.min())))
-                return MaSolveResult(ScalarField(grid, u_plain), rsup, 0,
-                                     defect)
-        u = _lap_init(g_arr + ladder[0])
-
-    iters_total = 0
-    for eps in ladder:
-        stage_tol = cfg.tol_inner if eps == 0.0 else max(cfg.tol_inner,
-                                                         1e-2 * eps)
-        u, rsup, iters, lam1 = _newton_stage(grid, g_arr + eps, u, cfg,
-                                             eps_reg=eps, stage_tol=stage_tol)
-        iters_total += iters
-    defect = float(max(0.0, -float(lam1.min())))
-    return MaSolveResult(ScalarField(grid, u), rsup, iters_total, defect)
+        warm = np.array(boundary.values)
+        warm[grid.interior] = init.values[grid.interior]
+    u, rsup, iters, lam1 = _walk_ladder(_GridNewton(g_arr, boundary, cfg),
+                                        cfg, warm)
+    return MaSolveResult(ScalarField(grid, u), rsup, iters, max(0.0, -lam1))
 
 
 def maximal_extension(boundary: ScalarField, cfg: SolverConfig | None = None,

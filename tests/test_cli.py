@@ -362,6 +362,25 @@ class TestVerify:
         names = [row["name"] for row in payload["checks"]]
         assert names == ["subsolution", "uniqueness"]
 
+    def test_uniqueness_on_anisotropic_data(self, tmp_path, capsys):
+        # the warm starts of the uniqueness branches fail on this data and
+        # must fall back to the ladder's surrogate start
+        quad = "0.6 * x1^2 + 1.8 * y1^2 + 1.3 * x2^2 + 0.7 * y2^2 - 2"
+        cfg = write_cfg(
+            tmp_path, n=2,
+            domain={"box": {"lo": [-0.5] * 4, "hi": [0.5] * 4}},
+            boundary=quad, subsolution_seed=quad,
+            rhs={"family": "exponential", "kappa": 1.0,
+                 "weight": f"8 * 2.4 * 2.0 * exp(-({quad}))"})
+        code, out, _ = run(capsys, "verify", cfg,
+                           "--check", "uniqueness",
+                           "--check", "subsolution")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["all_passed"] is True
+        assert [row["name"] for row in payload["checks"]] == [
+            "uniqueness", "subsolution"]
+
     def test_comparison_seeded_and_deterministic(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, rng_seed=5, verify={"pairs": 4})
         code, out1, _ = run(capsys, "verify", cfg, "--check", "comparison")
@@ -493,3 +512,26 @@ class TestThreadOverride:
         monkeypatch.setenv("CMASOLVE_THREADS", "2")
         _apply_thread_override()
         assert os.environ["OMP_NUM_THREADS"] == "4"
+
+    @pytest.mark.parametrize("platform,expected", [
+        ("linux", [(-3, 32 << 20), (-1, 64 << 20)]),
+        ("darwin", []),
+    ])
+    def test_heap_thresholds_set_on_linux(self, monkeypatch, platform,
+                                          expected):
+        import ctypes
+        import sys
+
+        from cmasolve.cli import _keep_freed_heap
+
+        calls = []
+
+        class Libc:
+            def mallopt(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(sys, "platform", platform)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: Libc())
+        _keep_freed_heap()
+        assert calls == expected

@@ -22,10 +22,14 @@ from cmasolve.grids import (
     build_grid,
     complex_hessian,
     hessian_determinant,
+    hessian_eigmin,
     integrate,
     ma_density,
+    ma_normalization,
+    mixed_difference,
     read_field_bin,
     read_field_csv,
+    second_difference,
     unit_box,
     write_field_bin,
     write_field_csv,
@@ -168,6 +172,75 @@ class TestComplexHessian:
         u = ScalarField(g, rng.standard_normal(g.shape))
         H = complex_hessian(u).values
         assert np.array_equal(H, np.conj(np.swapaxes(H, -1, -2)))
+
+
+def complex_matrix_hessian(u):
+    """Reference: the n x n complex matrix of the defining formula
+    H_jk = ((u_xjxk + u_yjyk) + i (u_xjyk - u_yjxk)) / 4, each real
+    derivative a centred second or nested mixed difference."""
+    grid, v, h = u.grid, u.values, u.grid.spacing
+
+    def d2(a, b):
+        if a == b:
+            return second_difference(v, a, h[a])
+        return mixed_difference(v, a, b, h[a], h[b])
+
+    n = grid.n
+    H = np.zeros(grid.interior_shape + (n, n), dtype=np.complex128)
+    for j in range(n):
+        for k in range(n):
+            re = d2(2 * j, 2 * k) + d2(2 * j + 1, 2 * k + 1)
+            im = d2(2 * j, 2 * k + 1) - d2(2 * j + 1, 2 * k)
+            H[..., j, k] = 0.25 * (re + 1j * im)
+    return H
+
+
+def matrix_det_and_eigmin(H):
+    a = H[..., 0, 0].real
+    if H.shape[-1] == 1:
+        return a, a
+    d = H[..., 1, 1].real
+    off = np.abs(H[..., 0, 1]) ** 2
+    return (a * d - off,
+            0.5 * (a + d) - np.sqrt(0.25 * (a - d) ** 2 + off))
+
+
+class TestHessianKernel:
+    GRIDS = [
+        (unit_box(1), 17),
+        (unit_box(2), 7),
+        (Box(lo=(-0.5, -1.0, -0.3, -0.7), hi=(0.5, 1.0, 0.6, 0.2)),
+         (7, 9, 6, 8)),
+    ]
+
+    @pytest.mark.parametrize("box,res", GRIDS)
+    def test_matches_complex_matrix_formula(self, box, res):
+        g = build_grid(box, res)
+        rng = np.random.default_rng(11)
+        u = ScalarField(g, rng.standard_normal(g.shape))
+        ref = complex_matrix_hessian(u)
+        H = complex_hessian(u).values
+        assert np.abs(H - ref).max() <= 1e-14 * np.abs(ref).max()
+
+        ref_det, ref_lam = matrix_det_and_eigmin(ref)
+        ref_dens = np.maximum(ma_normalization(g.n) * ref_det, 0.0)
+        dens, defect = ma_density(u)
+        assert (np.abs(dens.values - ref_dens).max()
+                <= 1e-14 * np.abs(ref_dens).max())
+        ref_defect = max(0.0, -float(ref_lam.min()))
+        assert abs(defect - ref_defect) <= 1e-14 * np.abs(ref_lam).max()
+        assert (np.abs(hessian_determinant(complex_hessian(u)) - ref_det)
+                .max() <= 1e-14 * np.abs(ref_det).max())
+        assert (np.abs(hessian_eigmin(complex_hessian(u)) - ref_lam).max()
+                <= 1e-14 * np.abs(ref_lam).max())
+
+    def test_n3_grid_rejected(self):
+        g = build_grid(unit_box(3), 5)
+        u = ScalarField(g, np.zeros(g.shape))
+        with pytest.raises(GridError, match="n in"):
+            complex_hessian(u)
+        with pytest.raises(GridError, match="n in"):
+            ma_density(u)
 
 
 class TestMaDensity:

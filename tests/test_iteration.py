@@ -1,8 +1,11 @@
 """Outer iteration, balayage, and the subsolution checker."""
 
+import os
+
 import numpy as np
 import pytest
 
+from cmasolve.config import load_config
 from cmasolve.errors import HypothesisViolation
 from cmasolve.grids import DensityField, ScalarField, build_grid, ma_density, unit_box
 from cmasolve.iteration import (
@@ -145,6 +148,14 @@ class TestRadialBackend:
         assert np.abs(sol.profile.values - exact).max() <= 1e-6
         assert sol.residual_ok
         assert sol.profile.monotone_ok
+        assert sol.chains_ok
+
+    def test_ball_cubic_config_reports_chains(self):
+        path = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "configs", "ball_cubic_n2.json")
+        sol = solve_mam(load_config(path).build_problem())
+        assert sol.converged
+        assert sol.chains_ok
 
     def test_grid_and_radial_agree_through_closed_form(self):
         gsol = solve_mam(cheng_yau_problem(res=9))

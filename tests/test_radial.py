@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-import cmasolve.radial
+import cmasolve.solvers
 from cmasolve.errors import HypothesisViolation, SolverError
 from cmasolve.iteration import RadialProblemSpec, solve_mam
 from cmasolve.radial import RadialProfile, solve_radial
@@ -124,20 +124,23 @@ class TestNewtonFailures:
         else:
             assert sol.converged
 
-    def test_warm_start_stall_falls_back_to_the_ladder(self, monkeypatch):
+    @pytest.mark.parametrize("error", [NewtonStagnationError,
+                                       NewtonIterationError])
+    def test_warm_start_stall_falls_back_to_the_ladder(self, monkeypatch,
+                                                       error):
         # vanishing density at the axis: the solve walks the ladder
         cold = solve_radial(2, lambda v, r: 108.0 * r ** 2, 0.0, 1.0,
                             mesh=64)
-        stage = cmasolve.radial._radial_stage
+        stage = cmasolve.solvers._newton_stage
         calls = []
 
-        def stall_first(n, w, *args, **kwargs):
-            calls.append(args[3])        # the regularization eps
+        def stall_first(backend, w, eps, *args, **kwargs):
+            calls.append(eps)
             if len(calls) == 1:
-                raise NewtonStagnationError(1.0, np.array(w), "forced")
-            return stage(n, w, *args, **kwargs)
+                raise error(1.0, np.array(w))
+            return stage(backend, w, eps, *args, **kwargs)
 
-        monkeypatch.setattr(cmasolve.radial, "_radial_stage", stall_first)
+        monkeypatch.setattr(cmasolve.solvers, "_newton_stage", stall_first)
         warm = solve_radial(2, lambda v, r: 108.0 * r ** 2, 0.0, 1.0,
                             mesh=64, init=cold.values)
         cfg = SolverConfig()
@@ -145,3 +148,18 @@ class TestNewtonFailures:
         assert calls == [0.0, *cfg.reg_ladder]
         assert warm.residual <= cfg.tol_inner
         assert np.abs(warm.values - cold.values).max() <= 1e-6
+
+    def test_convergence_on_the_last_allowed_step_returns(self):
+        # this solve needs exactly 4 Newton steps; a cap of 4 must admit
+        # the iterate the fourth step reaches
+        def rhs(v, rr):
+            return 32.0 * np.exp(v - (rr ** 2 - 1.0))
+
+        assert solve_radial(2, rhs, 0.0, 1.0, mesh=64).newton_iters == 4
+        cfg = SolverConfig(max_newton=4)
+        prof = solve_radial(2, rhs, 0.0, 1.0, mesh=64, cfg=cfg)
+        assert prof.newton_iters == 4
+        assert prof.residual < cfg.tol_inner
+        with pytest.raises(NewtonIterationError):
+            solve_radial(2, rhs, 0.0, 1.0, mesh=64,
+                         cfg=SolverConfig(max_newton=3))

@@ -17,6 +17,7 @@ from cmasolve.linsolve import (
     solve_poisson_system,
 )
 from cmasolve.solvers import (
+    NewtonIterationError,
     SolverConfig,
     maximal_extension,
     solve_ma_fixed_rhs,
@@ -208,6 +209,37 @@ class TestMaFixedRhs:
         res = solve_ma_fixed_rhs(zero, bdry, cfg, init=warm)
         assert res.residual <= cfg.tol_inner
         assert res.psh_defect <= np.sqrt(cfg.tol_inner)
+
+    def test_failed_non_degenerate_warm_start_restarts(self):
+        # a positive constant density walks a one-rung ladder; Newton from
+        # a warm start three times too steep hits its cap, and the solve
+        # must start over from the Laplacian surrogate
+        g = build_grid(unit_box(2), 9)
+        coef = np.array([0.6, 1.8, 1.3, 0.7])
+
+        def quad(p):
+            return (coef * p ** 2).sum(axis=-1) - 2.0
+
+        bdry = ScalarField.from_function(g, quad)
+        warm = ScalarField(g, 3.0 * bdry.values)
+        cfg = SolverConfig()
+        res = solve_ma_fixed_rhs(DensityField.constant(g, 38.4), bdry, cfg,
+                                 init=warm)
+        assert res.residual <= cfg.tol_inner
+        assert np.abs(res.u.values - bdry.values).max() <= 1e-8
+
+    def test_convergence_on_the_last_allowed_step_returns(self):
+        # this solve needs exactly 3 Newton steps; a cap of 3 admits it
+        g = build_grid(unit_box(2), 9)
+        bdry = sq_norm_minus_one(g)
+        dens = DensityField.constant(g, 40.0)
+        assert solve_ma_fixed_rhs(dens, bdry).newton_iters == 3
+        cfg = SolverConfig(max_newton=3)
+        res = solve_ma_fixed_rhs(dens, bdry, cfg)
+        assert res.newton_iters == 3
+        assert res.residual < cfg.tol_inner
+        with pytest.raises(NewtonIterationError):
+            solve_ma_fixed_rhs(dens, bdry, SolverConfig(max_newton=2))
 
     def test_negative_density_rejected(self):
         g = build_grid(unit_box(2), 7)
