@@ -38,8 +38,7 @@ _EXPORTS = {
     # iteration
     "ProblemSpec": "iteration", "RadialProblemSpec": "iteration",
     "Solution": "iteration", "RadialSolution": "iteration",
-    "SubsolutionReport": "iteration", "apply_T": "iteration",
-    "balayage_step": "iteration", "initial_iterate": "iteration",
+    "SubsolutionReport": "iteration", "balayage_step": "iteration",
     "prepare": "iteration", "solve_mam": "iteration",
     "subsolution_check": "iteration",
     # checks

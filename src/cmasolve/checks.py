@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisViolation, SolverError
-from .grids import (DensityField, ScalarField, complex_hessian,
-                    hessian_eigmin, ma_density)
+from .grids import (DensityField, ScalarField, _clamped_density,
+                    _det_and_eigenvalues, _hessian_entries, ma_density)
 from .iteration import ProblemSpec, prepare, solve_mam
 from .rhs import bind_on_grid
 from .solvers import SolverConfig, solve_ma_fixed_rhs
@@ -78,6 +78,16 @@ def _node_coords(grid, interior_index: tuple[int, ...]) -> tuple[float, ...]:
 
 def _grid_h2(grid) -> float:
     return float(max(grid.spacing)) ** 2
+
+
+def _max_abs_row_sum(entries) -> float:
+    """Largest absolute row sum of H over the nodes, from _hessian_entries'
+    output."""
+    if len(entries) == 1:
+        return float(np.abs(entries[0]).max())
+    h11, h22, re12, im12 = entries
+    off = np.hypot(re12, im12)
+    return float(max((np.abs(h11) + off).max(), (off + np.abs(h22)).max()))
 
 
 # -- comparison principle ------------------------------------------------------
@@ -156,29 +166,30 @@ def demailly_max_check(u1: ScalarField, u2: ScalarField, eps_smooth: float,
     grid = u1.grid
 
     # psh pre-check against the inputs' own spectral scale: a density
-    # scale would hide concave inputs, whose determinant is positive
+    # scale would hide concave inputs, whose determinant is positive.  The
+    # check and the input's density come from one Hessian
     h2 = _grid_h2(grid)
+    dens = []
     for label, field in (("u1", u1), ("u2", u2)):
-        H = complex_hessian(field)
-        spectral = float(np.abs(H.values).sum(axis=-1).max())
-        defect = float(max(0.0, -hessian_eigmin(H).min()))
+        entries = _hessian_entries(field.values, grid.spacing)
+        det, lam, _ = _det_and_eigenvalues(entries)
+        spectral = _max_abs_row_sum(entries)
+        defect = float(max(0.0, -lam.min()))
         if defect > 10.0 * h2 * (1.0 + spectral):
             raise HypothesisViolation(
                 f"{label} has psh defect {defect:.3e} against spectral "
                 f"scale {spectral:.3e}",
                 "u1, u2 plurisubharmonic")
-
-    d1, _ = ma_density(u1)
-    d2, _ = ma_density(u2)
-    scale = 1.0 + float(max(d1.values.max(initial=0.0),
-                            d2.values.max(initial=0.0)))
+        dens.append(_clamped_density(det, grid.n))
+    d1, d2 = dens
+    scale = 1.0 + float(max(d1.max(initial=0.0), d2.max(initial=0.0)))
     if tol is None:
         tol = 10.0 * h2 * scale
 
     m = _smooth_max(u1.values, u2.values, eps_smooth)
     dm, _ = ma_density(ScalarField(grid, m))
     diff_int = u1.interior_values() - u2.interior_values()
-    rhs = np.where(diff_int >= 0.0, d1.values, d2.values)
+    rhs = np.where(diff_int >= 0.0, d1, d2)
     point_margin = dm.values - rhs
 
     sep = np.abs(u1.values - u2.values)

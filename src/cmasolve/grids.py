@@ -280,16 +280,17 @@ def _hessian_entries(vals: np.ndarray, h) -> tuple:
     return h11, h22, re12, im12
 
 
-def _det_and_eigmin(entries) -> tuple[np.ndarray, np.ndarray]:
-    """det H and its smallest eigenvalue from _hessian_entries' output."""
+def _det_and_eigenvalues(entries) -> tuple:
+    """(det H, smallest eigenvalue, largest eigenvalue) from
+    _hessian_entries' output."""
     if len(entries) == 1:
-        return entries[0], entries[0]
+        return entries[0], entries[0], entries[0]
     h11, h22, re12, im12 = entries
     off = re12 ** 2 + im12 ** 2
     det = h11 * h22 - off
     disc = np.sqrt(0.25 * (h11 - h22) ** 2 + off)
-    lam1 = 0.5 * (h11 + h22) - disc
-    return det, lam1
+    mean = 0.5 * (h11 + h22)
+    return det, mean - disc, mean + disc
 
 
 def _entries_of(H: HermitianField) -> tuple:
@@ -321,12 +322,12 @@ def complex_hessian(u: ScalarField) -> HermitianField:
 
 def hessian_determinant(H: HermitianField) -> np.ndarray:
     """Signed det H per interior node (real by Hermitian symmetry)."""
-    return np.array(_det_and_eigmin(_entries_of(H))[0])
+    return np.array(_det_and_eigenvalues(_entries_of(H))[0])
 
 
 def hessian_eigmin(H: HermitianField) -> np.ndarray:
     """Smallest eigenvalue of H per interior node."""
-    return np.array(_det_and_eigmin(_entries_of(H))[1])
+    return np.array(_det_and_eigenvalues(_entries_of(H))[1])
 
 
 def ma_normalization(n: int) -> float:
@@ -346,11 +347,17 @@ def ma_density(u: ScalarField) -> MaDensity:
     measure density, and the departure from plurisubharmonicity is
     surfaced as psh_defect = max over nodes of max(0, -lambda_min(H)).
     """
-    det, lam = _det_and_eigmin(_hessian_entries(u.values, u.grid.spacing))
+    det, lam, _ = _det_and_eigenvalues(_hessian_entries(u.values,
+                                                       u.grid.spacing))
     defect = float(max(0.0, -lam.min())) if lam.size else 0.0
-    dens = ma_normalization(u.grid.n) * det
-    np.maximum(dens, 0.0, out=dens)
-    return MaDensity(DensityField(u.grid, dens), defect)
+    return MaDensity(DensityField(u.grid, _clamped_density(det, u.grid.n)),
+                     defect)
+
+
+def _clamped_density(det: np.ndarray, n: int) -> np.ndarray:
+    """4^n n! det, clamped below at zero."""
+    dens = ma_normalization(n) * det
+    return np.maximum(dens, 0.0, out=dens)
 
 
 def integrate(d: DensityField) -> float:

@@ -48,8 +48,6 @@ __all__ = [
     "OuterStep",
     "SubsolutionReport",
     "prepare",
-    "initial_iterate",
-    "apply_T",
     "solve_mam",
     "balayage_step",
     "subsolution_check",
@@ -264,34 +262,6 @@ def _prepare_state(p: ProblemSpec) -> dict:
                 "v0 is a subsolution")
     return dict(phi0=phi0, u0=u0, bound=bound, t_lo=t_lo, t_hi=t_hi,
                 lip_t=lip, tol_outer_residual=tol_res)
-
-
-def initial_iterate(p: ProblemSpec) -> ScalarField:
-    """First iterate: solve with the density frozen at the maximal
-    extension, which produces a function below f and below the limit."""
-    return prepare(p).u0
-
-
-def apply_T(u: ScalarField, p: ProblemSpec,
-            init: ScalarField | None = None,
-            band: tuple[ScalarField, ScalarField] | None = None
-            ) -> ScalarField:
-    """One step of the outer update: solve with density G(u, .).
-
-    Order-reversing: pointwise-larger input produces pointwise-smaller
-    output (within solver slack).  band, when given as (phi0, f), triggers
-    an advisory warning if u leaves the interval the iterates are expected
-    to stay inside.
-    """
-    if band is not None:
-        lo, hi = band
-        slack = 2.0 * p.config.tol_inner
-        if (float((lo.values - u.values).max()) > slack
-                or float((u.values - hi.values).max()) > slack):
-            warnings.warn("iterate leaves the [phi0, f] band")
-    bound = bind_on_grid(p.rhs, p.grid, p.w_mu)
-    dens = bound(u.values[p.grid.interior])
-    return solve_ma_fixed_rhs(dens, p.boundary, p.config, init=init).u
 
 
 def _picard(solve, interior, bound: BoundRhs, cfg: SolverConfig,

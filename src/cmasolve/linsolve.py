@@ -202,8 +202,10 @@ def solve_hermitian_system(grid: Grid, coeffs, rhs: np.ndarray, scale: float,
     """Solve L v = rhs with zero Dirichlet data; returns interior values.
 
     coeffs = (a, g, br, bi) per interior node.  BiCGStab with the sine
-    preconditioner; raises if even accept_rtol relative reduction is out of
-    reach within the iteration cap.
+    preconditioner.  A solve that BiCGStab reports converged is returned
+    as is; only when it reports a miss is the true relative residual
+    formed (one more operator application), and the solve raises if that
+    residual is above accept_rtol.
     """
     a, g, br, bi = coeffs
     core = grid.interior
@@ -241,8 +243,9 @@ def solve_hermitian_system(grid: Grid, coeffs, rhs: np.ndarray, scale: float,
     if bnorm == 0.0:
         return np.zeros(interior)
     x, info = bicgstab(A, b, rtol=rtol, atol=0.0, maxiter=maxiter, M=M)
-    achieved = float(np.linalg.norm(b - matvec(x)) / bnorm)
-    if info != 0 and achieved > accept_rtol:
-        raise LinearSolveError("newton correction solve did not converge",
-                               achieved)
+    if info != 0:
+        achieved = float(np.linalg.norm(b - matvec(x)) / bnorm)
+        if achieved > accept_rtol:
+            raise LinearSolveError("newton correction solve did not "
+                                   "converge", achieved)
     return x.reshape(interior)

@@ -32,7 +32,7 @@ from .errors import SolverError
 from .grids import (
     DensityField,
     ScalarField,
-    _det_and_eigmin,
+    _det_and_eigenvalues,
     _hessian_entries,
     ma_normalization,
 )
@@ -142,6 +142,7 @@ def solve_poisson(g, boundary: ScalarField,
 #                       problem at density + eps; None skips the
 #                       eigenvalue guard and the psh test;
 #   correct(u, state, rsup, eps)   the Newton correction at the unknowns;
+#                       each state is passed to it once and may be spent;
 #   surrogate(eps)      a starting iterate for density + eps.
 
 def _newton_stage(backend, u: np.ndarray, eps: float, stage_tol: float,
@@ -150,15 +151,21 @@ def _newton_stage(backend, u: np.ndarray, eps: float, stage_tol: float,
     stage_tol; returns (u, rsup, iters, lambda_min).
 
     Each step backtracks on the sup residual with the Armijo test
-    (1 - 1e-4 alpha).  With an eigenvalue guard, the first
-    residual-decreasing step that fails it is kept, and taken when no
-    decreasing step passes it.
+    (1 - 1e-4 alpha).  With an eigenvalue guard, a trial passes when its
+    lambda_min is at least the guard or, from an iterate already below the
+    guard, no worse than the iterate's own.  The first residual-decreasing
+    trial that fails it is kept, and taken when no decreasing trial
+    passes.
     """
     # the stage_tol/norm allowance keeps the guard feasible in the
     # degenerate endgame, where iterates carry lam1 ~ -eps at roundoff
     # scale; without it backtracking prefers crawling near-zero steps
-    # that keep lam1 positive over full Newton steps
+    # that keep lam1 positive over full Newton steps.  The eps = 0 rung
+    # gets the slack _walk_ladder accepts its result with: a tighter guard
+    # only trades full steps for half steps there
     guard = cfg.psd_floor - eps - stage_tol / backend.norm
+    if eps == 0.0:
+        guard = min(guard, -float(np.sqrt(cfg.tol_inner)))
     rsup, lam1, state = backend.evaluate(u, eps)
     iters = 0
     while rsup >= stage_tol:
@@ -174,14 +181,17 @@ def _newton_stage(backend, u: np.ndarray, eps: float, stage_tol: float,
             trial[backend.index] += alpha * delta
             t_rsup, t_lam1, t_state = backend.evaluate(trial, eps)
             if t_rsup <= (1.0 - 1e-4 * alpha) * rsup:
-                if t_lam1 is None or t_lam1 >= guard:
+                # never ask a trial to be more psh than its starting point:
+                # from the surrogate (lam1 far below the guard) shorter
+                # steps would fail the guard too, down to min_step
+                if t_lam1 is None or t_lam1 >= min(guard, lam1):
                     step = (trial, t_rsup, t_lam1, t_state)
                     break
                 if fallback is None:
                     fallback = (trial, t_rsup, t_lam1, t_state)
             alpha *= cfg.damping
-        # the guard is infeasible near degenerate limits; take the
-        # residual-decreasing step and let psh_defect report
+        # every decreasing trial made lam1 worse than the guard and the
+        # iterate's own: take the first of them and let psh_defect report
         step = step or fallback
         if step is None:
             raise NewtonStagnationError(rsup, u, "line search")
@@ -234,20 +244,15 @@ def _walk_ladder(backend, cfg: SolverConfig, init: np.ndarray | None = None):
 
 # -- the n = 2 grid backend ---------------------------------------------------
 
-def _floored_cofactor(entries, floor: float) -> tuple:
+def _floored_cofactor(entries, lam1, lam2, floor: float) -> tuple:
     """Coefficients of cof(H) with H's eigenvalues floored at `floor`.
 
-    For 2x2 Hermitian H the cofactor is tr(H) I - H with eigenvalues
-    swapped relative to H, so flooring H's spectrum floors the cofactor's.
-    Keeps the linearized operator uniformly elliptic near degeneracy.
+    lam1 <= lam2 are H's eigenvalues per node.  For 2x2 Hermitian H the
+    cofactor is tr(H) I - H with eigenvalues swapped relative to H, so
+    flooring H's spectrum floors the cofactor's.  Keeps the linearized
+    operator uniformly elliptic near degeneracy.
     """
     h11, h22, re12, im12 = entries
-    off = re12 ** 2 + im12 ** 2
-    disc = np.sqrt(0.25 * (h11 - h22) ** 2 + off)
-    mean = 0.5 * (h11 + h22)
-    lam1 = mean - disc
-    lam2 = mean + disc
-
     a11 = h22.copy()
     a22 = h11.copy()
     ar = -re12.copy()
@@ -274,7 +279,7 @@ def _floored_cofactor(entries, floor: float) -> tuple:
 class _GridNewton:
     """32 det H[u] = g + eps on an n = 2 grid: floored-cofactor
     corrections and the isotropic Laplacian surrogate.  The state is
-    (Hessian entries, residual)."""
+    (Hessian entries, their eigenvalues, residual)."""
 
     def __init__(self, g: np.ndarray, boundary: ScalarField,
                  cfg: SolverConfig):
@@ -288,21 +293,24 @@ class _GridNewton:
 
     def evaluate(self, u, eps):
         entries = _hessian_entries(u, self.grid.spacing)
-        det, lam1 = _det_and_eigmin(entries)
+        det, lam1, lam2 = _det_and_eigenvalues(entries)
         resid = self.g + eps
         np.subtract(self.norm * det, resid, out=resid)
         return (float(np.abs(resid).max()), float(lam1.min()),
-                (entries, resid))
+                (entries, [lam1, lam2], resid))
 
     def correct(self, u, state, rsup, eps):
-        entries, resid = state
+        entries, eigs, resid = state
         # residual-proportional eigenvalue floor: near degenerate limits
         # the cofactor loses rank and unfloored steps degrade to the
         # Krylov solver's accept threshold; tying the floor to the
         # current defect keeps the linearization uniformly invertible
         # while vanishing at the solution
         floor = max(self.cfg.psd_floor, (eps + rsup) / self.norm)
-        coeffs = _floored_cofactor(entries, floor)
+        coeffs = _floored_cofactor(entries, *eigs, floor)
+        # the state is spent once its cofactor is formed: dropping the
+        # eigenvalues keeps them out of the Krylov solve's peak memory
+        eigs.clear()
         # inexact Newton: the correction only needs to beat the damping
         # granularity, and the outer loop measures the true nonlinear
         # residual anyway, so a 1e-3 relative solve changes nothing but

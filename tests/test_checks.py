@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmasolve import grids
 from cmasolve.checks import (CheckReport, comparison_check,
                              convergence_study, demailly_max_check,
                              stability_experiment, uniqueness_check)
@@ -163,6 +164,22 @@ class TestDemaillyMax:
         with pytest.warns(UserWarning, match="vacuous"):
             rep = demailly_max_check(u1, u2, 5.0)
         assert rep.locus is None
+
+    def test_forms_one_hessian_per_field(self, monkeypatch):
+        # u1, u2 and their smoothed maximum: 3 Hessians of 8 stencils each
+        # at n = 2, the inputs' psh pre-checks reading their density's
+        calls = []
+        for name in ("second_difference", "mixed_difference"):
+            stencil = getattr(grids, name)
+
+            def counted(*args, _stencil=stencil, **kwargs):
+                calls.append(1)
+                return _stencil(*args, **kwargs)
+
+            monkeypatch.setattr(grids, name, counted)
+        u1, u2 = self.crossing_pair(res=9)
+        assert demailly_max_check(u1, u2, 0.05).passed
+        assert len(calls) == 24
 
     def test_non_psh_input_rejected(self):
         grid = build_grid(unit_box(2), 7)

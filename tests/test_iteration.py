@@ -11,15 +11,14 @@ from cmasolve.grids import DensityField, ScalarField, build_grid, ma_density, un
 from cmasolve.iteration import (
     ProblemSpec,
     RadialProblemSpec,
-    apply_T,
     balayage_step,
-    initial_iterate,
     prepare,
     solve_mam,
     subsolution_check,
 )
-from cmasolve.rhs import ConstantRhs, ExponentialRhs, ExpressionRhs, PowerPlusRhs
-from cmasolve.solvers import SolverConfig, maximal_extension
+from cmasolve.rhs import (ConstantRhs, ExponentialRhs, ExpressionRhs, PowerPlusRhs,
+                          bind_on_grid)
+from cmasolve.solvers import SolverConfig, maximal_extension, solve_ma_fixed_rhs
 
 
 def sq_minus_one(grid):
@@ -31,6 +30,12 @@ def cheng_yau_weight(grid):
     # F(t,z) = e^t w(z): at u*, e^{u*} w = 32 = density of u*
     pts = grid.points()[grid.interior]
     return DensityField(grid, 32.0 * np.exp(1.0 - (pts ** 2).sum(axis=-1)))
+
+
+def apply_T(u, p):
+    """One step of the outer update map: solve with density G(u, .)."""
+    dens = bind_on_grid(p.rhs, p.grid, p.w_mu)(u.values[p.grid.interior])
+    return solve_ma_fixed_rhs(dens, p.boundary, p.config).u
 
 
 def cheng_yau_problem(res=9, with_seed=True, n=2):
@@ -86,13 +91,6 @@ class TestChengYau:
         hi = apply_T(prep.f, p)
         # phi0 <= f, so T(phi0) >= T(f)
         assert float((hi.values - lo.values).max()) <= 2 * p.config.tol_inner
-
-    def test_band_warning(self):
-        p = cheng_yau_problem(res=7)
-        prep = prepare(p)
-        breakout = ScalarField(p.grid, prep.f.values - 1.0)
-        with pytest.warns(UserWarning, match="band"):
-            apply_T(breakout, p, band=(prep.phi0, prep.f))
 
     def test_expression_rhs_matches_family(self):
         p = cheng_yau_problem(res=7)

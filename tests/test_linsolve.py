@@ -1,5 +1,6 @@
 """Kernels of the matrix-free linear solvers: the fused Hermitian-form
-operator and the sine-basis inverse of the Laplacian."""
+operator, the sine-basis inverse of the Laplacian and the preconditioned
+Krylov solve of the Newton corrections."""
 
 import numpy as np
 import pytest
@@ -11,11 +12,14 @@ from cmasolve.grids import (
     second_difference,
     unit_box,
 )
+from cmasolve import linsolve
 from cmasolve.linsolve import (
+    LinearSolveError,
     _sine_matrix,
     hermitian_form_apply,
     laplacian_apply,
     make_sine_preconditioner,
+    solve_hermitian_system,
 )
 
 ANISOTROPIC = Box((0.0, 0.0, 0.0, 0.0), (0.5, 0.3, 0.7, 0.4))
@@ -114,3 +118,71 @@ class TestSineBasis:
         kept = r.copy()
         inverse(r)
         assert np.array_equal(r, kept)
+
+
+class TestHermitianSolve:
+    """solve_hermitian_system on a cofactor-like system: positive diagonal
+    coefficients and off-diagonal ones small enough for a psd matrix."""
+
+    scale = 8.0
+
+    def system(self, seed=11):
+        grid = build_grid(ANISOTROPIC, 9)
+        rng = np.random.default_rng(seed)
+        a, g = (rng.random(grid.interior_shape) + 0.5 for _ in range(2))
+        br, bi = (0.3 * rng.uniform(-1.0, 1.0, grid.interior_shape)
+                  for _ in range(2))
+        rhs = rng.standard_normal(grid.interior_shape)
+        return grid, (a, g, br, bi), rhs
+
+    def relative_residual(self, grid, coeffs, rhs, x):
+        full = np.zeros(grid.shape)
+        full[grid.interior] = x
+        r = rhs - hermitian_form_apply(full, grid.spacing, *coeffs,
+                                       self.scale)
+        return float(np.linalg.norm(r) / np.linalg.norm(rhs))
+
+    def test_converged_solve_applies_the_operator_only_in_bicgstab(
+            self, monkeypatch):
+        grid, coeffs, rhs = self.system()
+        calls = {"inside": 0, "outside": 0}
+        infos = []
+        running = [False]
+        bicgstab = linsolve.bicgstab
+
+        def counting_apply(*args, **kwargs):
+            calls["inside" if running[0] else "outside"] += 1
+            return hermitian_form_apply(*args, **kwargs)
+
+        def tracked_bicgstab(*args, **kwargs):
+            running[0] = True
+            try:
+                x, info = bicgstab(*args, **kwargs)
+            finally:
+                running[0] = False
+            infos.append(info)
+            return x, info
+
+        monkeypatch.setattr(linsolve, "hermitian_form_apply", counting_apply)
+        monkeypatch.setattr(linsolve, "bicgstab", tracked_bicgstab)
+        solve_hermitian_system(grid, coeffs, rhs, self.scale, rtol=1e-8)
+        assert infos == [0]
+        assert calls["inside"] > 0
+        assert calls["outside"] == 0
+
+    @pytest.mark.parametrize("rtol, accept_rtol", [(1e-3, 1e-2),
+                                                   (1e-8, 1e-4)])
+    def test_true_residual_within_accept_rtol(self, rtol, accept_rtol):
+        grid, coeffs, rhs = self.system()
+        x = solve_hermitian_system(grid, coeffs, rhs, self.scale, rtol=rtol,
+                                   accept_rtol=accept_rtol)
+        assert x.shape == grid.interior_shape
+        assert self.relative_residual(grid, coeffs, rhs, x) <= accept_rtol
+
+    def test_iteration_cap_raises_with_the_achieved_residual(self):
+        grid, coeffs, rhs = self.system()
+        with pytest.raises(LinearSolveError, match="did not converge") as exc:
+            solve_hermitian_system(grid, coeffs, rhs, self.scale,
+                                   rtol=1e-14, maxiter=1, accept_rtol=1e-14)
+        assert 1e-14 < exc.value.residual < 1.0
+        assert f"{exc.value.residual:.3e}" in str(exc.value)

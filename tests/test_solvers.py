@@ -19,6 +19,7 @@ from cmasolve.linsolve import (
 from cmasolve.solvers import (
     NewtonIterationError,
     SolverConfig,
+    _newton_stage,
     maximal_extension,
     solve_ma_fixed_rhs,
     solve_poisson,
@@ -248,6 +249,78 @@ class TestMaFixedRhs:
                                sq_norm_minus_one(g))
 
 
+class ScriptedBackend:
+    """One unknown x, always corrected by +1, so the trial at step alpha
+    from x = 0 is x = alpha; script(x) gives (residual, lambda_min)."""
+
+    norm = 32.0
+    index = slice(None)
+
+    def __init__(self, script):
+        self.script = script
+        self.evaluated = []
+
+    def evaluate(self, u, eps):
+        x = float(u[0])
+        self.evaluated.append(x)
+        rsup, lam1 = self.script(x)
+        return rsup, lam1, None
+
+    def correct(self, u, state, rsup, eps):
+        return np.ones(1)
+
+
+class TestEigenvalueGuard:
+    """The line search's eigenvalue guard in _newton_stage."""
+
+    cfg = SolverConfig()
+
+    def stage(self, script, eps):
+        backend = ScriptedBackend(script)
+        tol = self.cfg.tol_inner if eps == 0.0 else 1e-2 * eps
+        u, rsup, iters, lam1 = _newton_stage(backend, np.zeros(1), eps, tol,
+                                             self.cfg)
+        return float(u[0]), lam1, iters, backend.evaluated
+
+    def test_start_outside_the_guard_takes_a_step_no_less_psh(self):
+        # the surrogate start of the first rung sits far below the guard;
+        # the full step leaves lambda_min below it too, but no worse
+        def script(x):
+            return (1.0, -1.75) if x == 0.0 else (0.0, -1.08)
+
+        x, lam1, iters, evaluated = self.stage(script, 1e-2)
+        assert (x, lam1, iters) == (1.0, -1.08, 1)
+        assert evaluated == [0.0, 1.0]
+
+    def test_fallback_is_the_first_decreasing_trial(self):
+        # the full step raises the residual; every shorter one lowers it
+        # but makes lambda_min worse than both the guard and the start
+        def script(x):
+            if x == 0.0:
+                return 1.0, -0.5
+            return (2.0, -0.6) if x == 1.0 else (0.0, -0.5 - x)
+
+        x, lam1, iters, evaluated = self.stage(script, 1e-2)
+        assert (x, lam1, iters) == (0.5, -1.0, 1)
+        # backtracking ran down to min_step looking for a psh trial
+        assert len(evaluated) == 15
+        assert min(evaluated[1:]) >= self.cfg.min_step
+
+    @pytest.mark.parametrize("lam_full, taken", [(-4e-10, 1.0), (-9e-6, 1.0),
+                                                  (-2e-5, 0.5)])
+    def test_last_rung_guard_is_the_acceptance_slack(self, lam_full, taken):
+        # on the eps = 0 rung a full step is refused only below
+        # -sqrt(tol_inner), the slack the ladder accepts its result with
+        def script(x):
+            if x == 0.0:
+                return 1.0, 1e-3
+            return 0.0, (lam_full if x == 1.0 else 1e-3)
+
+        x, _, iters, evaluated = self.stage(script, 0.0)
+        assert (x, iters) == (taken, 1)
+        assert evaluated == ([0.0, 1.0] if taken == 1.0 else [0.0, 1.0, 0.5])
+
+
 class TestMaximalExtension:
     def test_pluriharmonic_boundary_recovered(self):
         g = build_grid(unit_box(2), 9)
@@ -270,6 +343,13 @@ class TestMaximalExtension:
         dens, defect = ma_density(f)
         assert defect <= 1e-6
         assert np.abs(dens.values).max() <= 1e-6 * 32
+
+    def test_degenerate_endgame_meets_tolerance_and_psh(self):
+        g = build_grid(unit_box(2), 9)
+        res = solve_ma_fixed_rhs(np.zeros(g.interior_shape),
+                                 sq_norm_minus_one(g))
+        assert res.residual < SolverConfig().tol_inner
+        assert res.psh_defect <= 1e-12
 
     def test_positive_boundary_rejected_in_theorem_mode(self):
         g = build_grid(unit_box(2), 7)
