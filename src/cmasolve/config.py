@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import evaluate_on_grid, parse_expression, radial_env
-from .grids import MIN_RESOLUTION, Box, ScalarField, build_grid
+from .grids import MIN_RESOLUTION, Box, GridError, ScalarField, build_grid
 from .iteration import ProblemSpec, RadialProblemSpec
 from .radial import MIN_MESH
 from .rhs import ConstantRhs, ExponentialRhs, ExpressionRhs, PowerPlusRhs
@@ -133,10 +133,7 @@ class RunConfig:
     def _mesh_weight(self, src):
         """Spatial weight for the radial mesh: number or callable of r."""
         if isinstance(src, str):
-            expr = parse_expression(src, 1, context="spatial")
-            extra = expr.variables - {"r2"}
-            _require(not extra, "radial spatial expressions may use only "
-                     f"r2 (got {', '.join(sorted(extra))})")
+            expr = parse_expression(src, 0, context="spatial")
             return lambda r: np.asarray(expr(radial_env(r)), dtype=float)
         return float(src)
 
@@ -152,11 +149,8 @@ class RunConfig:
             weight = self._mesh_weight(self.rhs_spec.get("weight", 1.0))
             mu = self._mesh_weight(self.mu_src)
             if isinstance(self.boundary_src, str):
-                expr = parse_expression(self.boundary_src, 1,
+                expr = parse_expression(self.boundary_src, 0,
                                         context="spatial")
-                extra = expr.variables - {"r2"}
-                _require(not extra, "radial boundary expressions may use "
-                         f"only r2 (got {', '.join(sorted(extra))})")
                 bval = float(expr({"r2": self.radius ** 2}))
             else:
                 bval = float(self.boundary_src)
@@ -191,10 +185,7 @@ class RunConfig:
         _require(src is not None,
                  "convergence studies need study.exact in the config")
         if isinstance(problem, RadialProblemSpec):
-            expr = parse_expression(src, 1, context="spatial")
-            extra = expr.variables - {"r2"}
-            _require(not extra, "radial exact expressions may use only r2 "
-                     f"(got {', '.join(sorted(extra))})")
+            expr = parse_expression(src, 0, context="spatial")
             r = np.linspace(0.0, problem.R, problem.mesh + 1)
             return np.asarray(expr(radial_env(r)), dtype=float)
         expr = parse_expression(src, self.n, context="spatial")
@@ -218,9 +209,10 @@ def _parse_domain(raw, n: int):
     hi = tuple(_list_of(_number, body["hi"], "domain.box.hi"))
     _require(len(lo) == 2 * n and len(hi) == 2 * n,
              f"box corners need {2 * n} coordinates for n = {n}")
-    _require(all(a < b for a, b in zip(lo, hi)),
-             "box corners must satisfy lo < hi per axis")
-    return kind, Box(lo=lo, hi=hi), None
+    try:
+        return kind, Box(lo=lo, hi=hi), None
+    except GridError as exc:
+        raise _rejected("domain.box", exc) from exc
 
 
 def _family(spec: dict, weight):

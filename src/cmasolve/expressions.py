@@ -12,8 +12,8 @@ right association):
 Identifiers are the coordinates x1, y1, ..., xn, yn, the radius-squared
 shorthand r2, the solution value t (right-hand sides only), and the
 functions exp, log, sqrt, abs, min, max, pow.  Parse errors carry the byte
-offset of the offending token; log/sqrt/division domain violations raise
-at evaluation time.
+offset of the offending token; log/sqrt/division domain violations and
+non-finite results raise at evaluation time.
 """
 
 from __future__ import annotations
@@ -128,10 +128,7 @@ class _Bin:
                 raise EvalError("division by zero")
             return a / b
         # '^'
-        out = np.power(a, b)
-        if not np.all(np.isfinite(out)):
-            raise EvalError("power produced a non-finite value")
-        return out
+        return np.power(a, b)
 
     def walk(self):
         yield self
@@ -163,10 +160,7 @@ class _Call:
         if self.fn == "max":
             return np.maximum(vals[0], vals[1])
         # pow
-        out = np.power(vals[0], vals[1])
-        if not np.all(np.isfinite(out)):
-            raise EvalError("pow produced a non-finite value")
-        return out
+        return np.power(vals[0], vals[1])
 
     def walk(self):
         yield self
@@ -183,7 +177,13 @@ class Expression:
     variables: frozenset
 
     def __call__(self, env: dict) -> np.ndarray | float:
-        return self.root.ev(env)
+        # overflow and invalid operations surface as the non-finite result
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self.root.ev(env)
+        if not np.all(np.isfinite(out)):
+            raise EvalError(f"expression {self.source!r} evaluated to a "
+                            "non-finite value")
+        return out
 
     @property
     def uses_t(self) -> bool:
@@ -298,6 +298,7 @@ def parse_expression(source: str, n: int, context: str = "spatial") -> Expressio
     """Parse and validate an expression for a problem in C^n.
 
     context "rhs" admits the solution variable t; "spatial" does not.
+    n = 0 admits no coordinates, only r2: the form radial data take.
     """
     if context not in ("spatial", "rhs"):
         raise ValueError(f"unknown expression context {context!r}")

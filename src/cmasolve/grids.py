@@ -61,6 +61,8 @@ class Box:
                 raise GridError("box bounds must be finite")
             if l >= h:
                 raise GridError(f"degenerate box: lo >= hi on axis {a}")
+            if not np.isfinite(h - l):
+                raise GridError(f"box extent overflows on axis {a}")
 
 
 def unit_box(n: int) -> Box:
@@ -84,13 +86,16 @@ class Grid:
 
     Nodes on the topological boundary of the box carry Dirichlet data;
     every interior node has all axis and diagonal neighbors inside the
-    node set, so the full Hessian stencil applies at each of them.
+    node set, so the full Hessian stencil applies at each of them.  A
+    scalar resolution applies to every axis.
     """
 
-    def __init__(self, domain: Box, resolution: Sequence[int]):
+    def __init__(self, domain: Box, resolution: int | Sequence[int]):
         if not isinstance(domain, Box):
             raise GridError("grid construction requires a Box domain "
                             "(Ball problems use a 1-D radial mesh)")
+        if isinstance(resolution, (int, np.integer)):
+            resolution = (resolution,) * len(domain.lo)
         res = tuple(int(r) for r in resolution)
         if len(res) != len(domain.lo):
             raise GridError("resolution length must match box dimension")
@@ -155,11 +160,6 @@ class Grid:
 
 def build_grid(domain: Box, resolution: int | Sequence[int]) -> Grid:
     """Construct a grid; a scalar resolution applies to every axis."""
-    if isinstance(domain, Ball):
-        raise GridError("grid construction requires a Box domain "
-                        "(Ball problems use a 1-D radial mesh)")
-    if isinstance(resolution, (int, np.integer)):
-        resolution = (int(resolution),) * len(domain.lo)
     return Grid(domain, resolution)
 
 
@@ -293,16 +293,6 @@ def _det_and_eigenvalues(entries) -> tuple:
     return det, mean - disc, mean + disc
 
 
-def _entries_of(H: HermitianField) -> tuple:
-    v = H.values
-    if H.grid.n == 1:
-        return (v[..., 0, 0].real,)
-    if H.grid.n != 2:
-        raise GridError("complex Hessians are implemented for n in {1, 2}")
-    return (v[..., 0, 0].real, v[..., 1, 1].real, v[..., 0, 1].real,
-            v[..., 0, 1].imag)
-
-
 def complex_hessian(u: ScalarField) -> HermitianField:
     """Discrete complex Hessian H[u] at every interior node, n in {1, 2}.
 
@@ -318,16 +308,6 @@ def complex_hessian(u: ScalarField) -> HermitianField:
         H[..., 0, 1] = entries[2] + 1j * entries[3]
         H[..., 1, 0] = np.conj(H[..., 0, 1])
     return HermitianField(grid, H)
-
-
-def hessian_determinant(H: HermitianField) -> np.ndarray:
-    """Signed det H per interior node (real by Hermitian symmetry)."""
-    return np.array(_det_and_eigenvalues(_entries_of(H))[0])
-
-
-def hessian_eigmin(H: HermitianField) -> np.ndarray:
-    """Smallest eigenvalue of H per interior node."""
-    return np.array(_det_and_eigenvalues(_entries_of(H))[1])
 
 
 def ma_normalization(n: int) -> float:

@@ -11,6 +11,9 @@ ones descend, bracketing the limit.  Both chains are recorded: on a stall
 they are returned as a sub/supersolution bracket instead of a bare
 failure.  Grid and radial problems run this one loop (_picard), each
 with its own frozen-density solve, so both report the chain certificate.
+_picard is the only place where the density depends on the solution: the
+grid and radial solves take a frozen density array, and G's hypotheses
+are checked where it is bound and sampled (rhs.BoundRhs).
 
 Each ProblemSpec owns its f and its prepared state (u0, the bound
 right-hand side, the t-range and the outer residual tolerance).  Both
@@ -236,6 +239,12 @@ def _first_iterate(bound: BoundRhs, boundary: ScalarField,
     return u0, max(0.0, t_top)
 
 
+def _tol_outer_residual(cfg: SolverConfig, lip: float) -> float:
+    """What the final residual of the outer loop must meet: its step
+    tolerance scaled by G's t-slope, and no tighter than tol_inner."""
+    return 10.0 * max(cfg.tol_inner, cfg.tol_outer * lip)
+
+
 def _prepare_state(p: ProblemSpec) -> dict:
     cfg = p.config
     bound = bind_on_grid(p.rhs, p.grid, p.w_mu)
@@ -250,7 +259,7 @@ def _prepare_state(p: ProblemSpec) -> dict:
         t_lo = min(t_lo, float(phi0.values.min()))
     t_lo -= 1.0
     lip = bound.validate(t_lo, t_hi)
-    tol_res = 10.0 * max(cfg.tol_inner, cfg.tol_outer * lip)
+    tol_res = _tol_outer_residual(cfg, lip)
 
     if p.v0 is not None:
         rep = subsolution_check(p.v0, p)
@@ -395,8 +404,8 @@ def _solve_mam_radial(p: RadialProblemSpec, tol_outer, max_outer):
     bound = bind_on_mesh(p.rhs, r[:-1], p.w_mu)
 
     def solve(dens, init=None):
-        prof = solve_radial(p.n, lambda v, rr: dens, p.boundary_value, p.R,
-                            p.mesh, cfg, init=init)
+        prof = solve_radial(p.n, dens, p.boundary_value, p.R, p.mesh, cfg,
+                            init=init)
         return (prof.values, prof.residual, prof.newton_iters,
                 max(0.0, -prof.vprime_min))
 
@@ -405,7 +414,7 @@ def _solve_mam_radial(p: RadialProblemSpec, tol_outer, max_outer):
 
     t_lo = float(u0.min()) - 1.0
     lip = bound.validate(t_lo, 0.0)
-    tol_res = 10.0 * max(cfg.tol_inner, cfg.tol_outer * lip)
+    tol_res = _tol_outer_residual(cfg, lip)
 
     u, converged, steps, history, _, _, chains_ok = _picard(
         solve, slice(None, -1), bound, cfg, tol_outer, max_outer, u0)
@@ -413,8 +422,8 @@ def _solve_mam_radial(p: RadialProblemSpec, tol_outer, max_outer):
     prof = _finish(r, u, last.inner_residual, last.newton_iters,
                    p.R / p.mesh)
 
-    final_residual = radial_residual(
-        p.n, prof.values, p.R, lambda v, rr: bound(v))
+    final_residual = radial_residual(p.n, prof.values, p.R,
+                                     bound(prof.values[:-1]))
     return RadialSolution(profile=prof, converged=converged,
                           outer_iters=steps, history=tuple(history),
                           final_residual=final_residual,

@@ -4,11 +4,16 @@ For v = v(r) on {|z| <= R} the operator reduces to the one-dimensional
 expression n! (v'' + v'/r) (2 v'/r)^(n-1), which makes every dimension n
 tractable on a uniform r-mesh.  The axis r = 0 is handled by ghost-node
 reflection v(-h) = v(h), so v'(0) = 0 and v'/r carries its limit v''(0);
-second-order accuracy holds up to the axis.  The discrete system is solved
-by the grid solver's damped Newton loop and regularization ladder
-(solvers._walk_ladder) with a tridiagonal Jacobian: radial iterates take
-no eigenvalue guard and no psh test, and the ladder starts from the
-quadratic profile of the mean density.
+second-order accuracy holds up to the axis.
+
+Like solve_ma_fixed_rhs, solve_radial takes a frozen density: a number or
+an array over the mesh nodes r < R.  A solution-dependent right-hand side
+is frozen at each iterate by the outer loop (iteration._picard), so F's
+hypotheses are checked only where it is bound (rhs.BoundRhs).  The
+discrete system is solved by the grid solver's damped Newton loop and
+regularization ladder (solvers._walk_ladder) with a tridiagonal Jacobian:
+radial iterates take no eigenvalue guard and no psh test, and the ladder
+starts from the quadratic profile of the mean density.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import HypothesisViolation
-from .solvers import NewtonStagnationError, SolverConfig, _walk_ladder
+from .solvers import (NewtonStagnationError, SolverConfig, _frozen_density,
+                      _walk_ladder)
 
 __all__ = ["RadialProfile", "radial_residual", "solve_radial"]
 
@@ -54,31 +60,6 @@ class RadialProfile:
         return np.interp(rq, self.r, self.values)
 
 
-def _eval_rhs(rhs, v, r):
-    out = np.asarray(rhs(v, r), dtype=float)
-    if out.shape != v.shape:
-        out = np.broadcast_to(out, v.shape).copy()
-    if not np.all(np.isfinite(out)):
-        raise ValueError("rhs evaluated to non-finite values")
-    if out.min() < -1e-12:
-        raise HypothesisViolation("rhs takes negative values",
-                                  "F(t, z) >= 0")
-    return np.maximum(out, 0.0)
-
-
-def _rhs_slope(rhs, v, r, base):
-    # one-sided difference in v; also the monotonicity spot check
-    delta = 1e-7 * (1.0 + np.abs(v))
-    bumped = np.asarray(rhs(v + delta, r), dtype=float)
-    if bumped.shape != v.shape:
-        bumped = np.broadcast_to(bumped, v.shape)
-    slope = (bumped - base) / delta
-    if slope.min() < -1e-6 * (1.0 + np.abs(base).max()):
-        raise HypothesisViolation("rhs decreases in its first argument",
-                                  "F(t, z) nondecreasing in t")
-    return np.maximum(slope, 0.0)
-
-
 def _residual_parts(n, w, h, r):
     """Operator value and the A, B factors at the M unknown nodes.
 
@@ -101,8 +82,8 @@ def _residual_parts(n, w, h, r):
     return op, A, B
 
 
-def _jacobian_bands(n, h, r, A, B, slope, floor):
-    """Tridiagonal Jacobian of the operator part, minus the rhs slope.
+def _jacobian_bands(n, h, r, A, B, floor):
+    """Tridiagonal Jacobian of the operator.
 
     B is floored inside the coefficients so the linearization stays
     invertible where the profile flattens; the floor never enters the
@@ -118,7 +99,7 @@ def _jacobian_bands(n, h, r, A, B, slope, floor):
 
     # axis row: F0 = n! (2 vpp0)^n, so dF0 = 2 n! n (2 vpp0)^{n-1} d(vpp0)
     base0 = 2.0 * fact * n * np.power(np.maximum(B[0], floor), n - 1)
-    diag[0] = base0 * (-2.0 / h ** 2) - slope[0]
+    diag[0] = base0 * (-2.0 / h ** 2)
     upper[0] = base0 * (2.0 / h ** 2)
 
     ri = r[1:-1]
@@ -128,7 +109,7 @@ def _jacobian_bands(n, h, r, A, B, slope, floor):
     cross = fact * A[1:] * (n - 1) * np.power(Bf[1:], n - 2) if n >= 2 \
         else np.zeros(m - 1)
     main = fact * Bp[1:]
-    diag[1:] = main * (-2.0 / h ** 2) - slope[1:]
+    diag[1:] = main * (-2.0 / h ** 2)
     upper[1:] = main * dA_dn + cross * dB_dn
     lower[1:] = main * dA_dp - cross * dB_dn
     return lower, diag, upper
@@ -145,37 +126,33 @@ def _solve_tridiag(lower, diag, upper, rhs_vec):
 
 class _RadialNewton:
     """The radial system at density + eps: tridiagonal Jacobian
-    corrections with the rhs slope, and the quadratic profile of the mean
-    density at w0 (or at the boundary value) as surrogate.  Radial
-    iterates take no eigenvalue guard and no psh test.  The state is
-    (residual, rhs values, A, B)."""
+    corrections, and the quadratic profile of the mean density as
+    surrogate.  Radial iterates take no eigenvalue guard and no psh test.
+    The state is (residual, A, B)."""
 
-    def __init__(self, n, rhs, bval, R, mesh, cfg, w0=None):
-        self.n, self.rhs, self.bval, self.R, self.cfg = n, rhs, bval, R, cfg
+    def __init__(self, n, density, bval, R, mesh, cfg):
+        self.n, self.density, self.bval, self.R = n, density, bval, R
+        self.cfg = cfg
         self.h = R / mesh
         self.r = np.linspace(0.0, R, mesh + 1)
         self.norm = math.factorial(n) * 4.0 ** n
         self.index = slice(None, -1)
-        base0 = _eval_rhs(rhs, np.full(mesh, bval) if w0 is None
-                          else w0[:-1], self.r[:-1])
-        self.min_density = float(base0.min())
-        self.mean_density = float(base0.mean())
+        self.min_density = float(density.min())
+        self.mean_density = float(density.mean())
 
     def evaluate(self, w, eps):
         op, A, B = _residual_parts(self.n, w, self.h, self.r)
-        base = _eval_rhs(self.rhs, w[:-1], self.r[:-1])
-        F = op - (base + eps)
-        return float(np.abs(F).max()), None, (F, base, A, B)
+        F = op - (self.density + eps)
+        return float(np.abs(F).max()), None, (F, A, B)
 
     def correct(self, w, state, rsup, eps):
-        F, base, A, B = state
+        F, A, B = state
         floor = self.cfg.psd_floor
         if eps > 0:
             # at a regularized solution B sits near (eps/norm)^{1/n}-scale
             floor = max(floor, 0.25 * (eps / self.norm) ** (1.0 / self.n))
-        slope = _rhs_slope(self.rhs, w[:-1], self.r[:-1], base)
         lower, diag, upper = _jacobian_bands(self.n, self.h, self.r, A, B,
-                                             slope, floor)
+                                             floor)
         try:
             step = _solve_tridiag(lower, diag, upper, -F)
         except np.linalg.LinAlgError as exc:
@@ -194,13 +171,13 @@ class _RadialNewton:
         return w
 
 
-def solve_radial(n: int, rhs, boundary_value: float, R: float,
+def solve_radial(n: int, density, boundary_value: float, R: float,
                  mesh: int = 256, cfg: SolverConfig | None = None,
                  init: np.ndarray | None = None) -> RadialProfile:
-    """Solve n!(v'' + v'/r)(2v'/r)^(n-1) = rhs(v, r) on [0, R].
+    """Solve n!(v'' + v'/r)(2v'/r)^(n-1) = density on [0, R].
 
-    rhs is a callable (v, r) -> nonnegative values, nondecreasing in v
-    (spot-checked at the iterates).  boundary_value fixes v(R) and must be
+    density is frozen: a number or an array over the mesh nodes r < R,
+    finite and nonnegative.  boundary_value fixes v(R) and must be
     nonpositive; v'(0) = 0 is built into the axis stencil.  init, when
     given, supplies all mesh+1 node values as a warm start.
     """
@@ -215,6 +192,7 @@ def solve_radial(n: int, rhs, boundary_value: float, R: float,
     if bval > 0:
         raise HypothesisViolation("positive boundary value",
                                   "boundary data nonpositive")
+    density = _frozen_density(density, (mesh,))
 
     w0 = None
     if init is not None:
@@ -222,13 +200,14 @@ def solve_radial(n: int, rhs, boundary_value: float, R: float,
         if w0.shape != (mesh + 1,):
             raise ValueError(f"init needs {mesh + 1} node values")
         w0[-1] = bval
-    backend = _RadialNewton(n, rhs, bval, R, mesh, cfg, w0)
+    backend = _RadialNewton(n, density, bval, R, mesh, cfg)
     w, rsup, iters, _ = _walk_ladder(backend, cfg, w0)
     return _finish(backend.r, w, rsup, iters, backend.h)
 
 
-def radial_residual(n: int, values: np.ndarray, R: float, rhs) -> float:
-    """Sup-norm residual of a node-value array against rhs(v, r).
+def radial_residual(n: int, values: np.ndarray, R: float, density) -> float:
+    """Sup-norm residual of a node-value array against a frozen density,
+    given as solve_radial takes it.
 
     Lets callers re-verify a returned profile independently of the solver.
     """
@@ -237,8 +216,7 @@ def radial_residual(n: int, values: np.ndarray, R: float, rhs) -> float:
     h = R / mesh
     r = np.linspace(0.0, R, mesh + 1)
     op, _, _ = _residual_parts(n, values, h, r)
-    base = _eval_rhs(rhs, values[:-1], r[:-1])
-    return float(np.abs(op - base).max())
+    return float(np.abs(op - _frozen_density(density, (mesh,))).max())
 
 
 def _finish(r, w, rsup, iters, h):

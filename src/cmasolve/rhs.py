@@ -51,7 +51,8 @@ def _spatial_factor(w, shape, coords=None):
     if arr.shape != shape:
         raise ValueError(f"weight shape {arr.shape} does not match {shape}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError("weight contains non-finite values")
+        raise HypothesisViolation("spatial weight takes non-finite values",
+                                  "F(t, z) finite")
     if arr.min() < 0:
         raise HypothesisViolation("negative spatial weight",
                                   "F(t, z) >= 0")
@@ -148,17 +149,20 @@ class BoundRhs:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        if self._expr is not None:
-            env = dict(self._env)
-            env["t"] = t
-            vals = np.asarray(self._expr(env), dtype=float)
-            out = vals * self.spatial
-        else:
-            out = self.family.temporal(t) * self.spatial
+        # an overflow surfaces as the non-finite values rejected below
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self._expr is not None:
+                env = dict(self._env)
+                env["t"] = t
+                vals = np.asarray(self._expr(env), dtype=float)
+                out = vals * self.spatial
+            else:
+                out = self.family.temporal(t) * self.spatial
         out = np.broadcast_to(out, np.broadcast_shapes(out.shape,
                                                        self.shape)).copy()
         if not np.all(np.isfinite(out)):
-            raise ValueError("right-hand side evaluated to non-finite values")
+            raise HypothesisViolation(
+                "right-hand side takes non-finite values", "F(t, z) finite")
         floor = -1e-9 * (1.0 + np.abs(out).max())
         if out.min() < floor:
             raise HypothesisViolation("right-hand side takes negative values",
@@ -230,12 +234,7 @@ def bind_on_mesh(family, r: np.ndarray, w_mu=1.0) -> BoundRhs:
     r = np.asarray(r, dtype=float)
     mu = _spatial_factor(w_mu, r.shape, coords=r)
     if isinstance(family, ExpressionRhs):
-        expr = parse_expression(family.source, 1, context="rhs")
-        extra = expr.variables - {"t", "r2"}
-        if extra:
-            raise ValueError(
-                "radial right-hand sides may use only r2 and t "
-                f"(got {sorted(extra)})")
+        expr = parse_expression(family.source, 0, context="rhs")
         return BoundRhs(family, mu, expr=expr, env=radial_env(r))
     if isinstance(family, _SEPARABLE):
         spatial = _spatial_factor(family.w, r.shape, coords=r) * mu

@@ -111,10 +111,24 @@ class MaSolveResult(NamedTuple):
     psh_defect: float
 
 
-def _interior_density(g) -> np.ndarray:
+def _frozen_density(g, shape: tuple) -> np.ndarray:
+    """A frozen density as a finite, nonnegative array of the given shape.
+
+    g is a number, an array of that shape or a DensityField; both the grid
+    and the radial backend take their density through here.
+    """
     if isinstance(g, DensityField):
-        return g.values
-    return np.asarray(g, dtype=np.float64)
+        g = g.values
+    arr = np.asarray(g, dtype=np.float64)
+    if arr.ndim == 0:
+        arr = np.full(shape, float(arr))
+    if arr.shape != shape:
+        raise ValueError(f"density shape {arr.shape} does not match {shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("monge-ampere density must be finite")
+    if arr.size and arr.min() < 0:
+        raise ValueError("monge-ampere density must be nonnegative")
+    return arr
 
 
 def solve_poisson(g, boundary: ScalarField,
@@ -127,14 +141,18 @@ def solve_poisson(g, boundary: ScalarField,
     bit-exactly.
     """
     cfg = cfg or SolverConfig()
-    vals = solve_poisson_system(boundary.grid, _interior_density(g),
+    if isinstance(g, DensityField):
+        g = g.values
+    vals = solve_poisson_system(boundary.grid, np.asarray(g, dtype=float),
                                 boundary.values, tol=cfg.tol_inner)
     return ScalarField(boundary.grid, vals)
 
 
 # -- one Newton loop and regularization-ladder walk ---------------------------
 #
-# A backend discretizes one frozen-density problem.  It supplies
+# A backend discretizes one frozen-density problem: its density is an
+# array over the unknowns, checked once by _frozen_density, so neither the
+# loop nor a backend evaluates a right-hand side.  It supplies
 #   norm, index         the Monge-Ampere constant, and where a correction
 #                       lands in the node-value array;
 #   min_density         the density minimum that selects the ladder;
@@ -340,11 +358,7 @@ def solve_ma_fixed_rhs(g, boundary: ScalarField,
     """
     cfg = cfg or SolverConfig()
     grid = boundary.grid
-    g_arr = _interior_density(g)
-    if np.ndim(g_arr) == 0:
-        g_arr = np.full(grid.interior_shape, float(g_arr))
-    if g_arr.size and g_arr.min() < 0:
-        raise ValueError("monge-ampere density must be nonnegative")
+    g_arr = _frozen_density(g, grid.interior_shape)
 
     if grid.n == 1:
         u = solve_poisson(g_arr, boundary, cfg)

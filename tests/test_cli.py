@@ -158,6 +158,22 @@ class TestHypothesisRejection:
         assert code == 2
         assert "F(t, z) >= 0" in err
 
+    def test_decreasing_rhs_rejected_on_a_ball(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, n=2, domain={"ball": {"radius": 1.0}},
+                        resolution=64, boundary=0.0,
+                        rhs={"expression": "32 * exp(-t)"})
+        code, _, err = run(capsys, "radial", cfg)
+        assert code == 2
+        assert "nondecreasing" in err
+
+    def test_negative_weight_rejected_on_a_ball(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, n=2, domain={"ball": {"radius": 1.0}},
+                        resolution=64, boundary=0.0,
+                        rhs={"family": "constant", "weight": "0 - r2"})
+        code, _, err = run(capsys, "radial", cfg)
+        assert code == 2
+        assert "F(t, z) >= 0" in err
+
 
 class TestConfigValidation:
     def test_unknown_top_level_key(self, tmp_path, capsys):
@@ -253,6 +269,30 @@ class TestConfigValidation:
           "subsolution_seed": "3 * (r2 - 1)",
           "study": {"perturbations": [-3.0]}},
          "makes the density negative"),
+        (("solve",), {"rhs": {"family": "constant", "weight": "exp(1000)"}},
+         "'exp(1000)' evaluated to a non-finite value"),
+        (("radial",), {"domain": {"ball": {"radius": 1.0}},
+                       "resolution": 64, "boundary": 0.0,
+                       "rhs": {"family": "exponential", "kappa": 1.0,
+                               "weight": "exp(1000 * r2)"}},
+         "'exp(1000 * r2)' evaluated to a non-finite value"),
+        (("solve",), {"rhs": {"expression": "exp(1000 * (t + 2))"}},
+         "'exp(1000 * (t + 2))' evaluated to a non-finite value"),
+        (("solve",), {"rhs": {"family": "power_plus", "p": 2, "c": 1e200,
+                              "weight": 4.0}},
+         "F(t, z) finite"),
+        (("solve",), {"domain": {"box": {"lo": [-1e308, -1e308],
+                                         "hi": [1e308, 1e308]}}},
+         "box extent overflows on axis 0"),
+        (("solve",), {"domain": {"box": {"lo": [-1e308, -1e308],
+                                         "hi": [1e308, 1e308]}},
+                      "boundary": -1},
+         "box extent overflows on axis 0"),
+        (("radial",), {"n": 2, "domain": {"ball": {"radius": 1.0}},
+                       "resolution": 64, "boundary": 0.0,
+                       "rhs": {"expression":
+                               "32 * exp(t - r2 + 1) + 0 * x1"}},
+         "unknown identifier 'x1'"),
     ], ids=["box-res-3", "box-res-4", "study-res-4", "ball-res-31",
             "log-x1", "one-over-zero", "power-below-1", "damping",
             "negative-tol", "zero-newton-cap", "open-ladder",
@@ -261,7 +301,10 @@ class TestConfigValidation:
             "pairs-string", "eps-string", "eps-zero",
             "perturbation-string", "output-number", "nan-tol",
             "fractional-newton-cap", "stability-t-dependent",
-            "stability-negative-density"])
+            "stability-negative-density", "weight-overflow",
+            "ball-weight-overflow", "rhs-expression-overflow",
+            "power-plus-overflow", "box-extent-overflow",
+            "box-extent-overflow-constant-data", "ball-rhs-coordinate"])
     def test_invalid_input_exits_2(self, tmp_path, capsys, command,
                                    overrides, needle):
         cfg = write_cfg(tmp_path, **overrides)

@@ -48,6 +48,11 @@ class TestParsing:
         with pytest.raises(ParseError, match="unknown identifier 'x2'"):
             parse_expression("x2 + y2", 1)
 
+    def test_radial_expressions_know_no_coordinate(self):
+        parse_expression("r2 - t", 0, context="rhs")
+        with pytest.raises(ParseError, match="unknown identifier 'x1'"):
+            parse_expression("r2 + 0 * x1", 0)
+
     def test_unclosed_paren(self):
         with pytest.raises(ParseError):
             parse_expression("(1 + 2", 1)
@@ -92,6 +97,18 @@ class TestSemantics:
     def test_division_by_zero(self):
         with pytest.raises(EvalError, match="division"):
             ev("1 / (2 - 2)")
+
+    @pytest.mark.parametrize("src", ["exp(1000)", "2 ^ 2000", "pow(10, 400)",
+                                     "exp(1000) - exp(1000)"])
+    def test_non_finite_result(self, src):
+        # the overflow is reported as an error, never as a numpy warning
+        with np.errstate(all="raise"):
+            with pytest.raises(EvalError, match="non-finite"):
+                ev(src)
+
+    def test_only_the_result_must_be_finite(self):
+        assert ev("exp(-exp(1000))") == 0.0
+        assert ev("min(2 ^ 2000, 3)") == 3.0
 
     def test_vectorized_eval(self):
         expr = parse_expression("x1^2 + y1^2 - 1", 1)

@@ -19,10 +19,10 @@ from cmasolve.grids import (
     Grid,
     GridError,
     ScalarField,
+    _det_and_eigenvalues,
+    _hessian_entries,
     build_grid,
     complex_hessian,
-    hessian_determinant,
-    hessian_eigmin,
     integrate,
     ma_density,
     ma_normalization,
@@ -70,6 +70,11 @@ class TestGridConstruction:
     def test_degenerate_box_rejected(self):
         with pytest.raises(GridError, match="degenerate box"):
             Box(lo=(0.0, 0.0), hi=(0.0, 1.0))
+
+    def test_overflowing_extent_rejected(self):
+        # each corner is finite, but hi - lo is not: the spacing would be inf
+        with pytest.raises(GridError, match="extent overflows on axis 1"):
+            Box(lo=(0.0, -1e308), hi=(1.0, 1e308))
 
     def test_thin_resolution_rejected(self):
         with pytest.raises(GridError, match="too thin"):
@@ -143,7 +148,7 @@ class TestComplexHessian:
             expected = np.broadcast_to(expected, H[..., j, k].shape)
             assert np.abs(H[..., j, k] - expected).max() <= 1e-12
         # and the determinant degenerates: det H = 0 identically
-        det = hessian_determinant(complex_hessian(u))
+        det = _det_and_eigenvalues(_hessian_entries(u.values, g.spacing))[0]
         assert np.abs(det).max() <= 1e-12
 
     @settings(max_examples=15, deadline=None)
@@ -195,14 +200,15 @@ def complex_matrix_hessian(u):
     return H
 
 
-def matrix_det_and_eigmin(H):
+def matrix_det_and_eigenvalues(H):
+    """det H and its smallest and largest eigenvalues, from the matrix."""
     a = H[..., 0, 0].real
     if H.shape[-1] == 1:
-        return a, a
+        return a, a, a
     d = H[..., 1, 1].real
     off = np.abs(H[..., 0, 1]) ** 2
-    return (a * d - off,
-            0.5 * (a + d) - np.sqrt(0.25 * (a - d) ** 2 + off))
+    disc = np.sqrt(0.25 * (a - d) ** 2 + off)
+    return a * d - off, 0.5 * (a + d) - disc, 0.5 * (a + d) + disc
 
 
 class TestHessianKernel:
@@ -222,17 +228,22 @@ class TestHessianKernel:
         H = complex_hessian(u).values
         assert np.abs(H - ref).max() <= 1e-14 * np.abs(ref).max()
 
-        ref_det, ref_lam = matrix_det_and_eigmin(ref)
+        ref_det, ref_lam, ref_top = matrix_det_and_eigenvalues(ref)
         ref_dens = np.maximum(ma_normalization(g.n) * ref_det, 0.0)
         dens, defect = ma_density(u)
         assert (np.abs(dens.values - ref_dens).max()
                 <= 1e-14 * np.abs(ref_dens).max())
         ref_defect = max(0.0, -float(ref_lam.min()))
         assert abs(defect - ref_defect) <= 1e-14 * np.abs(ref_lam).max()
-        assert (np.abs(hessian_determinant(complex_hessian(u)) - ref_det)
-                .max() <= 1e-14 * np.abs(ref_det).max())
-        assert (np.abs(hessian_eigmin(complex_hessian(u)) - ref_lam).max()
+        # the entries and eigenvalues the Newton solver runs on
+        det, lam1, lam2 = _det_and_eigenvalues(
+            _hessian_entries(u.values, g.spacing))
+        assert (np.abs(det - ref_det).max()
+                <= 1e-14 * np.abs(ref_det).max())
+        assert (np.abs(lam1 - ref_lam).max()
                 <= 1e-14 * np.abs(ref_lam).max())
+        assert (np.abs(lam2 - ref_top).max()
+                <= 1e-14 * np.abs(ref_top).max())
 
     def test_n3_grid_rejected(self):
         g = build_grid(unit_box(3), 5)

@@ -250,6 +250,17 @@ class TestHypothesisEnforcement:
             solve_mam(p)
         assert "hypothesis" in str(err.value)
 
+    def test_non_finite_rhs_rejected(self):
+        grid = build_grid(unit_box(1), 9)
+        weight = np.full(grid.interior_shape, 4.0)
+        weight[2, 3] = np.inf
+        with pytest.raises(HypothesisViolation, match="F\\(t, z\\) finite"):
+            bind_on_grid(ConstantRhs(weight), grid)
+        # finite data whose product with e^t overflows
+        bound = bind_on_grid(ExponentialRhs(1.0, 1e300), grid)
+        with pytest.raises(HypothesisViolation, match="F\\(t, z\\) finite"):
+            bound(800.0)
+
     def test_positive_boundary_rejected(self):
         grid = build_grid(unit_box(2), 7)
         pos = ScalarField(grid, np.full(grid.shape, 0.5))

@@ -10,7 +10,7 @@ import sympy as sp
 import cmasolve.solvers
 from cmasolve.errors import HypothesisViolation, SolverError
 from cmasolve.iteration import RadialProblemSpec, solve_mam
-from cmasolve.radial import RadialProfile, solve_radial
+from cmasolve.radial import RadialProfile, radial_residual, solve_radial
 from cmasolve.rhs import ExponentialRhs
 from cmasolve.solvers import (NewtonIterationError, NewtonStagnationError,
                               SolverConfig)
@@ -30,7 +30,7 @@ class TestQuadraticOracle:
         # v = r^2 - 1 makes the operator n! * 4 * 4^(n-1) identically
         rhs_val = math.factorial(n) * 4.0 ** n
         t0 = time.monotonic()
-        prof = solve_radial(n, lambda v, r: rhs_val, 0.0, 1.0, mesh=512)
+        prof = solve_radial(n, rhs_val, 0.0, 1.0, mesh=512)
         assert time.monotonic() - t0 < 5.0
         exact = prof.r ** 2 - 1.0
         assert np.abs(prof.values - exact).max() <= 1e-7
@@ -58,53 +58,54 @@ class TestManufactured:
 
         errors = []
         for mesh in (32, 64, 128):
-            prof = solve_radial(n, lambda v, rr: op(np.maximum(rr, 1e-300)),
-                                0.0, 1.0, mesh=mesh)
-            # rhs extends continuously to the axis; op(0) is a 0/0 form, so
-            # feed the limit by hand at node 0
+            rr = np.linspace(0.0, 1.0, mesh + 1)
+            # the density extends continuously to the axis, where op is a
+            # 0/0 form; evaluating just off it gives the limit
+            prof = solve_radial(n, op(np.maximum(rr[:-1], 1e-300)), 0.0, 1.0,
+                                mesh=mesh)
             errors.append(np.abs(prof.values - exact(prof.r)).max())
         rates = [np.log2(errors[i] / errors[i + 1]) for i in range(2)]
         assert all(1.7 <= q <= 2.3 for q in rates), (errors, rates)
 
-    def test_v_dependent_rhs_direct_newton(self):
-        # rhs = 32 exp(v - (r^2-1)) equals 32 at the parabola and increases
-        # in v, exercising the Jacobian slope term
-        def rhs(v, rr):
-            return 32.0 * np.exp(v - (rr ** 2 - 1.0))
-
-        prof = solve_radial(2, rhs, 0.0, 1.0, mesh=64)
-        assert np.abs(prof.values - (prof.r ** 2 - 1.0)).max() <= 1e-8
-
     def test_degenerate_rhs_constant_profile(self):
-        prof = solve_radial(2, lambda v, r: 0.0, -0.25, 1.0, mesh=64)
+        prof = solve_radial(2, 0.0, -0.25, 1.0, mesh=64)
         assert np.abs(prof.values + 0.25).max() <= 1e-12
         assert prof.newton_iters == 0
 
     def test_profile_interpolation(self):
-        prof = solve_radial(1, lambda v, r: 4.0, 0.0, 1.0, mesh=64)
+        prof = solve_radial(1, 4.0, 0.0, 1.0, mesh=64)
         assert abs(prof(0.5) - (0.25 - 1.0)) <= 1e-3
 
 
 class TestHypotheses:
     def test_positive_boundary_rejected(self):
         with pytest.raises(HypothesisViolation, match="nonpositive"):
-            solve_radial(2, lambda v, r: 32.0, 0.5, 1.0)
+            solve_radial(2, 32.0, 0.5, 1.0)
 
     def test_negative_rhs_rejected(self):
-        with pytest.raises(HypothesisViolation, match="F\\(t, z\\) >= 0"):
-            solve_radial(2, lambda v, r: -1.0, 0.0, 1.0)
-
-    def test_decreasing_rhs_rejected(self):
-        with pytest.raises(HypothesisViolation, match="nondecreasing"):
-            solve_radial(2, lambda v, r: 32.0 * np.exp(-v), 0.0, 1.0)
+        # a frozen density is checked as the grid solver checks it; F's
+        # hypotheses belong to BoundRhs
+        with pytest.raises(ValueError, match="nonnegative"):
+            solve_radial(2, -1.0, 0.0, 1.0)
+        dens = np.full(64, 32.0)
+        dens[5] = -1e-3
+        with pytest.raises(ValueError, match="nonnegative"):
+            solve_radial(2, dens, 0.0, 1.0, mesh=64)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError, match="positive integer"):
-            solve_radial(0, lambda v, r: 4.0, 0.0, 1.0)
+            solve_radial(0, 4.0, 0.0, 1.0)
         with pytest.raises(ValueError, match="at least 32"):
-            solve_radial(1, lambda v, r: 4.0, 0.0, 1.0, mesh=8)
+            solve_radial(1, 4.0, 0.0, 1.0, mesh=8)
         with pytest.raises(ValueError, match="radius"):
-            solve_radial(1, lambda v, r: 4.0, 0.0, -1.0)
+            solve_radial(1, 4.0, 0.0, -1.0)
+        # a density array holds one finite value per unknown node r < R
+        with pytest.raises(ValueError, match="shape"):
+            solve_radial(1, np.full(65, 4.0), 0.0, 1.0, mesh=64)
+        with pytest.raises(ValueError, match="finite"):
+            solve_radial(1, np.full(64, np.inf), 0.0, 1.0, mesh=64)
+        with pytest.raises(ValueError, match="shape"):
+            radial_residual(1, np.zeros(65), 1.0, np.full(63, 4.0))
 
 
 class TestNewtonFailures:
@@ -129,8 +130,8 @@ class TestNewtonFailures:
     def test_warm_start_stall_falls_back_to_the_ladder(self, monkeypatch,
                                                        error):
         # vanishing density at the axis: the solve walks the ladder
-        cold = solve_radial(2, lambda v, r: 108.0 * r ** 2, 0.0, 1.0,
-                            mesh=64)
+        dens = 108.0 * np.linspace(0.0, 1.0, 65)[:-1] ** 2
+        cold = solve_radial(2, dens, 0.0, 1.0, mesh=64)
         stage = cmasolve.solvers._newton_stage
         calls = []
 
@@ -141,8 +142,7 @@ class TestNewtonFailures:
             return stage(backend, w, eps, *args, **kwargs)
 
         monkeypatch.setattr(cmasolve.solvers, "_newton_stage", stall_first)
-        warm = solve_radial(2, lambda v, r: 108.0 * r ** 2, 0.0, 1.0,
-                            mesh=64, init=cold.values)
+        warm = solve_radial(2, dens, 0.0, 1.0, mesh=64, init=cold.values)
         cfg = SolverConfig()
         # the failed warm try at eps 0, then every rung of the ladder
         assert calls == [0.0, *cfg.reg_ladder]
@@ -152,14 +152,14 @@ class TestNewtonFailures:
     def test_convergence_on_the_last_allowed_step_returns(self):
         # this solve needs exactly 4 Newton steps; a cap of 4 must admit
         # the iterate the fourth step reaches
-        def rhs(v, rr):
-            return 32.0 * np.exp(v - (rr ** 2 - 1.0))
+        r = np.linspace(0.0, 1.0, 65)
+        dens = 32.0 * np.exp(1.0 - r[:-1] ** 2)
 
-        assert solve_radial(2, rhs, 0.0, 1.0, mesh=64).newton_iters == 4
+        assert solve_radial(2, dens, 0.0, 1.0, mesh=64).newton_iters == 4
         cfg = SolverConfig(max_newton=4)
-        prof = solve_radial(2, rhs, 0.0, 1.0, mesh=64, cfg=cfg)
+        prof = solve_radial(2, dens, 0.0, 1.0, mesh=64, cfg=cfg)
         assert prof.newton_iters == 4
         assert prof.residual < cfg.tol_inner
         with pytest.raises(NewtonIterationError):
-            solve_radial(2, rhs, 0.0, 1.0, mesh=64,
+            solve_radial(2, dens, 0.0, 1.0, mesh=64,
                          cfg=SolverConfig(max_newton=3))

@@ -248,6 +248,16 @@ class TestMaFixedRhs:
             solve_ma_fixed_rhs(np.full(g.interior_shape, -1.0),
                                sq_norm_minus_one(g))
 
+    def test_bad_density_rejected(self):
+        # the same frozen-density check as the radial solve's
+        g = build_grid(unit_box(1), 9)
+        with pytest.raises(ValueError, match="shape"):
+            solve_ma_fixed_rhs(np.full(g.shape, 4.0), sq_norm_minus_one(g))
+        dens = np.full(g.interior_shape, 4.0)
+        dens[1, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            solve_ma_fixed_rhs(dens, sq_norm_minus_one(g))
+
 
 class ScriptedBackend:
     """One unknown x, always corrected by +1, so the trial at step alpha
