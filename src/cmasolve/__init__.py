@@ -13,7 +13,7 @@ the numerics thread pools before numpy loads.
 
 _EXPORTS = {
     # grids
-    "Ball": "grids", "Box": "grids", "DensityField": "grids",
+    "Box": "grids", "DensityField": "grids",
     "Grid": "grids", "GridError": "grids", "HermitianField": "grids",
     "ScalarField": "grids", "build_grid": "grids",
     "complex_hessian": "grids", "integrate": "grids",

@@ -246,8 +246,7 @@ def _sin_shape(grid) -> np.ndarray:
     return out
 
 
-def stability_experiment(p: ProblemSpec, perturbations,
-                         err_coeff: float = 1.0) -> StabilityTable:
+def stability_experiment(p: ProblemSpec, perturbations) -> StabilityTable:
     """Solve under shrinking density perturbations and track the errors.
 
     The base density h comes from p's t-independent data; each requested
@@ -256,7 +255,7 @@ def stability_experiment(p: ProblemSpec, perturbations,
     p.v0 (the control that makes the limit statement true at all); a
     request above that cap is rejected.  The table passes when the sup
     errors decrease along the rows wherever the L1 distances at least
-    halve, and the last error is within 10 tol_inner + err_coeff * d_last.
+    halve, and the last error is within 10 tol_inner + d_last.
     """
     cfg = p.config
     grid = p.grid
@@ -306,7 +305,7 @@ def stability_experiment(p: ProblemSpec, perturbations,
         if cur.dist_l1 <= 0.5 * prev.dist_l1:
             margins.append(1.1 * prev.err_sup - cur.err_sup)
     if rows:
-        bound_last = 10.0 * cfg.tol_inner + err_coeff * rows[-1].dist_l1
+        bound_last = 10.0 * cfg.tol_inner + rows[-1].dist_l1
         margins.append(bound_last - rows[-1].err_sup)
     margin = min(margins) if margins else 0.0
     report = CheckReport.from_margin("stability", margin, None, 0.0)

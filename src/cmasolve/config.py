@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import evaluate_on_grid, parse_expression, radial_env
+from .expressions import grid_env, parse_expression, radial_env
 from .grids import MIN_RESOLUTION, Box, GridError, ScalarField, build_grid
 from .iteration import ProblemSpec, RadialProblemSpec
 from .radial import MIN_MESH
@@ -123,19 +123,14 @@ class RunConfig:
 
     # -- problem assembly -------------------------------------------------
 
-    def _grid_weight(self, src, grid):
-        """Spatial weight on interior nodes from a number or expression."""
+    def _sample(self, src, env: dict, shape: tuple) -> np.ndarray:
+        """A number or expression source sampled in env, broadcast to a
+        read-only array of the given shape (a number takes no memory).
+        Ball expressions know r2 but no coordinate."""
         if isinstance(src, str):
-            expr = parse_expression(src, self.n, context="spatial")
-            return evaluate_on_grid(expr, grid, interior=True)
-        return float(src)
-
-    def _mesh_weight(self, src):
-        """Spatial weight for the radial mesh: number or callable of r."""
-        if isinstance(src, str):
-            expr = parse_expression(src, 0, context="spatial")
-            return lambda r: np.asarray(expr(radial_env(r)), dtype=float)
-        return float(src)
+            n = 0 if self.domain_kind == "ball" else self.n
+            src = parse_expression(src, n, context="spatial")(env)
+        return np.broadcast_to(np.asarray(src, dtype=np.float64), shape)
 
     def build_problem(self, resolution: int | None = None):
         """Assemble the ProblemSpec or RadialProblemSpec to run."""
@@ -145,35 +140,30 @@ class RunConfig:
                        else (MIN_RESOLUTION, "nodes per axis on a box"))
         _require(res >= least,
                  f"resolution {res} is below {least} ({unit})")
+        weight = self.rhs_spec.get("weight", 1.0)
         if self.domain_kind == "ball":
-            weight = self._mesh_weight(self.rhs_spec.get("weight", 1.0))
-            mu = self._mesh_weight(self.mu_src)
-            if isinstance(self.boundary_src, str):
-                expr = parse_expression(self.boundary_src, 0,
-                                        context="spatial")
-                bval = float(expr({"r2": self.radius ** 2}))
-            else:
-                bval = float(self.boundary_src)
+            # weights live on the unknown mesh nodes r < R
+            r = np.linspace(0.0, self.radius, res + 1)[:-1]
+            env = radial_env(r)
+            weight = self._sample(weight, env, r.shape)
+            mu = self._sample(self.mu_src, env, r.shape)
+            bval = self._sample(self.boundary_src, radial_env(self.radius),
+                                ())
             return RadialProblemSpec(
-                n=self.n, boundary_value=bval,
+                n=self.n, boundary_value=float(bval),
                 rhs=_family(self.rhs_spec, weight), R=self.radius,
                 mesh=res, w_mu=mu, config=self.solver)
 
         grid = build_grid(self.box, res)
-        weight = self._grid_weight(self.rhs_spec.get("weight", 1.0), grid)
-        mu = self._grid_weight(self.mu_src, grid)
-        if isinstance(self.boundary_src, str):
-            expr = parse_expression(self.boundary_src, self.n,
-                                    context="spatial")
-            bvals = evaluate_on_grid(expr, grid)
-        else:
-            bvals = np.full(grid.shape, float(self.boundary_src))
-        boundary = ScalarField(grid, bvals)
+        nodes, interior = grid_env(grid), grid_env(grid, interior=True)
+        weight = self._sample(weight, interior, grid.interior_shape)
+        mu = self._sample(self.mu_src, interior, grid.interior_shape)
+        boundary = ScalarField(grid, self._sample(self.boundary_src, nodes,
+                                                  grid.shape))
         v0 = None
         if self.seed_src is not None:
-            seed_expr = parse_expression(self.seed_src, self.n,
-                                         context="spatial")
-            v0 = ScalarField(grid, evaluate_on_grid(seed_expr, grid))
+            v0 = ScalarField(grid, self._sample(self.seed_src, nodes,
+                                                grid.shape))
         return ProblemSpec(boundary=boundary,
                            rhs=_family(self.rhs_spec, weight), w_mu=mu,
                            v0=v0, config=self.solver,
@@ -185,11 +175,9 @@ class RunConfig:
         _require(src is not None,
                  "convergence studies need study.exact in the config")
         if isinstance(problem, RadialProblemSpec):
-            expr = parse_expression(src, 0, context="spatial")
             r = np.linspace(0.0, problem.R, problem.mesh + 1)
-            return np.asarray(expr(radial_env(r)), dtype=float)
-        expr = parse_expression(src, self.n, context="spatial")
-        return evaluate_on_grid(expr, problem.grid)
+            return self._sample(src, radial_env(r), r.shape)
+        return self._sample(src, grid_env(problem.grid), problem.grid.shape)
 
 
 def _parse_domain(raw, n: int):
@@ -333,6 +321,9 @@ def load_config(path) -> RunConfig:
     theorem_mode = raw.get("theorem_mode", True)
     _require(isinstance(theorem_mode, bool),
              "theorem_mode must be true or false")
+    # a radial problem always enforces nonpositive boundary data
+    _require(theorem_mode or kind == "box",
+             "theorem_mode: false applies to box domains only")
     rng_seed = _integer(raw.get("rng_seed", 0), "rng_seed")
     _require(rng_seed >= 0, "rng_seed must be nonnegative")
 

@@ -11,18 +11,30 @@ right association):
 
 Identifiers are the coordinates x1, y1, ..., xn, yn, the radius-squared
 shorthand r2, the solution value t (right-hand sides only), and the
-functions exp, log, sqrt, abs, min, max, pow.  Parse errors carry the byte
-offset of the offending token; log/sqrt/division domain violations and
-non-finite results raise at evaluation time.
+functions exp, log, sqrt, abs, min, max, pow.
+
+The parser builds the evaluator directly: each grammar rule returns a
+function env -> value, and every operator and function is one entry of
+the table _OPS (name -> arity, numpy function), whose log, sqrt and
+division entries check their domain.  + - and * / chains fold left in a
+loop, so a long sum costs no recursion.  Parentheses, unary minus, the
+exponent of ^ and the arguments of a call each open a nesting level;
+more than MAX_NESTING levels (the expression itself being the first) is
+a parse error, which bounds the recursion of parsing and evaluation.
+Parse errors carry the byte offset of the offending token; domain
+violations and non-finite results raise EvalError at evaluation time.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable
 
 import numpy as np
+
+# deepest nesting accepted; parsing recurses about five frames per level
+MAX_NESTING = 32
 
 
 class ExpressionError(ValueError):
@@ -39,8 +51,33 @@ class EvalError(ExpressionError):
     pass
 
 
-_FUNCTIONS = {"exp": 1, "log": 1, "sqrt": 1, "abs": 1,
-              "min": 2, "max": 2, "pow": 2}
+def _divide(a, b):
+    if np.any(b == 0):
+        raise EvalError("division by zero")
+    return np.divide(a, b)
+
+
+def _log(a):
+    if np.any(a <= 0):
+        raise EvalError("log of a non-positive value")
+    return np.log(a)
+
+
+def _sqrt(a):
+    if np.any(a < 0):
+        raise EvalError("sqrt of a negative value")
+    return np.sqrt(a)
+
+
+# name -> (arity, function); identifiers name the callable functions
+_OPS = {
+    "+": (2, np.add), "-": (2, np.subtract),
+    "*": (2, np.multiply), "/": (2, _divide),
+    "^": (2, np.power), "unary -": (1, np.negative),
+    "exp": (1, np.exp), "log": (1, _log), "sqrt": (1, _sqrt),
+    "abs": (1, np.abs), "min": (2, np.minimum), "max": (2, np.maximum),
+    "pow": (2, np.power),
+}
 
 _TOKEN_RE = re.compile(r"""
     (?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
@@ -50,14 +87,8 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    offset: int
-
-
-def _tokenize(src: str) -> list[_Token]:
+def _tokenize(src: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) triples; an operator's kind is its text."""
     tokens = []
     pos = 0
     while pos < len(src):
@@ -65,107 +96,35 @@ def _tokenize(src: str) -> list[_Token]:
         if m is None:
             raise ParseError(f"unexpected character {src[pos]!r}", pos)
         kind = m.lastgroup
+        if kind == "op":
+            kind = m.group()
         if kind != "ws":
-            tokens.append(_Token(kind, m.group(), pos))
+            tokens.append((kind, m.group(), pos))
         pos = m.end()
-    tokens.append(_Token("end", "", len(src)))
+    tokens.append(("end", "", len(src)))
     return tokens
 
 
-# AST ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _Num:
-    value: float
-
-    def ev(self, env):
-        return self.value
-
-    def walk(self):
-        yield self
+def _apply(name: str, args: list) -> Callable:
+    fn = _OPS[name][1]
+    if len(args) == 1:
+        (a,) = args
+        return lambda env: fn(a(env))
+    a, b = args
+    return lambda env: fn(a(env), b(env))
 
 
-@dataclass(frozen=True)
-class _Var:
-    name: str
+def _fold(first: Callable, rest: list) -> Callable:
+    """Left fold of first and (function, operand) pairs, in a loop."""
+    if not rest:
+        return first
 
-    def ev(self, env):
-        return env[self.name]
-
-    def walk(self):
-        yield self
-
-
-@dataclass(frozen=True)
-class _Neg:
-    arg: object
-
-    def ev(self, env):
-        return -self.arg.ev(env)
-
-    def walk(self):
-        yield self
-        yield from self.arg.walk()
-
-
-@dataclass(frozen=True)
-class _Bin:
-    op: str
-    left: object
-    right: object
-
-    def ev(self, env):
-        a = self.left.ev(env)
-        b = self.right.ev(env)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if self.op == "/":
-            if np.any(b == 0):
-                raise EvalError("division by zero")
-            return a / b
-        # '^'
-        return np.power(a, b)
-
-    def walk(self):
-        yield self
-        yield from self.left.walk()
-        yield from self.right.walk()
-
-
-@dataclass(frozen=True)
-class _Call:
-    fn: str
-    args: tuple
-
-    def ev(self, env):
-        vals = [a.ev(env) for a in self.args]
-        if self.fn == "exp":
-            return np.exp(vals[0])
-        if self.fn == "log":
-            if np.any(np.asarray(vals[0]) <= 0):
-                raise EvalError("log of a non-positive value")
-            return np.log(vals[0])
-        if self.fn == "sqrt":
-            if np.any(np.asarray(vals[0]) < 0):
-                raise EvalError("sqrt of a negative value")
-            return np.sqrt(vals[0])
-        if self.fn == "abs":
-            return np.abs(vals[0])
-        if self.fn == "min":
-            return np.minimum(vals[0], vals[1])
-        if self.fn == "max":
-            return np.maximum(vals[0], vals[1])
-        # pow
-        return np.power(vals[0], vals[1])
-
-    def walk(self):
-        yield self
-        for a in self.args:
-            yield from a.walk()
+    def ev(env):
+        acc = first(env)
+        for fn, operand in rest:
+            acc = fn(acc, operand(env))
+        return acc
+    return ev
 
 
 @dataclass(frozen=True)
@@ -173,13 +132,14 @@ class Expression:
     """A validated expression; evaluate with a variable environment."""
 
     source: str
-    root: object
+    fn: Callable
     variables: frozenset
 
     def __call__(self, env: dict) -> np.ndarray | float:
-        # overflow and invalid operations surface as the non-finite result
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = self.root.ev(env)
+        # every floating-point fault (overflow, 0 ^ -1, inf - inf)
+        # surfaces as the non-finite result rejected below
+        with np.errstate(all="ignore"):
+            out = self.fn(env)
         if not np.all(np.isfinite(out)):
             raise EvalError(f"expression {self.source!r} evaluated to a "
                             "non-finite value")
@@ -191,100 +151,113 @@ class Expression:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], allowed_vars: set[str]):
-        self.tokens = tokens
+    """Recursive descent; each rule returns a function env -> value."""
+
+    def __init__(self, source: str, allowed_vars: set[str]):
+        self.tokens = _tokenize(source)
         self.pos = 0
         self.allowed = allowed_vars
         self.seen: set[str] = set()
+        self.depth = 1
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        return self.tokens[self.pos][0]
 
-    def advance(self) -> _Token:
+    def advance(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect_op(self, text: str):
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != text:
-            raise ParseError(f"expected {text!r}", tok.offset)
-        return self.advance()
+    def expect(self, kind: str):
+        if self.peek() != kind:
+            raise ParseError(f"expected {kind!r}", self.tokens[self.pos][2])
+        self.advance()
+
+    def nested(self, rule, offset: int):
+        """rule() one nesting level deeper; offset locates the opener."""
+        if self.depth >= MAX_NESTING:
+            raise ParseError(f"expression nests deeper than {MAX_NESTING} "
+                             "levels", offset)
+        self.depth += 1
+        out = rule()
+        self.depth -= 1
+        return out
 
     def parse(self):
-        node = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError("syntax error", tok.offset)
-        return node
+        fn = self.expr()
+        kind, _, offset = self.tokens[self.pos]
+        if kind != "end":
+            raise ParseError("syntax error", offset)
+        return fn
+
+    def chain(self, operand, ops: tuple[str, str]):
+        first = operand()
+        rest = []
+        while self.peek() in ops:
+            rest.append((_OPS[self.advance()[0]][1], operand()))
+        return _fold(first, rest)
 
     def expr(self):
-        node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            node = _Bin(op, node, self.term())
-        return node
+        return self.chain(self.term, ("+", "-"))
 
     def term(self):
-        node = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            node = _Bin(op, node, self.unary())
-        return node
+        return self.chain(self.unary, ("*", "/"))
 
     def unary(self):
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            return _Neg(self.unary())
+        if self.peek() == "-":
+            offset = self.advance()[2]
+            return _apply("unary -", [self.nested(self.unary, offset)])
         return self.power()
 
     def power(self):
-        node = self.atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
-            self.advance()
-            node = _Bin("^", node, self.unary())
-        return node
+        base = self.atom()
+        if self.peek() != "^":
+            return base
+        offset = self.advance()[2]
+        return _apply("^", [base, self.nested(self.unary, offset)])
 
     def atom(self):
-        tok = self.advance()
-        if tok.kind == "num":
-            return _Num(float(tok.text))
-        if tok.kind == "ident":
-            if self.peek().kind == "op" and self.peek().text == "(":
-                return self.call(tok)
-            if tok.text not in self.allowed:
-                if tok.text == "t":
+        kind, text, offset = self.advance()
+        if kind == "num":
+            value = float(text)
+            return lambda env: value
+        if kind == "ident":
+            if self.peek() == "(":
+                return self.call(text, offset)
+            if text not in self.allowed:
+                if text == "t":
                     raise ParseError("variable 't' is only available in "
-                                     "right-hand side expressions", tok.offset)
-                if tok.text in _FUNCTIONS:
-                    raise ParseError(f"function {tok.text!r} requires "
-                                     "arguments", tok.offset)
-                raise ParseError(f"unknown identifier {tok.text!r}", tok.offset)
-            self.seen.add(tok.text)
-            return _Var(tok.text)
-        if tok.kind == "op" and tok.text == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ParseError("syntax error", tok.offset)
+                                     "right-hand side expressions", offset)
+                if text in _OPS:
+                    raise ParseError(f"function {text!r} requires "
+                                     "arguments", offset)
+                raise ParseError(f"unknown identifier {text!r}", offset)
+            self.seen.add(text)
+            return lambda env: env[text]
+        if kind == "(":
+            inner = self.nested(self.expr, offset)
+            self.expect(")")
+            return inner
+        raise ParseError("syntax error", offset)
 
-    def call(self, name_tok: _Token):
-        name = name_tok.text
-        if name not in _FUNCTIONS:
-            raise ParseError(f"unknown function {name!r}", name_tok.offset)
-        self.expect_op("(")
+    def call(self, name: str, offset: int):
+        if name not in _OPS:
+            raise ParseError(f"unknown function {name!r}", offset)
+        self.expect("(")
+        args = self.nested(self.arguments, offset)
+        arity = _OPS[name][0]
+        if len(args) != arity:
+            raise ParseError(f"function {name!r} takes {arity} argument(s), "
+                             f"got {len(args)}", offset)
+        return _apply(name, args)
+
+    def arguments(self):
         args = [self.expr()]
-        while self.peek().kind == "op" and self.peek().text == ",":
+        while self.peek() == ",":
             self.advance()
             args.append(self.expr())
-        self.expect_op(")")
-        if len(args) != _FUNCTIONS[name]:
-            raise ParseError(
-                f"function {name!r} takes {_FUNCTIONS[name]} argument(s), "
-                f"got {len(args)}", name_tok.offset)
-        return _Call(name, tuple(args))
+        self.expect(")")
+        return args
 
 
 def variable_names(n: int) -> list[str]:
@@ -305,9 +278,9 @@ def parse_expression(source: str, n: int, context: str = "spatial") -> Expressio
     allowed = set(variable_names(n)) | {"r2"}
     if context == "rhs":
         allowed.add("t")
-    parser = _Parser(_tokenize(source), allowed)
-    root = parser.parse()
-    return Expression(source, root, frozenset(parser.seen))
+    parser = _Parser(source, allowed)
+    fn = parser.parse()
+    return Expression(source, fn, frozenset(parser.seen))
 
 
 def grid_env(grid, extra: dict | None = None, interior: bool = False) -> dict:

@@ -70,17 +70,6 @@ def unit_box(n: int) -> Box:
     return Box(lo=(-0.5,) * (2 * n), hi=(0.5,) * (2 * n))
 
 
-@dataclass(frozen=True)
-class Ball:
-    """Ball of given radius centered at the origin; radial meshes only."""
-
-    radius: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.radius) and self.radius > 0):
-            raise GridError("ball radius must be positive and finite")
-
-
 class Grid:
     """Uniform node-centered grid over a Box.
 
@@ -93,7 +82,7 @@ class Grid:
     def __init__(self, domain: Box, resolution: int | Sequence[int]):
         if not isinstance(domain, Box):
             raise GridError("grid construction requires a Box domain "
-                            "(Ball problems use a 1-D radial mesh)")
+                            "(ball problems use a 1-D radial mesh)")
         if isinstance(resolution, (int, np.integer)):
             resolution = (resolution,) * len(domain.lo)
         res = tuple(int(r) for r in resolution)
@@ -142,10 +131,6 @@ class Grid:
         mesh = np.meshgrid(*self.axes, indexing="ij")
         return np.stack(mesh, axis=-1)
 
-    def sparse_axes(self) -> list[np.ndarray]:
-        """Per-axis coordinate arrays broadcastable to the full shape."""
-        return list(np.meshgrid(*self.axes, indexing="ij", sparse=True))
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Grid)
                 and self.domain == other.domain
@@ -193,9 +178,6 @@ class ScalarField:
 
     def interior_values(self) -> np.ndarray:
         return self.values[self.grid.interior]
-
-    def with_values(self, values: np.ndarray) -> "ScalarField":
-        return ScalarField(self.grid, values)
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,6 @@ from .grids import Box, Grid, ScalarField, ma_density
 from .radial import RadialProfile, _finish, radial_residual, solve_radial
 from .rhs import BoundRhs, bind_on_grid, bind_on_mesh
 from .solvers import SolverConfig, maximal_extension, solve_ma_fixed_rhs
-from .expressions import grid_env
 
 __all__ = [
     "ProblemSpec",
@@ -456,8 +455,7 @@ def subsolution_check(u: ScalarField, p: ProblemSpec,
 
 
 def balayage_step(u: ScalarField, sub, p: ProblemSpec,
-                  f: ScalarField | None = None,
-                  check_input: bool = True) -> ScalarField:
+                  f: ScalarField | None = None) -> ScalarField:
     """Local improvement: re-solve on a sub-box and glue.
 
     sub gives per-real-axis node index windows (start, stop), stop
@@ -480,13 +478,12 @@ def balayage_step(u: ScalarField, sub, p: ProblemSpec,
                              "to the domain boundary")
         windows.append((start, stop))
 
-    if check_input:
-        rep = subsolution_check(u, p, f=f)
-        if not rep.passed:
-            raise HypothesisViolation(
-                f"balayage input fails the subsolution check "
-                f"(margin {rep.margin:.3e}, tol {rep.tol:.3e})",
-                "balayage starts from a subsolution")
+    rep = subsolution_check(u, p, f=f)
+    if not rep.passed:
+        raise HypothesisViolation(
+            f"balayage input fails the subsolution check "
+            f"(margin {rep.margin:.3e}, tol {rep.tol:.3e})",
+            "balayage starts from a subsolution")
 
     lo = tuple(grid.axes[a][w[0]] for a, w in enumerate(windows))
     hi = tuple(grid.axes[a][w[1] - 1] for a, w in enumerate(windows))
@@ -499,10 +496,7 @@ def balayage_step(u: ScalarField, sub, p: ProblemSpec,
     # parent interior index of node j is j-1; the local interior covers
     # parent nodes start+1 .. stop-2
     interior_slices = tuple(slice(w[0], w[1] - 2) for w in windows)
-    env = None
-    if parent_bound._expr is not None:
-        env = grid_env(local_grid, interior=True)
-    local_bound = parent_bound.restricted(interior_slices, env=env)
+    local_bound = parent_bound.restricted(interior_slices, local_grid)
 
     # the local maximal extension and initial iterate mirror the global
     # construction with u's restriction as data

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .errors import HypothesisViolation
 from .solvers import (NewtonStagnationError, SolverConfig, _frozen_density,
                       _walk_ladder)
 
@@ -177,8 +176,9 @@ def solve_radial(n: int, density, boundary_value: float, R: float,
     """Solve n!(v'' + v'/r)(2v'/r)^(n-1) = density on [0, R].
 
     density is frozen: a number or an array over the mesh nodes r < R,
-    finite and nonnegative.  boundary_value fixes v(R) and must be
-    nonpositive; v'(0) = 0 is built into the axis stencil.  init, when
+    finite and nonnegative.  boundary_value fixes v(R); its sign is a
+    hypothesis of the outer problem, checked by RadialProblemSpec, not
+    here.  v'(0) = 0 is built into the axis stencil.  init, when
     given, supplies all mesh+1 node values as a warm start.
     """
     cfg = cfg or SolverConfig()
@@ -189,9 +189,6 @@ def solve_radial(n: int, density, boundary_value: float, R: float,
     if mesh < MIN_MESH:
         raise ValueError(f"mesh must be at least {MIN_MESH} intervals")
     bval = float(boundary_value)
-    if bval > 0:
-        raise HypothesisViolation("positive boundary value",
-                                  "boundary data nonpositive")
     density = _frozen_density(density, (mesh,))
 
     w0 = None

@@ -169,22 +169,16 @@ class BoundRhs:
                                       "F(t, z) >= 0")
         return np.maximum(out, 0.0)
 
-    def restricted(self, slices, env=None) -> "BoundRhs":
-        """View of this right-hand side on a sub-block of its nodes.
-
-        slices index the node set this object was bound to; expression
-        environments cannot be sliced (they hold broadcast coordinate
-        arrays), so the caller supplies the sub-block environment.
-        """
+    def restricted(self, slices, grid: Grid) -> "BoundRhs":
+        """This right-hand side on a sub-grid whose interior nodes are
+        this object's nodes at slices (grid-bound objects only)."""
         spatial = np.ascontiguousarray(self.spatial[slices])
-        if self._expr is not None and env is None:
-            raise ValueError("expression right-hand sides need a sub-block "
-                             "environment to restrict")
-        return BoundRhs(self.family, spatial, expr=self._expr,
-                        env=env if self._expr is not None else None)
+        env = None
+        if self._expr is not None:
+            env = grid_env(grid, interior=True)
+        return BoundRhs(self.family, spatial, expr=self._expr, env=env)
 
-    def validate(self, t_lo: float, t_hi: float = 0.0,
-                 samples: int = T_SAMPLES) -> float:
+    def validate(self, t_lo: float, t_hi: float = 0.0) -> float:
         """Sampled hypothesis checks over [t_lo, t_hi]; returns Lip_t(G).
 
         Walks the t-grid one sample at a time so memory stays at two node
@@ -192,7 +186,7 @@ class BoundRhs:
         """
         if not (np.isfinite(t_lo) and np.isfinite(t_hi) and t_lo < t_hi):
             raise ValueError("invalid t-range for hypothesis sampling")
-        ts = np.linspace(t_lo, t_hi, samples)
+        ts = np.linspace(t_lo, t_hi, T_SAMPLES)
         dt = ts[1] - ts[0]
         prev = self(ts[0])
         lip = 0.0
@@ -211,32 +205,28 @@ class BoundRhs:
         return lip
 
 
-def bind_on_grid(family, grid: Grid, w_mu=1.0) -> BoundRhs:
-    """Bind a family to a grid's interior nodes, folding in w_mu."""
-    shape = grid.interior_shape
-    mu = _spatial_factor(w_mu, shape)
+def _bind(family, n: int, env: dict, shape: tuple, w_mu,
+          coords=None) -> BoundRhs:
+    """Bind a family to the nodes env describes, folding in w_mu."""
+    mu = _spatial_factor(w_mu, shape, coords)
     if isinstance(family, ExpressionRhs):
-        expr = parse_expression(family.source, grid.n, context="rhs")
-        env = grid_env(grid, interior=True)
+        expr = parse_expression(family.source, n, context="rhs")
         # probe once at t = 0 so malformed expressions fail at bind time
-        probe = dict(env)
-        probe["t"] = 0.0
-        np.asarray(expr(probe), dtype=float)
+        expr(dict(env, t=0.0))
         return BoundRhs(family, mu, expr=expr, env=env)
     if isinstance(family, _SEPARABLE):
-        spatial = _spatial_factor(family.w, shape) * mu
+        spatial = _spatial_factor(family.w, shape, coords) * mu
         return BoundRhs(family, spatial)
     raise TypeError(f"unknown right-hand-side family: {family!r}")
+
+
+def bind_on_grid(family, grid: Grid, w_mu=1.0) -> BoundRhs:
+    """Bind a family to a grid's interior nodes, folding in w_mu."""
+    return _bind(family, grid.n, grid_env(grid, interior=True),
+                 grid.interior_shape, w_mu)
 
 
 def bind_on_mesh(family, r: np.ndarray, w_mu=1.0) -> BoundRhs:
     """Bind a family to radial mesh nodes (1-d array of radii)."""
     r = np.asarray(r, dtype=float)
-    mu = _spatial_factor(w_mu, r.shape, coords=r)
-    if isinstance(family, ExpressionRhs):
-        expr = parse_expression(family.source, 0, context="rhs")
-        return BoundRhs(family, mu, expr=expr, env=radial_env(r))
-    if isinstance(family, _SEPARABLE):
-        spatial = _spatial_factor(family.w, r.shape, coords=r) * mu
-        return BoundRhs(family, spatial)
-    raise TypeError(f"unknown right-hand-side family: {family!r}")
+    return _bind(family, 0, radial_env(r), r.shape, w_mu, coords=r)

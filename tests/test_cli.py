@@ -293,6 +293,21 @@ class TestConfigValidation:
                        "rhs": {"expression":
                                "32 * exp(t - r2 + 1) + 0 * x1"}},
          "unknown identifier 'x1'"),
+        (("radial",), {"domain": {"ball": {"radius": 1.0}},
+                       "resolution": 64, "boundary": 0.5,
+                       "theorem_mode": False},
+         "theorem_mode: false applies to box domains only"),
+        (("solve",), {"boundary": "(" * 3000 + "r2" + ")" * 3000},
+         "nests deeper than 32 levels"),
+        (("solve",), {"boundary": "-" * 5000 + "1"},
+         "nests deeper than 32 levels"),
+        (("solve",), {"rhs": {"family": "constant",
+                              "weight": "^".join(["1"] * 3001)}},
+         "nests deeper than 32 levels"),
+        # 0 ^ -1 is reported as the error it is, not first as a warning
+        pytest.param(("solve",), {"boundary": "r2 - 1 + 0 ^ (0 - 1)"},
+                     "evaluated to a non-finite value",
+                     marks=pytest.mark.filterwarnings("error")),
     ], ids=["box-res-3", "box-res-4", "study-res-4", "ball-res-31",
             "log-x1", "one-over-zero", "power-below-1", "damping",
             "negative-tol", "zero-newton-cap", "open-ladder",
@@ -304,7 +319,9 @@ class TestConfigValidation:
             "stability-negative-density", "weight-overflow",
             "ball-weight-overflow", "rhs-expression-overflow",
             "power-plus-overflow", "box-extent-overflow",
-            "box-extent-overflow-constant-data", "ball-rhs-coordinate"])
+            "box-extent-overflow-constant-data", "ball-rhs-coordinate",
+            "ball-theorem-mode-off", "deep-parentheses", "deep-minus",
+            "deep-power", "zero-to-negative-power"])
     def test_invalid_input_exits_2(self, tmp_path, capsys, command,
                                    overrides, needle):
         cfg = write_cfg(tmp_path, **overrides)
@@ -312,6 +329,15 @@ class TestConfigValidation:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and needle in err
+
+
+def test_long_sum_expression_runs(tmp_path, capsys):
+    # a 5000-term sum nests no deeper than its terms
+    cfg = write_cfg(tmp_path, resolution=5,
+                    boundary="r2 - 1" + " + 0 * x1" * 4998)
+    code, out, _ = run(capsys, "solve", cfg)
+    assert code == 0
+    assert json.loads(out)["converged"] is True
 
 
 def _json_values():

@@ -1,11 +1,14 @@
 """Expression parser and evaluator."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmasolve.expressions import (
+    MAX_NESTING,
     EvalError,
     ParseError,
     evaluate_on_grid,
@@ -99,7 +102,7 @@ class TestSemantics:
             ev("1 / (2 - 2)")
 
     @pytest.mark.parametrize("src", ["exp(1000)", "2 ^ 2000", "pow(10, 400)",
-                                     "exp(1000) - exp(1000)"])
+                                     "exp(1000) - exp(1000)", "0 ^ (0 - 1)"])
     def test_non_finite_result(self, src):
         # the overflow is reported as an error, never as a numpy warning
         with np.errstate(all="raise"):
@@ -175,3 +178,77 @@ class TestRoundTripProperty:
         expr = parse_expression(src, 1, context="rhs")
         got = expr({"x1": 0.7, "y1": -0.3, "r2": 0.58})
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+# Nesting: parentheses, unary minus, the exponent of ^ and call arguments
+# each open a level; the expression itself is the first.
+
+def _nested(kind, k):
+    """An expression in x1 with k openers of the given kind."""
+    return {"paren": "(" * k + "x1" + ")" * k,
+            "minus": "-" * k + "x1",
+            "power": "x1" + "^1" * k,
+            "abs": "abs(" * k + "x1" + ")" * k}[kind]
+
+
+def _at_depth(frames, fn):
+    """fn() called from `frames` extra stack frames."""
+    return fn() if frames == 0 else _at_depth(frames - 1, fn)
+
+
+class TestNesting:
+    @pytest.mark.parametrize("kind", ["paren", "minus", "power", "abs"])
+    def test_deepest_accepted_nesting_runs_deep_in_the_stack(self, kind):
+        src = _nested(kind, MAX_NESTING - 1)
+        expected = 0.7 * (-1) ** (MAX_NESTING - 1) if kind == "minus" else 0.7
+        value = _at_depth(500, lambda: parse_expression(src, 1)(
+            {"x1": 0.7}))
+        assert value == pytest.approx(expected)
+
+    @pytest.mark.parametrize("kind", ["paren", "minus", "power", "abs"])
+    def test_one_level_more_is_a_parse_error(self, kind):
+        with pytest.raises(ParseError,
+                           match=f"deeper than {MAX_NESTING} levels"):
+            parse_expression(_nested(kind, MAX_NESTING), 1)
+
+    @pytest.mark.parametrize("k", [3000, 100000])
+    def test_far_too_deep_is_a_parse_error(self, k):
+        for kind in ("paren", "minus", "power", "abs"):
+            with pytest.raises(ParseError, match="deeper than"):
+                parse_expression(_nested(kind, k), 1)
+
+    def test_long_sum_and_product_evaluate(self):
+        terms = 5000
+        assert ev(" + ".join(["x1"] * terms), {"x1": 1.0}) == terms
+        assert ev(" - ".join(["1"] * terms)) == 2 - terms
+        assert ev(" * ".join(["x1"] * terms), {"x1": 1.0}) == 1.0
+
+
+_TOKENS = ["x1", "y1", "r2", "t", "0", "1", "2.5", ".5", "1e308", "3e-320",
+           "+", "-", "*", "/", "^", "(", ")", ",", "exp", "log", "sqrt",
+           "abs", "min", "max", "pow", "foo", "x2", " ", "#", "$", "\u00e9",
+           "1.2.3", "e5"]
+
+
+class TestArbitraryInput:
+    """Any string parses or raises ParseError; whatever parses evaluates to
+    a finite value or raises EvalError, with no floating-point warning."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(_TOKENS), max_size=40),
+           st.sampled_from(["", " "]))
+    def test_parse_then_evaluate(self, tokens, sep):
+        src = sep.join(tokens)
+        try:
+            expr = parse_expression(src, 1, context="rhs")
+        except ParseError:
+            return
+        env = {"x1": np.array([0.7, 0.0]), "y1": -0.3, "r2": 0.58,
+               "t": np.array([-1.0, 0.0])}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                value = expr(env)
+            except EvalError:
+                return
+        assert np.all(np.isfinite(value))

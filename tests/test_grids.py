@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmasolve.grids import (
-    Ball,
     Box,
     DensityField,
     Grid,
@@ -81,8 +80,9 @@ class TestGridConstruction:
             build_grid(unit_box(1), 4)
 
     def test_ball_domain_rejected(self):
+        # a ball is a radius, as configs give it, not a Box
         with pytest.raises(GridError, match="radial"):
-            build_grid(Ball(radius=1.0), 9)
+            build_grid({"radius": 1.0}, 9)
 
     def test_spacing_exact(self):
         g = build_grid(Box(lo=(-1.0, 0.0), hi=(1.0, 3.0)), (9, 7))

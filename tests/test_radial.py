@@ -11,7 +11,7 @@ import cmasolve.solvers
 from cmasolve.errors import HypothesisViolation, SolverError
 from cmasolve.iteration import RadialProblemSpec, solve_mam
 from cmasolve.radial import RadialProfile, radial_residual, solve_radial
-from cmasolve.rhs import ExponentialRhs
+from cmasolve.rhs import ConstantRhs, ExponentialRhs
 from cmasolve.solvers import (NewtonIterationError, NewtonStagnationError,
                               SolverConfig)
 
@@ -79,8 +79,10 @@ class TestManufactured:
 
 class TestHypotheses:
     def test_positive_boundary_rejected(self):
+        # the sign of the boundary value is a hypothesis of the problem; a
+        # frozen-density solve leaves it unchecked, as on grids
         with pytest.raises(HypothesisViolation, match="nonpositive"):
-            solve_radial(2, 32.0, 0.5, 1.0)
+            RadialProblemSpec(n=2, boundary_value=0.5, rhs=ConstantRhs(32.0))
 
     def test_negative_rhs_rejected(self):
         # a frozen density is checked as the grid solver checks it; F's
