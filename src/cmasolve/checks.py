@@ -23,7 +23,6 @@ from .errors import HypothesisViolation, SolverError
 from .grids import (DensityField, ScalarField, _clamped_density,
                     _det_and_eigenvalues, _hessian_entries, ma_density)
 from .iteration import ProblemSpec, prepare, solve_mam
-from .rhs import bind_on_grid
 from .solvers import SolverConfig, solve_ma_fixed_rhs
 
 __all__ = [
@@ -142,14 +141,15 @@ def _smooth_max(a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
     return hi + eps * np.log1p(np.exp(-np.abs(a - b) / eps))
 
 
-def _axis_chunks(extent: int, parts: int = 3) -> list[slice]:
-    bounds = np.linspace(0, extent, min(parts, extent) + 1).astype(int)
+def _axis_chunks(extent: int) -> list[slice]:
+    """At most three near-equal index blocks covering range(extent)."""
+    bounds = np.linspace(0, extent, min(3, extent) + 1).astype(int)
     return [slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])
             if b > a]
 
 
-def demailly_max_check(u1: ScalarField, u2: ScalarField, eps_smooth: float,
-                       tol: float | None = None) -> CheckReport:
+def demailly_max_check(u1: ScalarField, u2: ScalarField,
+                       eps_smooth: float) -> CheckReport:
     """Mass of the smoothed maximum against the one-sided mass sum.
 
     The density of max(u1, u2) dominates ma(u1) where u1 >= u2 and
@@ -157,7 +157,8 @@ def demailly_max_check(u1: ScalarField, u2: ScalarField, eps_smooth: float,
     both sides are averaged over sub-boxes whose 1-node neighborhood
     keeps |u1 - u2| >= 3 eps_smooth, so the log-sum-exp correction stays
     below e^-3 and no block straddles the crossing set.  The reported
-    margin is the worst per-volume block margin.
+    margin is the worst per-volume block margin; it passes above
+    -10 h^2 (1 + the larger input density).
     """
     if u1.grid != u2.grid:
         raise ValueError("the inputs must share one grid")
@@ -183,8 +184,7 @@ def demailly_max_check(u1: ScalarField, u2: ScalarField, eps_smooth: float,
         dens.append(_clamped_density(det, grid.n))
     d1, d2 = dens
     scale = 1.0 + float(max(d1.max(initial=0.0), d2.max(initial=0.0)))
-    if tol is None:
-        tol = 10.0 * h2 * scale
+    tol = 10.0 * h2 * scale
 
     m = _smooth_max(u1.values, u2.values, eps_smooth)
     dm, _ = ma_density(ScalarField(grid, m))
@@ -268,8 +268,7 @@ def stability_experiment(p: ProblemSpec, perturbations) -> StabilityTable:
             "no dominating seed supplied",
             "perturbed densities are capped by the density of v0")
 
-    bound = bind_on_grid(p.rhs, grid, p.w_mu)
-    h_base = bound(np.zeros(grid.interior_shape))
+    h_base = p.bound(np.zeros(grid.interior_shape))
     cap, _ = ma_density(p.v0)
     slack = 1e-9 * (1.0 + float(cap.values.max(initial=0.0)))
     shape = _sin_shape(grid)
@@ -314,14 +313,16 @@ def stability_experiment(p: ProblemSpec, perturbations) -> StabilityTable:
 
 # -- uniqueness of the fixed point ----------------------------------------------
 
-def uniqueness_check(p: ProblemSpec, inits,
-                     tol_outer: float | None = None,
-                     max_outer: int | None = None) -> float:
+def uniqueness_check(p: ProblemSpec, inits) -> float:
     """Largest pairwise distance between limits from different starts.
 
-    Every initialization must lie in the [phi0, f] band.  Any
-    non-converged branch makes the check inconclusive and raises.
+    Every initialization must lie in the [phi0, f] band, phi0 = v0 + f, so
+    the problem needs its subsolution seed v0.  Any non-converged branch
+    makes the check inconclusive and raises.
     """
+    if p.v0 is None:
+        raise ValueError("uniqueness check needs the subsolution seed v0: "
+                         "its starts must lie in the band [v0 + f, f]")
     prep = prepare(p)
     span = float(np.abs(prep.f.values).max()
                  + np.abs(prep.phi0.values).max())
@@ -337,8 +338,7 @@ def uniqueness_check(p: ProblemSpec, inits,
 
     limits = []
     for k, init in enumerate(inits):
-        sol = solve_mam(p, tol_outer=tol_outer, max_outer=max_outer,
-                        init=init)
+        sol = solve_mam(p, init=init)
         if not sol.converged:
             raise SolverError(
                 f"uniqueness check inconclusive: branch {k} stalled at "

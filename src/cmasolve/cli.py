@@ -75,6 +75,16 @@ def _write_profile_csv(profile, path):
             fh.write(f"{float(r)!r},{float(v)!r}\n")
 
 
+def _emit_solution(payload: dict, converged: bool) -> int:
+    """Print a solve summary; a stalled one names its failure in error."""
+    if not converged:
+        payload["error"] = (f"outer iteration stopped after "
+                            f"{payload['outer_iters']} steps without "
+                            f"meeting tol_outer")
+    _emit(payload)
+    return EXIT_OK if converged else EXIT_SOLVER_FAILED
+
+
 # -- subcommands ---------------------------------------------------------------
 
 def _require_domain(cfg, kind: str, message: str):
@@ -91,7 +101,7 @@ def _cmd_solve(cfg) -> int:
                     "subcommand for ball domains")
     sol = solve_mam(cfg.build_problem())
     _dump_fields(sol.u, cfg.outputs)
-    _emit({
+    return _emit_solution({
         "command": "solve",
         "n": cfg.n,
         "resolution": cfg.resolution,
@@ -103,8 +113,7 @@ def _cmd_solve(cfg) -> int:
         "sandwich_ok": sol.sandwich_ok,
         "chains_ok": sol.chains_ok,
         "psh_defect": sol.psh_defect,
-    })
-    return EXIT_OK if sol.converged else EXIT_SOLVER_FAILED
+    }, sol.converged)
 
 
 def _cmd_radial(cfg) -> int:
@@ -114,7 +123,7 @@ def _cmd_radial(cfg) -> int:
     sol = solve_mam(cfg.build_problem())
     if cfg.outputs.get("field_csv"):
         _write_profile_csv(sol.profile, cfg.outputs["field_csv"])
-    _emit({
+    return _emit_solution({
         "command": "radial",
         "n": cfg.n,
         "mesh": cfg.resolution,
@@ -124,8 +133,7 @@ def _cmd_radial(cfg) -> int:
         "tol_outer_residual": sol.tol_outer_residual,
         "residual_ok": sol.residual_ok,
         "monotone_ok": sol.profile.monotone_ok,
-    })
-    return EXIT_OK if sol.converged else EXIT_SOLVER_FAILED
+    }, sol.converged)
 
 
 def _verify_comparison(cfg, p):
@@ -335,6 +343,10 @@ def main(argv=None) -> int:
         return _cmd_study(cfg, args.kind)
     except (ConfigError, ExpressionError, HypothesisViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
+    except OSError as exc:
+        # the config was read by load_config; this is an output path
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except SolverError as exc:
         _emit({"command": args.command, "error": str(exc),

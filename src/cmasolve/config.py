@@ -7,8 +7,9 @@ early, so a malformed file fails before any solve starts and RunConfig
 holds typed values; RunConfig.build_problem assembles
 the ProblemSpec or RadialProblemSpec the subcommands run on.  Bounds on
 numbers are those of the objects the config becomes (the grid, the
-radial mesh, the rhs family, SolverConfig); load_config and
-build_problem apply them and report a violation as a ConfigError.
+radial mesh, the rhs family, SolverConfig), plus MAX_NODES on the size
+of a grid or mesh; load_config and build_problem apply them and report
+a violation as a ConfigError.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ from .rhs import ConstantRhs, ExponentialRhs, ExpressionRhs, PowerPlusRhs
 from .solvers import SolverConfig
 
 __all__ = ["ConfigError", "RunConfig", "load_config"]
+
+# most nodes a box grid or ball mesh may have: one field of them fills
+# 1 GiB, and larger counts would fail to allocate, or overflow, mid-run
+MAX_NODES = 2 ** 27
 
 _TOP_KEYS = {
     "n", "domain", "resolution", "boundary", "rhs", "mu_density",
@@ -67,11 +72,15 @@ def _object(value, where: str) -> dict:
     return dict(value)
 
 
-def _number(value, where: str) -> float:
+def _finite(value) -> bool:
     """A finite JSON number; true and false are not numbers here."""
     # the magnitude test also rejects nan and integers beyond float range
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool)
-             and abs(value) <= sys.float_info.max,
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _number(value, where: str) -> float:
+    _require(_finite(value),
              f"{where} must be a finite number (got {value!r})")
     return float(value)
 
@@ -94,6 +103,14 @@ def _positive(value, where: str) -> float:
     x = _number(value, where)
     _require(x > 0, f"{where} must be positive (got {x!r})")
     return x
+
+
+def _source(value, where: str):
+    """An expression string or a finite number, left as given."""
+    _require(isinstance(value, str) or _finite(value),
+             f"{where} must be an expression string or a finite number "
+             f"(got {value!r})")
+    return value
 
 
 def _string(value, where: str) -> str:
@@ -135,13 +152,17 @@ class RunConfig:
     def build_problem(self, resolution: int | None = None):
         """Assemble the ProblemSpec or RadialProblemSpec to run."""
         res = self.resolution if resolution is None else int(resolution)
-        least, unit = ((MIN_MESH, "mesh intervals on a ball")
-                       if self.domain_kind == "ball"
+        ball = self.domain_kind == "ball"
+        least, unit = ((MIN_MESH, "mesh intervals on a ball") if ball
                        else (MIN_RESOLUTION, "nodes per axis on a box"))
+        most = int(MAX_NODES ** (1.0 / (1 if ball else 2 * self.n)))
         _require(res >= least,
                  f"resolution {res} is below {least} ({unit})")
+        _require(res <= most,
+                 f"resolution {res} is above {most} ({unit} at n = "
+                 f"{self.n})")
         weight = self.rhs_spec.get("weight", 1.0)
-        if self.domain_kind == "ball":
+        if ball:
             # weights live on the unknown mesh nodes r < R
             r = np.linspace(0.0, self.radius, res + 1)[:-1]
             env = radial_env(r)
@@ -232,8 +253,7 @@ def _parse_rhs(raw: dict) -> dict:
              "rhs needs either an expression or a family tag among "
              + ", ".join(sorted(_FAMILY_KEYS)))
     _check_keys(raw, _FAMILY_KEYS[tag], f"rhs ({tag})")
-    _require(isinstance(raw.get("weight", 1.0), (str, int, float)),
-             "rhs.weight must be an expression string or a number")
+    _source(raw.get("weight", 1.0), "rhs.weight")
     # the family's own parameter checks, with a placeholder weight
     try:
         _family(raw, 1.0)
@@ -247,9 +267,7 @@ def _parse_solver(raw) -> SolverConfig:
     _check_keys(kwargs, _SOLVER_KEYS, "solver")
     for key, value in kwargs.items():
         where = f"solver.{key}"
-        if key == "reg_ladder":
-            kwargs[key] = tuple(_list_of(_number, value, where))
-        elif key in _SOLVER_INTEGERS:
+        if key in _SOLVER_INTEGERS:
             kwargs[key] = _integer(value, where)
         else:
             kwargs[key] = _number(value, where)
@@ -306,13 +324,9 @@ def load_config(path) -> RunConfig:
              "box domains support n in {1, 2}; use a ball for higher n")
     resolution = _integer(raw["resolution"], "resolution")
 
-    boundary = raw["boundary"]
-    _require(isinstance(boundary, (str, int, float)),
-             "boundary must be an expression string or a number")
+    boundary = _source(raw["boundary"], "boundary")
     rhs_spec = _parse_rhs(raw["rhs"])
-    mu = raw.get("mu_density", 1.0)
-    _require(isinstance(mu, (str, int, float)),
-             "mu_density must be an expression string or a number")
+    mu = _source(raw.get("mu_density", 1.0), "mu_density")
     seed = raw.get("subsolution_seed")
     _require(seed is None or isinstance(seed, str),
              "subsolution_seed must be an expression string")

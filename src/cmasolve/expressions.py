@@ -294,7 +294,9 @@ def grid_env(grid, extra: dict | None = None, interior: bool = False) -> dict:
     env = {}
     for a, name in enumerate(variable_names(grid.n)):
         env[name] = mesh[a]
-    env["r2"] = sum(ax ** 2 for ax in mesh)
+    # an overflow surfaces as the non-finite value evaluation rejects
+    with np.errstate(over="ignore"):
+        env["r2"] = sum(ax ** 2 for ax in mesh)
     if extra:
         env.update(extra)
     return env
@@ -308,9 +310,7 @@ def evaluate_on_grid(expr: Expression, grid, extra: dict | None = None,
     return np.array(np.broadcast_to(np.asarray(out, dtype=np.float64), shape))
 
 
-def radial_env(r: np.ndarray, extra: dict | None = None) -> dict:
-    """Environment for radially symmetric data: only r2 (and extras)."""
-    env = {"r2": np.asarray(r) ** 2}
-    if extra:
-        env.update(extra)
-    return env
+def radial_env(r: np.ndarray) -> dict:
+    """Environment for radially symmetric data: only r2."""
+    with np.errstate(over="ignore"):
+        return {"r2": np.asarray(r) ** 2}

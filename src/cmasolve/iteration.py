@@ -1,26 +1,26 @@
 """Outer iteration for the solution-dependent problem.
 
 The solution of (dd^c u)^n = G(u, .) dλ is approached through the
-one-step update map: freeze the density at the current iterate, solve the
-fixed-density Dirichlet problem, optionally blend with the previous
-iterate.  Because G is nondecreasing in its first argument and the
-fixed-density solver is order-reversing in the data, the update map
-reverses order; starting from u0 (whose density uses the maximal
-extension f) the even-indexed iterates then climb and the odd-indexed
-ones descend, bracketing the limit.  Both chains are recorded: on a stall
-they are returned as a sub/supersolution bracket instead of a bare
-failure.  Grid and radial problems run this one loop (_picard), each
-with its own frozen-density solve, so both report the chain certificate.
-_picard is the only place where the density depends on the solution: the
-grid and radial solves take a frozen density array, and G's hypotheses
-are checked where it is bound and sampled (rhs.BoundRhs).
+one-step update map: freeze the density at the current iterate and solve
+the fixed-density Dirichlet problem.  Because G is nondecreasing in its
+first argument and the fixed-density solver is order-reversing in the
+data, the update map reverses order; starting from u0 (whose density
+uses the maximal extension f) the even-indexed iterates then climb and
+the odd-indexed ones descend, bracketing the limit.  Both chains are
+recorded: on a stall they are returned as a sub/supersolution bracket
+instead of a bare failure.  Grid and radial problems run this one loop
+(_picard), each with its own frozen-density solve, so both report the
+chain certificate.  _picard is the only place where the density depends
+on the solution: the grid and radial solves take a frozen density array,
+and G's hypotheses are checked where it is bound and sampled
+(rhs.BoundRhs).
 
-Each ProblemSpec owns its f and its prepared state (u0, the bound
-right-hand side, the t-range and the outer residual tolerance).  Both
-are computed on first use and kept on that spec, so the solves, checks
-and verifiers that share one spec solve f at most once, and not at all
-when nothing reads it: a t-independent density freezes to the same
-values at f as at 0.
+Each ProblemSpec owns its f, its right-hand side bound to the grid and
+its prepared state (u0, the t-range and the outer residual tolerance).
+All are computed on first use and kept on that spec, so the solves,
+checks and verifiers that share one spec bind G once and solve f at most
+once, and not at all when nothing reads it: a t-independent density
+freezes to the same values at f as at 0.
 
 The balayage step performs the classical local improvement: re-solve on a
 sub-box with the current iterate as boundary data and glue, which never
@@ -70,8 +70,10 @@ class OuterStep(NamedTuple):
 class ProblemSpec:
     """Grid-mode problem: boundary data, a right-hand-side family, the
     measure density, and an optional declared subsolution seed.  Its
-    maximal extension `f` and prepared state are solved on first use and
-    kept on the instance."""
+    bound right-hand side, maximal extension `f` and prepared state are
+    built on first use and kept on the instance.  This is the grid's only
+    check of the boundary sign; with theorem_mode off, positive data
+    draws a warning when f is solved."""
 
     boundary: ScalarField
     rhs: object
@@ -81,13 +83,10 @@ class ProblemSpec:
     theorem_mode: bool = True
 
     def __post_init__(self):
-        grid = self.boundary.grid
-        if self.theorem_mode:
-            ring = ~grid.interior_mask()
-            if float(self.boundary.values[ring].max()) > 0:
-                raise HypothesisViolation("positive boundary data",
-                                          "boundary values nonpositive")
-        if self.v0 is not None and self.v0.grid != grid:
+        if self.theorem_mode and _boundary_max(self.boundary) > 0:
+            raise HypothesisViolation("positive boundary data",
+                                      "boundary values nonpositive")
+        if self.v0 is not None and self.v0.grid != self.grid:
             raise ValueError("subsolution seed lives on a different grid")
 
     @property
@@ -95,10 +94,17 @@ class ProblemSpec:
         return self.boundary.grid
 
     @cached_property
+    def bound(self) -> BoundRhs:
+        """The right-hand side G bound to the grid's interior nodes."""
+        return bind_on_grid(self.rhs, self.grid, self.w_mu)
+
+    @cached_property
     def f(self) -> ScalarField:
         """The maximal psh extension of the boundary data."""
-        return maximal_extension(self.boundary, self.config,
-                                 theorem_mode=self.theorem_mode)
+        if _boundary_max(self.boundary) > 0:
+            warnings.warn("boundary data is not nonpositive; comparison-"
+                          "based checks may not apply", stacklevel=3)
+        return maximal_extension(self.boundary, self.config)
 
     @cached_property
     def _state(self) -> dict:
@@ -199,7 +205,6 @@ class _Prepared:
     problem: ProblemSpec
     phi0: ScalarField | None
     u0: ScalarField
-    bound: BoundRhs
     t_lo: float
     t_hi: float
     lip_t: float
@@ -208,6 +213,10 @@ class _Prepared:
     @property
     def f(self) -> ScalarField:
         return self.problem.f
+
+
+def _boundary_max(field: ScalarField) -> float:
+    return float(field.values[~field.grid.interior_mask()].max())
 
 
 def prepare(p: ProblemSpec) -> _Prepared:
@@ -226,13 +235,12 @@ def _first_iterate(bound: BoundRhs, boundary: ScalarField,
     and max(0, max f), the top of the t-range the iterates visit.  A
     t-independent G never calls f_of: G(f, .) is then G(0, .) bit for
     bit, and f, being psh, peaks on the boundary."""
-    grid = boundary.grid
     if bound.t_independent:
         t_freeze = 0.0
-        t_top = float(boundary.values[~grid.interior_mask()].max())
+        t_top = _boundary_max(boundary)
     else:
         f = f_of()
-        t_freeze = f.values[grid.interior]
+        t_freeze = f.values[boundary.grid.interior]
         t_top = float(f.values.max())
     u0 = solve_ma_fixed_rhs(bound(t_freeze), boundary, cfg).u
     return u0, max(0.0, t_top)
@@ -246,7 +254,7 @@ def _tol_outer_residual(cfg: SolverConfig, lip: float) -> float:
 
 def _prepare_state(p: ProblemSpec) -> dict:
     cfg = p.config
-    bound = bind_on_grid(p.rhs, p.grid, p.w_mu)
+    bound = p.bound
     u0, t_hi = _first_iterate(bound, p.boundary, cfg, lambda: p.f)
 
     phi0 = None
@@ -268,13 +276,14 @@ def _prepare_state(p: ProblemSpec) -> dict:
                 f"(margin {rep.margin:.3e}, above-f gap {rep.upper_gap:.3e}, "
                 f"psh defect {rep.psh_defect:.3e}, tol {rep.tol:.3e})",
                 "v0 is a subsolution")
-    return dict(phi0=phi0, u0=u0, bound=bound, t_lo=t_lo, t_hi=t_hi,
-                lip_t=lip, tol_outer_residual=tol_res)
+    return dict(phi0=phi0, u0=u0, t_lo=t_lo, t_hi=t_hi, lip_t=lip,
+                tol_outer_residual=tol_res)
 
 
 def _picard(solve, interior, bound: BoundRhs, cfg: SolverConfig,
-            tol_outer: float, max_outer: int, u0: np.ndarray):
-    """Damped fixed-point loop with even/odd chain accounting.
+            u0: np.ndarray):
+    """Fixed-point loop with even/odd chain accounting, to successive
+    iterates within cfg.tol_outer or cfg.max_outer steps.
 
     solve(dens, init) solves the frozen-density problem for the density
     dens, warm-started from the node values init, and returns (values,
@@ -294,14 +303,11 @@ def _picard(solve, interior, bound: BoundRhs, cfg: SolverConfig,
     history = []
     converged = False
     steps = 0
-    for k in range(1, max_outer + 1):
+    for k in range(1, cfg.max_outer + 1):
         dens = bound(u_cur[interior])
         warm = last_by_parity[k % 2]
         vals, *stats = solve(dens, u_cur if warm is None else warm)
-        if cfg.theta == 1.0:
-            new_vals = np.array(vals)
-        else:
-            new_vals = u_cur + cfg.theta * (vals - u_cur)
+        new_vals = np.array(vals)
         change = float(np.abs(new_vals - u_cur).max())
         parity = k % 2
         prev = last_by_parity[parity]
@@ -323,11 +329,9 @@ def _picard(solve, interior, bound: BoundRhs, cfg: SolverConfig,
         history.append(OuterStep(change, *stats))
         u_cur = new_vals
         steps = k
-        if change < tol_outer:
+        if change < cfg.tol_outer:
             converged = True
             break
-    if upper_env is None:
-        upper_env = np.array(u_cur)
     return u_cur, converged, steps, history, lower_env, upper_env, chains_ok
 
 
@@ -340,25 +344,22 @@ def _grid_solver(boundary: ScalarField, cfg: SolverConfig):
     return solve
 
 
-def solve_mam(p, tol_outer: float | None = None,
-              max_outer: int | None = None,
-              init: ScalarField | None = None):
+def solve_mam(p, init: ScalarField | None = None):
     """Outer iteration to the solution of the solution-dependent problem.
 
     Accepts a ProblemSpec (grid) or RadialProblemSpec (ball).  Stops when
-    successive iterates move less than tol_outer in sup norm; on a stall
+    successive iterates move less than the config's tol_outer in sup norm
+    or after its max_outer steps; on a stall
     the returned record still carries the even/odd envelopes as a
     certified bracket.  `init` overrides the default starting iterate
     (grid problems only); its interior is taken as-is and the boundary
     ring is replaced by the problem's boundary data.
     """
     cfg = p.config
-    tol_outer = cfg.tol_outer if tol_outer is None else tol_outer
-    max_outer = cfg.max_outer if max_outer is None else max_outer
     if isinstance(p, RadialProblemSpec):
         if init is not None:
             raise ValueError("explicit initialization is grid-only")
-        return _solve_mam_radial(p, tol_outer, max_outer)
+        return _solve_mam_radial(p)
     prep = prepare(p)
     grid = p.grid
 
@@ -370,13 +371,13 @@ def solve_mam(p, tol_outer: float | None = None,
         start = ScalarField(grid, vals)
 
     u, converged, steps, history, lower_env, upper_env, chains_ok = _picard(
-        _grid_solver(p.boundary, cfg), grid.interior, prep.bound, cfg,
-        tol_outer, max_outer, start.values)
+        _grid_solver(p.boundary, cfg), grid.interior, p.bound, cfg,
+        start.values)
     u = ScalarField(grid, u)
 
     dens, defect = ma_density(u)
     final_residual = float(np.abs(
-        dens.values - prep.bound(u.values[grid.interior])).max())
+        dens.values - p.bound(u.values[grid.interior])).max())
     residual_ok = bool(final_residual <= prep.tol_outer_residual)
 
     sandwich_ok = None
@@ -397,7 +398,7 @@ def solve_mam(p, tol_outer: float | None = None,
         psh_defect=defect, lip_t=prep.lip_t)
 
 
-def _solve_mam_radial(p: RadialProblemSpec, tol_outer, max_outer):
+def _solve_mam_radial(p: RadialProblemSpec):
     cfg = p.config
     r = np.linspace(0.0, p.R, p.mesh + 1)
     bound = bind_on_mesh(p.rhs, r[:-1], p.w_mu)
@@ -409,15 +410,15 @@ def _solve_mam_radial(p: RadialProblemSpec, tol_outer, max_outer):
                 max(0.0, -prof.vprime_min))
 
     # the radial maximal extension of constant boundary data is constant
-    u0, *u0_stats = solve(bound(np.full(p.mesh, p.boundary_value)))
+    u0 = solve(bound(np.full(p.mesh, p.boundary_value)))[0]
 
     t_lo = float(u0.min()) - 1.0
     lip = bound.validate(t_lo, 0.0)
     tol_res = _tol_outer_residual(cfg, lip)
 
     u, converged, steps, history, _, _, chains_ok = _picard(
-        solve, slice(None, -1), bound, cfg, tol_outer, max_outer, u0)
-    last = history[-1] if history else OuterStep(0.0, *u0_stats)
+        solve, slice(None, -1), bound, cfg, u0)
+    last = history[-1]
     prof = _finish(r, u, last.inner_residual, last.newton_iters,
                    p.R / p.mesh)
 
@@ -431,31 +432,24 @@ def _solve_mam_radial(p: RadialProblemSpec, tol_outer, max_outer):
                           chains_ok=chains_ok, lip_t=lip)
 
 
-def subsolution_check(u: ScalarField, p: ProblemSpec,
-                      tol: float | None = None,
-                      f: ScalarField | None = None) -> SubsolutionReport:
-    """Membership check: density dominates G(u, .), u sits below f, and u
-    is discretely psh, all within tol (default 10 h^2 (1 + max G)).  f
-    defaults to the problem's own maximal extension."""
+def subsolution_check(u: ScalarField, p: ProblemSpec) -> SubsolutionReport:
+    """Membership check: density dominates G(u, .), u sits below the
+    problem's maximal extension f, and u is discretely psh, all within
+    tol = 10 h^2 (1 + max G)."""
     grid = p.grid
     if u.grid != grid:
         raise ValueError("field lives on a different grid")
-    if f is None:
-        f = p.f
-    bound = bind_on_grid(p.rhs, grid, p.w_mu)
-    g_at_u = bound(u.values[grid.interior])
+    g_at_u = p.bound(u.values[grid.interior])
     dens, defect = ma_density(u)
     margin = float((dens.values - g_at_u).min())
-    upper_gap = float((u.values - f.values).max())
-    if tol is None:
-        h = max(grid.spacing)
-        tol = 10.0 * h ** 2 * (1.0 + float(g_at_u.max()))
+    upper_gap = float((u.values - p.f.values).max())
+    h = max(grid.spacing)
+    tol = 10.0 * h ** 2 * (1.0 + float(g_at_u.max()))
     return SubsolutionReport(margin=margin, upper_gap=upper_gap,
                              psh_defect=defect, tol=float(tol))
 
 
-def balayage_step(u: ScalarField, sub, p: ProblemSpec,
-                  f: ScalarField | None = None) -> ScalarField:
+def balayage_step(u: ScalarField, sub, p: ProblemSpec) -> ScalarField:
     """Local improvement: re-solve on a sub-box and glue.
 
     sub gives per-real-axis node index windows (start, stop), stop
@@ -478,7 +472,7 @@ def balayage_step(u: ScalarField, sub, p: ProblemSpec,
                              "to the domain boundary")
         windows.append((start, stop))
 
-    rep = subsolution_check(u, p, f=f)
+    rep = subsolution_check(u, p)
     if not rep.passed:
         raise HypothesisViolation(
             f"balayage input fails the subsolution check "
@@ -492,23 +486,22 @@ def balayage_step(u: ScalarField, sub, p: ProblemSpec,
     block = tuple(slice(w[0], w[1]) for w in windows)
     local_boundary = ScalarField(local_grid, np.array(u.values[block]))
 
-    parent_bound = bind_on_grid(p.rhs, grid, p.w_mu)
     # parent interior index of node j is j-1; the local interior covers
     # parent nodes start+1 .. stop-2
     interior_slices = tuple(slice(w[0], w[1] - 2) for w in windows)
-    local_bound = parent_bound.restricted(interior_slices, local_grid)
+    local_bound = p.bound.restricted(interior_slices, local_grid)
 
     # the local maximal extension and initial iterate mirror the global
     # construction with u's restriction as data
     u0_local, t_hi = _first_iterate(
         local_bound, local_boundary, cfg,
-        lambda: maximal_extension(local_boundary, cfg, theorem_mode=False))
+        lambda: maximal_extension(local_boundary, cfg))
     t_lo = float(u0_local.values.min()) - 1.0
     local_bound.validate(t_lo, t_hi)
 
     local_u, conv, *_ = _picard(
         _grid_solver(local_boundary, cfg), local_grid.interior, local_bound,
-        cfg, cfg.tol_outer, cfg.max_outer, u0_local.values)
+        cfg, u0_local.values)
     if not conv:
         warnings.warn("local balayage solve did not meet the outer "
                       "tolerance; returning the glued best iterate")

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .solvers import (NewtonStagnationError, SolverConfig, _frozen_density,
-                      _walk_ladder)
+from .solvers import (PSD_FLOOR, NewtonStagnationError, SolverConfig,
+                      _frozen_density, _walk_ladder)
 
 __all__ = ["RadialProfile", "radial_residual", "solve_radial"]
 
@@ -129,9 +129,8 @@ class _RadialNewton:
     surrogate.  Radial iterates take no eigenvalue guard and no psh test.
     The state is (residual, A, B)."""
 
-    def __init__(self, n, density, bval, R, mesh, cfg):
+    def __init__(self, n, density, bval, R, mesh):
         self.n, self.density, self.bval, self.R = n, density, bval, R
-        self.cfg = cfg
         self.h = R / mesh
         self.r = np.linspace(0.0, R, mesh + 1)
         self.norm = math.factorial(n) * 4.0 ** n
@@ -146,7 +145,7 @@ class _RadialNewton:
 
     def correct(self, w, state, rsup, eps):
         F, A, B = state
-        floor = self.cfg.psd_floor
+        floor = PSD_FLOOR
         if eps > 0:
             # at a regularized solution B sits near (eps/norm)^{1/n}-scale
             floor = max(floor, 0.25 * (eps / self.norm) ** (1.0 / self.n))
@@ -197,7 +196,7 @@ def solve_radial(n: int, density, boundary_value: float, R: float,
         if w0.shape != (mesh + 1,):
             raise ValueError(f"init needs {mesh + 1} node values")
         w0[-1] = bval
-    backend = _RadialNewton(n, density, bval, R, mesh, cfg)
+    backend = _RadialNewton(n, density, bval, R, mesh)
     w, rsup, iters, _ = _walk_ladder(backend, cfg, w0)
     return _finish(backend.r, w, rsup, iters, backend.h)
 

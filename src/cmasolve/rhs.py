@@ -178,7 +178,7 @@ class BoundRhs:
             env = grid_env(grid, interior=True)
         return BoundRhs(self.family, spatial, expr=self._expr, env=env)
 
-    def validate(self, t_lo: float, t_hi: float = 0.0) -> float:
+    def validate(self, t_lo: float, t_hi: float) -> float:
         """Sampled hypothesis checks over [t_lo, t_hi]; returns Lip_t(G).
 
         Walks the t-grid one sample at a time so memory stays at two node
@@ -205,9 +205,10 @@ class BoundRhs:
         return lip
 
 
-def _bind(family, n: int, env: dict, shape: tuple, w_mu,
+def _bind(family, n: int, env: dict | None, shape: tuple, w_mu,
           coords=None) -> BoundRhs:
-    """Bind a family to the nodes env describes, folding in w_mu."""
+    """Bind a family to the nodes env describes, folding in w_mu; only
+    an ExpressionRhs reads env."""
     mu = _spatial_factor(w_mu, shape, coords)
     if isinstance(family, ExpressionRhs):
         expr = parse_expression(family.source, n, context="rhs")
@@ -222,8 +223,10 @@ def _bind(family, n: int, env: dict, shape: tuple, w_mu,
 
 def bind_on_grid(family, grid: Grid, w_mu=1.0) -> BoundRhs:
     """Bind a family to a grid's interior nodes, folding in w_mu."""
-    return _bind(family, grid.n, grid_env(grid, interior=True),
-                 grid.interior_shape, w_mu)
+    # only expressions read coordinates, and r2 is an interior-sized array
+    env = (grid_env(grid, interior=True)
+           if isinstance(family, ExpressionRhs) else None)
+    return _bind(family, grid.n, env, grid.interior_shape, w_mu)
 
 
 def bind_on_mesh(family, r: np.ndarray, w_mu=1.0) -> BoundRhs:

@@ -18,7 +18,11 @@ eps, ending at the true problem.
 The Newton loop (_newton_stage) and the ladder walk (_walk_ladder) are
 the only ones in the package: the radial solver runs them too, with a
 backend that supplies its own evaluation, correction, surrogate start and
-psh measure.
+psh measure.  Their safeguards are module constants, not settings:
+DAMPING (the backtracking factor), MIN_STEP (the shortest trial step),
+PSD_FLOOR (the least eigenvalue floor of a linearization) and REG_LADDER
+(the regularization rungs, ending at the true problem).  SolverConfig
+holds only the tolerances and iteration caps a caller chooses.
 """
 
 from __future__ import annotations
@@ -67,41 +71,26 @@ class NewtonIterationError(SolverError):
         self.iterate = iterate
 
 
+DAMPING = 0.5
+MIN_STEP = 1e-4
+PSD_FLOOR = 1e-12
+REG_LADDER = (1e-2, 1e-4, 1e-6, 0.0)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and safeguards for the inner and outer solvers."""
+    """Tolerances and iteration caps for the inner and outer solvers."""
 
     tol_inner: float = 1e-10
     max_newton: int = 50
-    damping: float = 0.5
-    min_step: float = 1e-4
-    psd_floor: float = 1e-12
-    reg_ladder: tuple[float, ...] = (1e-2, 1e-4, 1e-6, 0.0)
     tol_outer: float = 1e-8
     max_outer: int = 100
-    theta: float = 1.0
 
     def __post_init__(self):
         if self.tol_inner <= 0 or self.tol_outer <= 0:
             raise ValueError("tolerances must be positive")
-        if not (0 < self.damping < 1):
-            raise ValueError("damping factor must lie in (0, 1)")
-        if not (0 < self.min_step < 1):
-            raise ValueError("minimum step must lie in (0, 1)")
-        if self.psd_floor <= 0:
-            raise ValueError("psd floor must be positive")
         if self.max_newton < 1 or self.max_outer < 1:
             raise ValueError("iteration caps must be at least 1")
-        if not (0 < self.theta <= 1):
-            raise ValueError("outer damping theta must lie in (0, 1]")
-        ladder = tuple(float(e) for e in self.reg_ladder)
-        if not ladder or ladder[-1] != 0.0:
-            raise ValueError("regularization ladder must end at 0")
-        if any(e < 0 for e in ladder):
-            raise ValueError("regularization ladder must be nonnegative")
-        if any(a < b for a, b in zip(ladder, ladder[1:])):
-            raise ValueError("regularization ladder must be nonincreasing")
-        object.__setattr__(self, "reg_ladder", ladder)
 
 
 class MaSolveResult(NamedTuple):
@@ -181,7 +170,7 @@ def _newton_stage(backend, u: np.ndarray, eps: float, stage_tol: float,
     # that keep lam1 positive over full Newton steps.  The eps = 0 rung
     # gets the slack _walk_ladder accepts its result with: a tighter guard
     # only trades full steps for half steps there
-    guard = cfg.psd_floor - eps - stage_tol / backend.norm
+    guard = PSD_FLOOR - eps - stage_tol / backend.norm
     if eps == 0.0:
         guard = min(guard, -float(np.sqrt(cfg.tol_inner)))
     rsup, lam1, state = backend.evaluate(u, eps)
@@ -194,20 +183,20 @@ def _newton_stage(backend, u: np.ndarray, eps: float, stage_tol: float,
 
         alpha = 1.0
         step = fallback = None
-        while alpha >= cfg.min_step:
+        while alpha >= MIN_STEP:
             trial = u.copy()
             trial[backend.index] += alpha * delta
             t_rsup, t_lam1, t_state = backend.evaluate(trial, eps)
             if t_rsup <= (1.0 - 1e-4 * alpha) * rsup:
                 # never ask a trial to be more psh than its starting point:
                 # from the surrogate (lam1 far below the guard) shorter
-                # steps would fail the guard too, down to min_step
+                # steps would fail the guard too, down to MIN_STEP
                 if t_lam1 is None or t_lam1 >= min(guard, lam1):
                     step = (trial, t_rsup, t_lam1, t_state)
                     break
                 if fallback is None:
                     fallback = (trial, t_rsup, t_lam1, t_state)
-            alpha *= cfg.damping
+            alpha *= DAMPING
         # every decreasing trial made lam1 worse than the guard and the
         # iterate's own: take the first of them and let psh_defect report
         step = step or fallback
@@ -229,7 +218,7 @@ def _walk_ladder(backend, cfg: SolverConfig, init: np.ndarray | None = None):
     # degenerate accepts need psh-ness as well as a small residual; sqrt
     # scale because det is quadratic in the Hessian near flat iterates
     psh_slack = float(np.sqrt(cfg.tol_inner))
-    ladder = (cfg.reg_ladder if backend.min_density <= cfg.reg_ladder[0]
+    ladder = (REG_LADDER if backend.min_density <= REG_LADDER[0]
               else (0.0,))
     if init is not None:
         try:
@@ -324,7 +313,7 @@ class _GridNewton:
         # Krylov solver's accept threshold; tying the floor to the
         # current defect keeps the linearization uniformly invertible
         # while vanishing at the solution
-        floor = max(self.cfg.psd_floor, (eps + rsup) / self.norm)
+        floor = max(PSD_FLOOR, (eps + rsup) / self.norm)
         coeffs = _floored_cofactor(entries, *eigs, floor)
         # the state is spent once its cofactor is formed: dropping the
         # eigenvalues keeps them out of the Krylov solve's peak memory
@@ -379,25 +368,12 @@ def solve_ma_fixed_rhs(g, boundary: ScalarField,
     return MaSolveResult(ScalarField(grid, u), rsup, iters, max(0.0, -lam1))
 
 
-def maximal_extension(boundary: ScalarField, cfg: SolverConfig | None = None,
-                      theorem_mode: bool = True) -> ScalarField:
+def maximal_extension(boundary: ScalarField,
+                      cfg: SolverConfig | None = None) -> ScalarField:
     """The maximal psh extension: (dd^c f)^n = 0 with the given boundary.
 
-    Boundary data must be nonpositive when theorem_mode is set (the
-    comparison framework is stated for nonpositive functions).
+    Like solve_ma_fixed_rhs it checks none of the theorem's hypotheses;
+    ProblemSpec rejects positive boundary data.
     """
-    from .errors import HypothesisViolation
-
-    cfg = cfg or SolverConfig()
-    grid = boundary.grid
-    bmax = float(boundary.values[~grid.interior_mask()].max())
-    if bmax > 0:
-        if theorem_mode:
-            raise HypothesisViolation(
-                f"boundary data attains {bmax:.3e} > 0",
-                "nonpositive boundary data")
-        import warnings
-        warnings.warn("boundary data is not nonpositive; comparison-based "
-                      "checks may not apply", stacklevel=2)
-    zero = np.zeros(grid.interior_shape)
+    zero = np.zeros(boundary.grid.interior_shape)
     return solve_ma_fixed_rhs(zero, boundary, cfg).u

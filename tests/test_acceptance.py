@@ -174,7 +174,7 @@ def test_criterion_5_sandwich_and_balayage(model9, model17):
     p, sol = model17
     phi0 = sol.phi0
     slack = 2.0 * p.config.tol_inner
-    assert subsolution_check(phi0, p, f=sol.f).passed
+    assert subsolution_check(phi0, p).passed
 
     rng = np.random.default_rng(17)
     res = p.grid.resolution[0]
@@ -184,9 +184,9 @@ def test_criterion_5_sandwich_and_balayage(model9, model17):
             start = int(rng.integers(2, res - 2 - 5 + 1))
             width = int(rng.integers(5, min(8, res - 2 - start) + 1))
             sub.append((start, start + width))
-        improved = balayage_step(phi0, tuple(sub), p, f=sol.f)
+        improved = balayage_step(phi0, tuple(sub), p)
         assert float((phi0.values - improved.values).max()) <= slack
-        assert subsolution_check(improved, p, f=sol.f).passed
+        assert subsolution_check(improved, p).passed
     print(f"\ncriterion 5: PASS - sandwich and chain invariants hold; "
           f"balayage nondecreasing and subsolution-preserving on "
           f"{BALAYAGE_BOXES} random sub-boxes")

@@ -7,6 +7,8 @@ manufactured-solution refinement studies whose expected orders come
 from the stencil's consistency.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -269,6 +271,13 @@ class TestUniqueness:
         above = ScalarField(p.grid, prep.f.values + 1.0)
         with pytest.raises(ValueError, match="band"):
             uniqueness_check(p, [above])
+
+    def test_missing_seed_rejected(self):
+        # the [phi0, f] band starts at phi0 = v0 + f: without v0 there is
+        # no band to check the starts against
+        p = dataclasses.replace(cheng_yau_problem(), v0=None)
+        with pytest.raises(ValueError, match="subsolution seed v0"):
+            uniqueness_check(p, [p.boundary])
 
 
 def exp_mms_problem(res):

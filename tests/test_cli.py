@@ -1,8 +1,11 @@
 """Command line entry point: exit codes, JSON output, config validation."""
 
+import contextlib
+import io
 import json
 import os
 import tempfile
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -91,6 +94,7 @@ class TestSolve:
         payload = json.loads(out)
         assert payload["converged"] is False
         assert payload["outer_iters"] == 1
+        assert "after 1 steps" in payload["error"]
 
 
 class TestRadial:
@@ -227,11 +231,12 @@ class TestConfigValidation:
         (("solve",), {"boundary": "1/0"}, "division by zero"),
         (("solve",), {"rhs": {"family": "power_plus", "p": 0.5,
                               "weight": 4.0}}, "p >= 1"),
-        (("solve",), {"solver": {"damping": 1.5}}, "damping"),
+        (("solve",), {"solver": {"damping": 1.5}},
+         "unknown solver key(s): damping"),
         (("solve",), {"solver": {"tol_inner": -1e-10}}, "tolerances"),
         (("solve",), {"solver": {"max_newton": 0}}, "iteration caps"),
         (("solve",), {"solver": {"reg_ladder": [1e-2, 1e-4]}},
-         "must end at 0"),
+         "unknown solver key(s): reg_ladder"),
         (("solve",), {"n": "one"}, "n must be an integer"),
         (("solve",), {"resolution": 9.5}, "resolution must be an integer"),
         (("verify", "--check", "comparison"), {"rng_seed": "seven"},
@@ -308,6 +313,20 @@ class TestConfigValidation:
         pytest.param(("solve",), {"boundary": "r2 - 1 + 0 ^ (0 - 1)"},
                      "evaluated to a non-finite value",
                      marks=pytest.mark.filterwarnings("error")),
+        (("solve",), {"boundary": float("nan")},
+         "boundary must be an expression string or a finite number"),
+        (("solve",), {"resolution": 1e300},
+         "is above 11585 (nodes per axis on a box at n = 1)"),
+        (("radial",), {"domain": {"ball": {"radius": 1.0}},
+                       "resolution": 1e300, "boundary": 0.0},
+         "is above 134217728 (mesh intervals on a ball"),
+        (("solve",), {"outputs": {"field_csv": "no/such/dir/u.csv"}},
+         "cannot write output: [Errno 2] No such file or directory"),
+        # r2 overflows on this box; only the rejection is printed
+        pytest.param(("solve",), {"domain": {"box": {"lo": [-0.5, -0.5],
+                                                     "hi": [1e300, 0.5]}}},
+                     "evaluated to a non-finite value",
+                     marks=pytest.mark.filterwarnings("error")),
     ], ids=["box-res-3", "box-res-4", "study-res-4", "ball-res-31",
             "log-x1", "one-over-zero", "power-below-1", "damping",
             "negative-tol", "zero-newton-cap", "open-ladder",
@@ -321,7 +340,9 @@ class TestConfigValidation:
             "power-plus-overflow", "box-extent-overflow",
             "box-extent-overflow-constant-data", "ball-rhs-coordinate",
             "ball-theorem-mode-off", "deep-parentheses", "deep-minus",
-            "deep-power", "zero-to-negative-power"])
+            "deep-power", "zero-to-negative-power", "boundary-nan",
+            "box-res-huge", "ball-mesh-huge", "output-dir-missing",
+            "r2-overflow"])
     def test_invalid_input_exits_2(self, tmp_path, capsys, command,
                                    overrides, needle):
         cfg = write_cfg(tmp_path, **overrides)
@@ -416,6 +437,109 @@ class TestConfigFuzz:
         assert all(type(e) is float and e > 0
                    for e in cfg.verify.get("eps", []))
         assert all(isinstance(v, str) for v in cfg.outputs.values())
+
+
+REQUIRED_KEYS = ("n", "domain", "resolution", "boundary", "rhs")
+# the commands each domain runs, and one that rejects it; each run reads
+# mutated.json from its own working directory
+COMMANDS = {
+    domain: tuple([*cmd[:-1], "mutated.json", *cmd[-1]] for cmd in cmds)
+    for domain, cmds in (
+        ("box", (("solve", ()), ("verify", ("--check", "comparison")),
+                 ("verify", ("--check", "subsolution")),
+                 ("verify", ("--check", "demailly")),
+                 ("verify", ("--check", "uniqueness")),
+                 ("study", "convergence", ()), ("study", "stability", ()),
+                 ("radial", ()))),
+        ("ball", (("radial", ()), ("study", "convergence", ()),
+                  ("solve", ()))))}
+# replacement values: every integer is at most 9, so no mutation makes a
+# box finer than res 9 (the shrunken shipped configs' largest)
+VALUE_POOL = (None, True, False, -1, 0, 1, 2, 3, 5, 9, 0.5, -0.5, 2.5, 1e-3,
+              1e300, -1e300, float("nan"), float("inf"), "", "r2 - 1",
+              "x1", "t", "1/0", "exp(1000)", "abs(", [], [5, 9], [0.5],
+              ["a"], {}, {"family": "constant"})
+
+
+def _shrunk(raw):
+    """A shipped config cut to small work: box resolution at most 9, ball
+    mesh at most 64, 2 comparison pairs (the default is 20)."""
+    ball = "ball" in raw["domain"]
+    raw["resolution"] = min(raw["resolution"], 64 if ball else 9)
+    if "resolutions" in raw.get("study", {}):
+        raw["study"]["resolutions"] = [32, 64] if ball else [5, 9]
+    raw["verify"] = dict(raw.get("verify", {}), pairs=2)
+    return raw
+
+
+def _pool(path):
+    """Replacement values for the key at path; in the verify section
+    neither a larger pair count nor an empty section (20 pairs) is
+    drawn."""
+    if path[0] != "verify":
+        return st.sampled_from(VALUE_POOL)
+    return st.sampled_from([v for v in VALUE_POOL if v != {}
+                            and not (type(v) is int and v > 2)])
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+class TestCliFuzz:
+    """Through main(), a mutated shipped config ends in a documented exit
+    code and never in an exception."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_mutated_config_exit_contract(self, data):
+        with open(data.draw(st.sampled_from(SHIPPED)),
+                  encoding="utf-8") as fh:
+            raw = _shrunk(json.load(fh))
+        argv = data.draw(st.sampled_from(COMMANDS[next(iter(raw["domain"]))]))
+        kind = data.draw(st.sampled_from(("replace",) * 3
+                                         + ("delete", "add")))
+        if kind == "replace":
+            absent = [(key,) for key in OPTIONAL_KEYS if key not in raw]
+            path = data.draw(st.sampled_from(list(_key_paths(raw))
+                                             + absent))
+        elif kind == "delete":
+            path = (data.draw(st.sampled_from(REQUIRED_KEYS)),)
+        else:
+            objects = [()] + [q for q in _key_paths(raw)
+                              if isinstance(_at(raw, q), dict)]
+            path = data.draw(st.sampled_from(objects)) + ("bogus_key",)
+        parent = _at(raw, path[:-1])
+        if kind == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(_pool(path))
+
+        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+            with open("mutated.json", "w", encoding="utf-8") as fh:
+                json.dump(raw, fh)
+            out, err = io.StringIO(), io.StringIO()
+            with (contextlib.redirect_stdout(out),
+                  contextlib.redirect_stderr(err),
+                  warnings.catch_warnings(record=True) as caught):
+                warnings.simplefilter("always")
+                code = main(list(argv))
+        assert code in (0, 1, 2, 3)
+        if code == 2:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ")
+            # a numpy warning would print ahead of the message; the
+            # program's own UserWarnings are diagnostics it means to give
+            assert all(issubclass(w.category, UserWarning) for w in caught), [
+                f"{w.category.__name__}: {w.message}" for w in caught]
+        else:
+            payload = json.loads(out.getvalue())
+            if code == 3:
+                assert payload["error"]
+        if kind in ("delete", "add"):
+            assert code == 2
 
 
 class TestVerify:

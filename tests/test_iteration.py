@@ -1,5 +1,6 @@
 """Outer iteration, balayage, and the subsolution checker."""
 
+import dataclasses
 import os
 
 import numpy as np
@@ -177,7 +178,7 @@ class TestSubsolutionCheck:
     def test_maximal_extension_fails_density_part(self):
         p = cheng_yau_problem(res=9, with_seed=False)
         f = maximal_extension(p.boundary, p.config)
-        rep = subsolution_check(f, p, f=f)
+        rep = subsolution_check(f, p)
         assert not rep.ok_density
         assert rep.ok_upper and rep.ok_psh
         assert not rep.passed
@@ -189,7 +190,7 @@ class TestSubsolutionCheck:
         p = ProblemSpec(boundary=bdry, rhs=ConstantRhs(128.0))
         f = maximal_extension(bdry, p.config)
         u = ScalarField(grid, 2.0 * bdry.values + f.values)
-        rep = subsolution_check(u, p, f=f)
+        rep = subsolution_check(u, p)
         assert rep.passed
 
     def test_report_tolerance_default(self):
@@ -204,12 +205,12 @@ class TestBalayage:
         p = cheng_yau_problem(res=11)
         prep = prepare(p)
         window = ((3, 8),) * 4
-        psi = balayage_step(prep.phi0, window, p, f=prep.f)
+        psi = balayage_step(prep.phi0, window, p)
         slack = 2 * p.config.tol_inner
         assert float((prep.phi0.values - psi.values).max()) <= slack
         # strict improvement somewhere in the sub-box interior
         assert float((psi.values - prep.phi0.values).max()) > 1e-6
-        assert subsolution_check(psi, p, f=prep.f).passed
+        assert subsolution_check(psi, p).passed
         # still below the manufactured global solution
         exact = sq_minus_one(p.grid).values
         assert float((psi.values - exact).max()) <= 1e-6
@@ -218,22 +219,22 @@ class TestBalayage:
         p = cheng_yau_problem(res=11)
         sol = solve_mam(p)
         window = ((3, 8),) * 4
-        psi = balayage_step(sol.u, window, p, f=sol.f)
+        psi = balayage_step(sol.u, window, p)
         assert np.abs(psi.values - sol.u.values).max() <= 1e-6
 
     def test_window_validation(self):
         p = cheng_yau_problem(res=9)
         prep = prepare(p)
         with pytest.raises(ValueError, match="at least 5 nodes"):
-            balayage_step(prep.phi0, ((2, 5),) * 4, p, f=prep.f)
+            balayage_step(prep.phi0, ((2, 5),) * 4, p)
         with pytest.raises(ValueError, match="margin"):
-            balayage_step(prep.phi0, ((1, 7),) * 4, p, f=prep.f)
+            balayage_step(prep.phi0, ((1, 7),) * 4, p)
 
     def test_rejects_non_subsolution_input(self):
         p = cheng_yau_problem(res=9)
         prep = prepare(p)
         with pytest.raises(HypothesisViolation, match="subsolution"):
-            balayage_step(prep.f, ((2, 7),) * 4, p, f=prep.f)
+            balayage_step(prep.f, ((2, 7),) * 4, p)
 
 
 class TestHypothesisEnforcement:
@@ -278,8 +279,10 @@ class TestHypothesisEnforcement:
             prepare(p)
 
     def test_stall_returns_bracket(self):
-        p = cheng_yau_problem(res=7)
-        sol = solve_mam(p, tol_outer=1e-16, max_outer=3)
+        p = dataclasses.replace(
+            cheng_yau_problem(res=7),
+            config=SolverConfig(tol_outer=1e-16, max_outer=3))
+        sol = solve_mam(p)
         assert not sol.converged
         slack = 2 * p.config.tol_inner
         assert float((sol.bracket_lower.values

@@ -17,8 +17,8 @@ from cmasolve.checks import convergence_study
 from cmasolve.cli import main
 from cmasolve.config import load_config
 from cmasolve.grids import DensityField, ScalarField, build_grid, unit_box
-from cmasolve.iteration import (ProblemSpec, prepare, solve_mam,
-                                subsolution_check)
+from cmasolve.iteration import (ProblemSpec, balayage_step, prepare,
+                                solve_mam, subsolution_check)
 from cmasolve.rhs import ConstantRhs, ExponentialRhs, bind_on_grid
 from cmasolve.solvers import maximal_extension, solve_ma_fixed_rhs
 
@@ -67,7 +67,7 @@ def eager(p):
     """u0 and the outer residual tolerance as built with f solved first:
     the density frozen at f, the t-range topped by max f."""
     cfg = p.config
-    f = maximal_extension(p.boundary, cfg, theorem_mode=p.theorem_mode)
+    f = maximal_extension(p.boundary, cfg)
     bound = bind_on_grid(p.rhs, p.grid, p.w_mu)
     u0 = solve_ma_fixed_rhs(bound(f.values[p.grid.interior]), p.boundary,
                             cfg).u
@@ -115,8 +115,7 @@ class TestLazyMatchesEager:
         p = mms(9)
         sol = solve_mam(p)
         assert len(f_calls) == 0
-        expected = maximal_extension(p.boundary, p.config,
-                                     theorem_mode=p.theorem_mode)
+        expected = maximal_extension(p.boundary, p.config)
         assert np.array_equal(sol.f.values, expected.values)
         assert len(f_calls) == 1
         _ = sol.f
@@ -136,3 +135,38 @@ class TestLazyMatchesEager:
         assert lazy.tol_outer_residual == tol_res
         for flag in ("converged", "residual_ok", "sandwich_ok", "chains_ok"):
             assert getattr(lazy, flag) == getattr(ref, flag), flag
+
+
+class TestBindOnce:
+    def test_grid_env_built_only_for_expressions(self, monkeypatch):
+        import cmasolve.rhs
+        from cmasolve.rhs import ExpressionRhs
+
+        grid = build_grid(unit_box(2), 9)
+        calls = []
+        grid_env = cmasolve.rhs.grid_env
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return grid_env(*args, **kwargs)
+
+        monkeypatch.setattr(cmasolve.rhs, "grid_env", counted)
+        bind_on_grid(ConstantRhs(4.0), grid)
+        assert len(calls) == 0
+        bound = bind_on_grid(ExpressionRhs("32 * exp(t + 1 - r2)"), grid)
+        assert len(calls) == 1
+        assert bound(0.0).shape == grid.interior_shape
+
+    def test_solve_and_checks_share_one_binding(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return bind_on_grid(*args, **kwargs)
+
+        monkeypatch.setattr(cmasolve.iteration, "bind_on_grid", counted)
+        p = cheng_yau(11)
+        sol = solve_mam(p)
+        assert subsolution_check(p.v0, p).passed
+        balayage_step(p.v0, ((3, 8),) * 4, p)
+        assert sol.converged and len(calls) == 1

@@ -17,6 +17,10 @@ from cmasolve.linsolve import (
     solve_poisson_system,
 )
 from cmasolve.solvers import (
+    DAMPING,
+    MIN_STEP,
+    PSD_FLOOR,
+    REG_LADDER,
     NewtonIterationError,
     SolverConfig,
     _newton_stage,
@@ -32,24 +36,21 @@ def sq_norm_minus_one(grid):
 
 class TestSolverConfig:
     def test_defaults_valid(self):
-        cfg = SolverConfig()
-        assert cfg.reg_ladder[-1] == 0.0
+        SolverConfig()
+        # the fixed safeguards: a nonincreasing, nonnegative ladder that
+        # ends at the true problem, and backtracking inside (0, 1)
+        assert REG_LADDER[-1] == 0.0 and min(REG_LADDER) >= 0.0
+        assert all(a >= b for a, b in zip(REG_LADDER, REG_LADDER[1:]))
+        assert 0 < DAMPING < 1 and 0 < MIN_STEP < 1 and PSD_FLOOR > 0
 
-    def test_ladder_must_end_at_zero(self):
-        with pytest.raises(ValueError, match="end at 0"):
-            SolverConfig(reg_ladder=(1e-2, 1e-4))
-
-    def test_ladder_must_be_nonincreasing(self):
-        with pytest.raises(ValueError, match="nonincreasing"):
-            SolverConfig(reg_ladder=(1e-4, 1e-2, 0.0))
+    def test_only_tolerances_and_caps(self):
+        import dataclasses
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+            "tol_inner", "max_newton", "tol_outer", "max_outer"]
 
     def test_positive_tolerances(self):
         with pytest.raises(ValueError, match="positive"):
             SolverConfig(tol_inner=0.0)
-
-    def test_theta_range(self):
-        with pytest.raises(ValueError, match="theta"):
-            SolverConfig(theta=1.5)
 
 
 class TestPoisson:
@@ -312,9 +313,9 @@ class TestEigenvalueGuard:
 
         x, lam1, iters, evaluated = self.stage(script, 1e-2)
         assert (x, lam1, iters) == (0.5, -1.0, 1)
-        # backtracking ran down to min_step looking for a psh trial
+        # backtracking ran down to MIN_STEP looking for a psh trial
         assert len(evaluated) == 15
-        assert min(evaluated[1:]) >= self.cfg.min_step
+        assert min(evaluated[1:]) >= MIN_STEP
 
     @pytest.mark.parametrize("lam_full, taken", [(-4e-10, 1.0), (-9e-6, 1.0),
                                                   (-2e-5, 0.5)])
@@ -362,14 +363,20 @@ class TestMaximalExtension:
         assert res.psh_defect <= 1e-12
 
     def test_positive_boundary_rejected_in_theorem_mode(self):
+        # the problem checks the sign; the extension itself checks none
+        from cmasolve.errors import HypothesisViolation
+        from cmasolve.iteration import ProblemSpec
+        from cmasolve.rhs import ConstantRhs
         g = build_grid(unit_box(2), 7)
         bdry = ScalarField(g, np.full(g.shape, 0.25))
-        from cmasolve.errors import HypothesisViolation
         with pytest.raises(HypothesisViolation, match="nonpositive"):
-            maximal_extension(bdry)
+            ProblemSpec(boundary=bdry, rhs=ConstantRhs(32.0))
+        p = ProblemSpec(boundary=bdry, rhs=ConstantRhs(32.0),
+                        theorem_mode=False)
         with pytest.warns(UserWarning, match="nonpositive"):
-            f = maximal_extension(bdry, theorem_mode=False)
+            f = p.f
         assert np.abs(f.values - 0.25).max() <= 1e-6
+        assert np.array_equal(maximal_extension(bdry).values, f.values)
 
     def test_n1_harmonic(self):
         g = build_grid(unit_box(1), 17)
