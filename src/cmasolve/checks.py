@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import HypothesisViolation, SolverError
 from .grids import (DensityField, ScalarField, _clamped_density,
-                    _det_and_eigenvalues, _hessian_entries, ma_density)
+                    _density_or_inf, _det_and_eigenvalues, _hessian_entries,
+                    _psh_defect, ma_density)
 from .iteration import ProblemSpec, prepare, solve_mam
 from .solvers import SolverConfig, solve_ma_fixed_rhs
 
@@ -175,7 +176,7 @@ def demailly_max_check(u1: ScalarField, u2: ScalarField,
         entries = _hessian_entries(field.values, grid.spacing)
         det, lam, _ = _det_and_eigenvalues(entries)
         spectral = _max_abs_row_sum(entries)
-        defect = float(max(0.0, -lam.min()))
+        defect = _psh_defect(lam)
         if defect > 10.0 * h2 * (1.0 + spectral):
             raise HypothesisViolation(
                 f"{label} has psh defect {defect:.3e} against spectral "
@@ -269,8 +270,11 @@ def stability_experiment(p: ProblemSpec, perturbations) -> StabilityTable:
             "perturbed densities are capped by the density of v0")
 
     h_base = p.bound(np.zeros(grid.interior_shape))
-    cap, _ = ma_density(p.v0)
-    slack = 1e-9 * (1.0 + float(cap.values.max(initial=0.0)))
+    # an overflowing cap is +inf there and caps nothing; the slack comes
+    # from the finite part
+    cap, _ = _density_or_inf(p.v0)
+    slack = 1e-9 * (1.0 + float(cap.max(initial=0.0,
+                                        where=np.isfinite(cap))))
     shape = _sin_shape(grid)
 
     densities = []
@@ -280,14 +284,14 @@ def stability_experiment(p: ProblemSpec, perturbations) -> StabilityTable:
             raise HypothesisViolation(
                 f"perturbation {delta:g} makes the density negative",
                 "nonnegative density")
-        excess = float((hj - cap.values).max())
+        excess = float((hj - cap).max())
         if excess > slack:
             raise HypothesisViolation(
                 f"perturbation {delta:g} exceeds the control cap by "
                 f"{excess:.3e}; without the cap the perturbed solutions "
                 "need not converge",
                 "perturbed densities are capped by the density of v0")
-        densities.append(np.minimum(hj, cap.values))
+        densities.append(np.minimum(hj, cap))
 
     base = solve_ma_fixed_rhs(DensityField(grid, h_base), p.boundary, cfg)
     cell = grid.cell_volume

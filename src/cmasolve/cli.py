@@ -352,6 +352,11 @@ def main(argv=None) -> int:
         _emit({"command": args.command, "error": str(exc),
                "converged": False})
         return EXIT_SOLVER_FAILED
+    except MemoryError:
+        # a resolution under config.MAX_NODES can still outgrow the machine
+        print("error: not enough memory for this problem; lower its "
+              "resolution", file=sys.stderr)
+        return EXIT_BAD_CONFIG
 
 
 if __name__ == "__main__":

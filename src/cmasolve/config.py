@@ -8,8 +8,8 @@ holds typed values; RunConfig.build_problem assembles
 the ProblemSpec or RadialProblemSpec the subcommands run on.  Bounds on
 numbers are those of the objects the config becomes (the grid, the
 radial mesh, the rhs family, SolverConfig), plus MAX_NODES on the size
-of a grid or mesh; load_config and build_problem apply them and report
-a violation as a ConfigError.
+of a grid or mesh and MAX_PAIRS on the comparison pairs; load_config and
+build_problem apply them and report a violation as a ConfigError.
 """
 
 from __future__ import annotations
@@ -33,6 +33,9 @@ __all__ = ["ConfigError", "RunConfig", "load_config"]
 # most nodes a box grid or ball mesh may have: one field of them fills
 # 1 GiB, and larger counts would fail to allocate, or overflow, mid-run
 MAX_NODES = 2 ** 27
+# most constant-density pairs `verify --check comparison` may solve: each
+# is two solves, and a count like 1e300 would otherwise run without end
+MAX_PAIRS = 1000
 
 _TOP_KEYS = {
     "n", "domain", "resolution", "boundary", "rhs", "mu_density",
@@ -297,6 +300,8 @@ def _parse_verify(raw) -> dict:
     if "pairs" in verify:
         verify["pairs"] = _integer(verify["pairs"], "verify.pairs")
         _require(verify["pairs"] >= 1, "verify.pairs must be at least 1")
+        _require(verify["pairs"] <= MAX_PAIRS,
+                 f"verify.pairs must be at most {MAX_PAIRS}")
     if "eps" in verify:
         # smoothing widths of the regularized maximum
         verify["eps"] = _list_of(_positive, verify["eps"], "verify.eps")
@@ -310,8 +315,13 @@ def load_config(path) -> RunConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError("config is not valid JSON: it nests too deeply "
+                          "to parse") from exc
     _require(isinstance(raw, dict), "config root must be a JSON object")
     _check_keys(raw, _TOP_KEYS, "config")
     for key in ("n", "domain", "resolution", "boundary", "rhs"):

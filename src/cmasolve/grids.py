@@ -309,11 +309,34 @@ def ma_density(u: ScalarField) -> MaDensity:
     measure density, and the departure from plurisubharmonicity is
     surfaced as psh_defect = max over nodes of max(0, -lambda_min(H)).
     """
-    det, lam, _ = _det_and_eigenvalues(_hessian_entries(u.values,
-                                                       u.grid.spacing))
-    defect = float(max(0.0, -lam.min())) if lam.size else 0.0
-    return MaDensity(DensityField(u.grid, _clamped_density(det, u.grid.n)),
-                     defect)
+    dens, defect = _density_or_inf(u)
+    return MaDensity(DensityField(u.grid, dens), defect)
+
+
+def _density_or_inf(u: ScalarField) -> tuple:
+    """ma_density as (array, psh defect) with a value that overflows (inf,
+    or the NaN of inf - inf) set to +inf instead of rejected; a NaN
+    eigenvalue makes the psh defect inf.
+
+    Where a density need only dominate data, as a subsolution's or a
+    control cap's does, a density too large for floating point does.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        det, lam, _ = _det_and_eigenvalues(_hessian_entries(u.values,
+                                                           u.grid.spacing))
+        dens = _clamped_density(det, u.grid.n)
+    dens[~np.isfinite(dens)] = np.inf
+    return dens, _psh_defect(lam)
+
+
+def _psh_defect(lam: np.ndarray) -> float:
+    """max over nodes of max(0, -lambda_min), or inf when an eigenvalue
+    is NaN: an overflowed Hessian (inf - inf) cannot be certified psh."""
+    if not lam.size:
+        return 0.0
+    if np.isnan(lam).any():
+        return np.inf
+    return float(max(0.0, -lam.min()))
 
 
 def _clamped_density(det: np.ndarray, n: int) -> np.ndarray:

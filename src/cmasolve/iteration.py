@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import HypothesisViolation
-from .grids import Box, Grid, ScalarField, ma_density
+from .grids import Box, Grid, ScalarField, _density_or_inf, ma_density
 from .radial import RadialProfile, _finish, radial_residual, solve_radial
 from .rhs import BoundRhs, bind_on_grid, bind_on_mesh
 from .solvers import SolverConfig, maximal_extension, solve_ma_fixed_rhs
@@ -435,13 +435,14 @@ def _solve_mam_radial(p: RadialProblemSpec):
 def subsolution_check(u: ScalarField, p: ProblemSpec) -> SubsolutionReport:
     """Membership check: density dominates G(u, .), u sits below the
     problem's maximal extension f, and u is discretely psh, all within
-    tol = 10 h^2 (1 + max G)."""
+    tol = 10 h^2 (1 + max G).  A density that overflows counts as +inf,
+    so the other two parts decide."""
     grid = p.grid
     if u.grid != grid:
         raise ValueError("field lives on a different grid")
     g_at_u = p.bound(u.values[grid.interior])
-    dens, defect = ma_density(u)
-    margin = float((dens.values - g_at_u).min())
+    dens, defect = _density_or_inf(u)
+    margin = float((dens - g_at_u).min())
     upper_gap = float((u.values - p.f.values).max())
     h = max(grid.spacing)
     tol = 10.0 * h ** 2 * (1.0 + float(g_at_u.max()))

@@ -11,9 +11,10 @@ an array over the mesh nodes r < R.  A solution-dependent right-hand side
 is frozen at each iterate by the outer loop (iteration._picard), so F's
 hypotheses are checked only where it is bound (rhs.BoundRhs).  The
 discrete system is solved by the grid solver's damped Newton loop and
-regularization ladder (solvers._walk_ladder) with a tridiagonal Jacobian:
-radial iterates take no eigenvalue guard and no psh test, and the ladder
-starts from the quadratic profile of the mean density.
+regularization ladder (solvers._walk_ladder) with a tridiagonal Jacobian,
+each correction one call of LAPACK's tridiagonal solver gtsv: radial
+iterates take no eigenvalue guard and no psh test, and the ladder starts
+from the quadratic profile of the mean density.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .solvers import (PSD_FLOOR, NewtonStagnationError, SolverConfig,
                       _frozen_density, _walk_ladder)
@@ -82,7 +83,8 @@ def _residual_parts(n, w, h, r):
 
 
 def _jacobian_bands(n, h, r, A, B, floor):
-    """Tridiagonal Jacobian of the operator.
+    """Tridiagonal Jacobian of the operator as one (3, M) array whose rows
+    are lower (coupling to node i-1), diag and upper (to node i+1).
 
     B is floored inside the coefficients so the linearization stays
     invertible where the profile flattens; the floor never enters the
@@ -92,9 +94,8 @@ def _jacobian_bands(n, h, r, A, B, floor):
     m = A.size
     Bf = np.maximum(B, floor)
     Bp = np.power(Bf, n - 1)
-    lower = np.zeros(m)   # coupling to node i-1
-    diag = np.empty(m)
-    upper = np.zeros(m)   # coupling to node i+1
+    bands = np.zeros((3, m))
+    lower, diag, upper = bands
 
     # axis row: F0 = n! (2 vpp0)^n, so dF0 = 2 n! n (2 vpp0)^{n-1} d(vpp0)
     base0 = 2.0 * fact * n * np.power(np.maximum(B[0], floor), n - 1)
@@ -111,16 +112,19 @@ def _jacobian_bands(n, h, r, A, B, floor):
     diag[1:] = main * (-2.0 / h ** 2)
     upper[1:] = main * dA_dn + cross * dB_dn
     lower[1:] = main * dA_dp - cross * dB_dn
-    return lower, diag, upper
+    return bands
 
 
 def _solve_tridiag(lower, diag, upper, rhs_vec):
-    m = diag.size
-    ab = np.zeros((3, m))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
-    return solve_banded((1, 1), ab, rhs_vec)
+    """Solve the tridiagonal system by LAPACK's gtsv (elimination with
+    partial pivoting), the routine solve_banded runs for (1, 1) bands,
+    without its per-call copies and finiteness checks; rhs_vec is
+    overwritten.  A zero pivot raises LinAlgError."""
+    *_, x, info = dgtsv(lower[1:], diag, upper[:-1], rhs_vec,
+                        overwrite_b=True)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    return x
 
 
 class _RadialNewton:
@@ -149,15 +153,15 @@ class _RadialNewton:
         if eps > 0:
             # at a regularized solution B sits near (eps/norm)^{1/n}-scale
             floor = max(floor, 0.25 * (eps / self.norm) ** (1.0 / self.n))
-        lower, diag, upper = _jacobian_bands(self.n, self.h, self.r, A, B,
-                                             floor)
+        bands = _jacobian_bands(self.n, self.h, self.r, A, B, floor)
         try:
-            step = _solve_tridiag(lower, diag, upper, -F)
+            step = _solve_tridiag(*bands, -F)
         except np.linalg.LinAlgError as exc:
             raise NewtonStagnationError(
                 rsup, np.array(w),
                 "radial linearization is singular") from exc
-        if not np.all(np.isfinite(step)):
+        # gtsv checks no input: an infinite band can yield a finite step
+        if not (np.all(np.isfinite(step)) and np.all(np.isfinite(bands))):
             raise NewtonStagnationError(rsup, np.array(w),
                                         "radial Newton step is not finite")
         return step

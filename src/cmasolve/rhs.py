@@ -125,6 +125,11 @@ class ExpressionRhs:
 _SEPARABLE = (ConstantRhs, ExponentialRhs, PowerPlusRhs)
 
 
+def _non_finite():
+    return HypothesisViolation("right-hand side takes non-finite values",
+                               "F(t, z) finite")
+
+
 class BoundRhs:
     """A right-hand side sampled on a fixed node set.
 
@@ -161,8 +166,7 @@ class BoundRhs:
         out = np.broadcast_to(out, np.broadcast_shapes(out.shape,
                                                        self.shape)).copy()
         if not np.all(np.isfinite(out)):
-            raise HypothesisViolation(
-                "right-hand side takes non-finite values", "F(t, z) finite")
+            raise _non_finite()
         floor = -1e-9 * (1.0 + np.abs(out).max())
         if out.min() < floor:
             raise HypothesisViolation("right-hand side takes negative values",
@@ -181,13 +185,40 @@ class BoundRhs:
     def validate(self, t_lo: float, t_hi: float) -> float:
         """Sampled hypothesis checks over [t_lo, t_hi]; returns Lip_t(G).
 
-        Walks the t-grid one sample at a time so memory stays at two node
-        arrays regardless of grid size.
+        G is checked finite, nonnegative and nondecreasing at T_SAMPLES
+        values t_j of t, and Lip_t(G) is the largest sampled increase
+        max over j and nodes of (G(t_j) - G(t_{j-1})) / dt.  How G is
+        sampled depends on its structure; the result, and which
+        violation is raised, are those of evaluating G on every node at
+        every sample:
+
+        - G independent of t is evaluated once, at t_lo: every sample
+          equals that one, so no increase or decrease is possible and
+          Lip_t(G) is 0.
+        - A separable G = T(t) w (constant, exponential and power_plus
+          families) samples T alone in one vector call; w is finite and
+          nonnegative from bind time, and T is nondecreasing by the
+          family's constructor checks (kappa >= 0, p >= 1), so only
+          overflow and Lip_t(G) are left to sample.  Products with w round
+          monotonically, so T_j w overflows where T_j w_max does, and
+          T_j w - T_{j-1} w peaks at w_max, except at weights so close
+          to w_max that the two roundings outweigh |T_j - T_{j-1}| times
+          their distance to it.  Those few weights are taken exactly.
+        - An expression in t (or a separable G with many such weights)
+          is walked one sample at a time, so memory stays at two node
+          arrays regardless of grid size.
         """
         if not (np.isfinite(t_lo) and np.isfinite(t_hi) and t_lo < t_hi):
             raise ValueError("invalid t-range for hypothesis sampling")
         ts = np.linspace(t_lo, t_hi, T_SAMPLES)
         dt = ts[1] - ts[0]
+        if self.t_independent:
+            self(ts[0])
+            return 0.0
+        if self._expr is None:
+            lip = self._separable_lip(ts, dt)
+            if lip is not None:
+                return lip
         prev = self(ts[0])
         lip = 0.0
         for tj in ts[1:]:
@@ -203,6 +234,33 @@ class BoundRhs:
         # finite-mass surrogate: every sampled slice must have finite values
         # (already enforced nodewise in __call__), hence finite integral
         return lip
+
+    def _separable_lip(self, ts, dt):
+        """validate on G = T(t) w from T alone and the weights near w_max,
+        or None when more than T_SAMPLES distinct weights are that near."""
+        w = self.spatial
+        w_max = float(w.max())
+        # an overflow of G surfaces as a non-finite g
+        with np.errstate(over="ignore", invalid="ignore"):
+            temporal = self.family.temporal(ts)
+            g = temporal * w_max
+            if not np.all(np.isfinite(g)):
+                raise _non_finite()
+            a, b = temporal[1:], temporal[:-1]
+            gap = np.abs(a - b)
+            moved = gap > 0
+            # the products a w, b w, a w_max and b w_max round by at most
+            # eps/2 of themselves plus half the least subnormal each, err
+            # in all, so a weight more than err / gap below w_max cannot
+            # round past it; reach doubles that bound.  err is built from
+            # the finite g, and a sum that overflows takes every weight
+            err = np.finfo(float).eps * (g[1:] + g[:-1]) + 2.0 ** -1073
+            reach = 2.0 * float((err[moved] / gap[moved]).max(initial=0.0))
+        near = np.unique(w[w >= w_max - reach])
+        if near.size > T_SAMPLES:
+            return None
+        diff = np.multiply.outer(a, near) - np.multiply.outer(b, near)
+        return max(0.0, float(diff.max()) / dt)
 
 
 def _bind(family, n: int, env: dict | None, shape: tuple, w_mu,

@@ -327,6 +327,36 @@ class TestConfigValidation:
                                                      "hi": [1e300, 0.5]}}},
                      "evaluated to a non-finite value",
                      marks=pytest.mark.filterwarnings("error")),
+        # bytes are the whole config file
+        (("solve",), b'\xff\xfe{"n": 1}', "config is not valid UTF-8"),
+        (("solve",), b"[" * 100000 + b"]" * 100000,
+         "config is not valid JSON: it nests too deeply to parse"),
+        # seed densities overflow; at n = 2 an overflowed Hessian is not
+        # certified psh (psh defect inf), which rejects the psh seed
+        # 1e200 * (r2 - 1) as well as the concave -1e308 * r2, whose
+        # eigenvalues are the NaN of inf - inf; at n = 1 the above-f
+        # part fails
+        pytest.param(("solve",), {
+            "n": 2, "domain": {"box": {"lo": [-0.5] * 4, "hi": [0.5] * 4}},
+            "resolution": 5, "rhs": {"family": "constant", "weight": 32.0},
+            "subsolution_seed": "1e200 * (r2 - 1)"},
+            "psh defect inf", marks=pytest.mark.filterwarnings("error")),
+        pytest.param(("solve",), {
+            "n": 2, "domain": {"box": {"lo": [-0.5] * 4, "hi": [0.5] * 4}},
+            "resolution": 5, "boundary": "0",
+            "rhs": {"family": "constant", "weight": 32.0},
+            "subsolution_seed": "-1e308 * r2"},
+            "psh defect inf", marks=pytest.mark.filterwarnings("error")),
+        pytest.param(("solve",), {"rhs": {"family": "constant",
+                                          "weight": 4.0},
+                                  "subsolution_seed": "1e308 * r2"},
+                     "above-f gap 5.000e+307",
+                     marks=pytest.mark.filterwarnings("error")),
+        # 1e300 pairs would run without end
+        (("verify", "--check", "comparison"), {"verify": {"pairs": 1e300}},
+         "verify.pairs must be at most 1000"),
+        (("verify", "--check", "comparison"), {"verify": {"pairs": 1001}},
+         "verify.pairs must be at most 1000"),
     ], ids=["box-res-3", "box-res-4", "study-res-4", "ball-res-31",
             "log-x1", "one-over-zero", "power-below-1", "damping",
             "negative-tol", "zero-newton-cap", "open-ladder",
@@ -342,14 +372,77 @@ class TestConfigValidation:
             "ball-theorem-mode-off", "deep-parentheses", "deep-minus",
             "deep-power", "zero-to-negative-power", "boundary-nan",
             "box-res-huge", "ball-mesh-huge", "output-dir-missing",
-            "r2-overflow"])
+            "r2-overflow", "config-not-utf8", "config-nested-100000",
+            "seed-density-overflow-n2", "seed-density-overflow-n2-concave",
+            "seed-density-overflow-n1",
+            "pairs-1e300", "pairs-1001"])
     def test_invalid_input_exits_2(self, tmp_path, capsys, command,
                                    overrides, needle):
-        cfg = write_cfg(tmp_path, **overrides)
+        if isinstance(overrides, bytes):
+            path = tmp_path / "run.json"
+            path.write_bytes(overrides)
+            cfg = str(path)
+        else:
+            cfg = write_cfg(tmp_path, **overrides)
         code, out, err = run(capsys, *command, cfg)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and needle in err
+
+
+class TestOverflowingSeedDensity:
+    """A seed whose Monge-Ampere density overflows is checked, not
+    crashed on: the density counts as +inf."""
+
+    def test_subsolution_check_reports(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, rhs={"family": "constant", "weight": 4.0},
+                        subsolution_seed="1e308 * r2")
+        code, out, _ = run(capsys, "verify", "--check", "subsolution", cfg)
+        assert code == 1
+        (row,) = json.loads(out)["checks"]
+        assert row["margin"] == float("inf")
+        assert row["upper_gap"] > row["tol"]
+        assert row["passed"] is False
+
+    def test_nan_eigenvalues_are_not_psh(self, tmp_path, capsys):
+        # -1e308 * r2 is concave; its second differences are all -inf,
+        # so h11 - h22 is NaN, and NaN must not read as psh defect 0
+        cfg = write_cfg(tmp_path, n=2, resolution=5, boundary="0",
+                        domain={"box": {"lo": [-0.5] * 4, "hi": [0.5] * 4}},
+                        rhs={"family": "constant", "weight": 32.0},
+                        subsolution_seed="-1e308 * r2")
+        code, out, _ = run(capsys, "verify", "--check", "subsolution", cfg)
+        assert code == 1
+        (row,) = json.loads(out)["checks"]
+        assert row["psh_defect"] == float("inf")
+        assert row["passed"] is False
+
+    def test_stability_reads_an_infinite_cap(self, tmp_path, capsys):
+        # the stability study reads the seed only as a density cap, and
+        # +inf caps every perturbation
+        cfg = write_cfg(tmp_path, rhs={"family": "constant", "weight": 4.0},
+                        subsolution_seed="1e308 * r2",
+                        study={"perturbations": [0.5, 0.25]},
+                        outputs={"study_csv": str(tmp_path / "s.csv")})
+        code, out, _ = run(capsys, "study", "stability", cfg)
+        assert code == 0
+        assert len(json.loads(out)["rows"]) == 2
+
+
+@pytest.mark.parametrize("error", [
+    MemoryError(),
+    # numpy's allocation failure; building it allocates nothing
+    np._core._exceptions._ArrayMemoryError((1 << 40,), np.dtype(float)),
+])
+def test_memory_error_exits_2(tmp_path, capsys, monkeypatch, error):
+    def out_of_memory(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("cmasolve.iteration.solve_mam", out_of_memory)
+    code, out, err = run(capsys, "solve", write_cfg(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: not enough memory")
 
 
 def test_long_sum_expression_runs(tmp_path, capsys):

@@ -6,7 +6,9 @@ import time
 import numpy as np
 import pytest
 import sympy as sp
+from scipy.linalg import solve_banded
 
+import cmasolve.radial
 import cmasolve.solvers
 from cmasolve.errors import HypothesisViolation, SolverError
 from cmasolve.iteration import RadialProblemSpec, solve_mam
@@ -164,3 +166,46 @@ class TestNewtonFailures:
         with pytest.raises(NewtonIterationError):
             solve_radial(2, dens, 0.0, 1.0, mesh=64,
                          cfg=SolverConfig(max_newton=3))
+
+
+class TestTridiagonalSolve:
+    @pytest.mark.parametrize("m", [32, 512, 1024])
+    def test_bit_equal_to_solve_banded(self, m):
+        rng = np.random.default_rng(m)
+        for _ in range(5):
+            lower, diag, upper, rhs = rng.standard_normal((4, m))
+            ab = np.zeros((3, m))
+            ab[0, 1:] = upper[:-1]
+            ab[1] = diag
+            ab[2, :-1] = lower[1:]
+            expected = solve_banded((1, 1), ab, rhs)
+            step = cmasolve.radial._solve_tridiag(lower, diag, upper,
+                                                  rhs.copy())
+            assert np.array_equal(step, expected)
+
+    def newton_correction(self, monkeypatch, bands):
+        mesh = 64
+        backend = cmasolve.radial._RadialNewton(
+            2, np.full(mesh, 32.0), 0.0, 1.0, mesh)
+        w = backend.surrogate(0.0)
+        rsup, _, state = backend.evaluate(w, 0.0)
+        monkeypatch.setattr(cmasolve.radial, "_jacobian_bands",
+                            lambda *args: bands(mesh))
+        return backend.correct(w, state, rsup, 0.0)
+
+    def test_singular_bands_stagnate(self, monkeypatch):
+        with pytest.raises(NewtonStagnationError,
+                           match="radial linearization is singular"):
+            self.newton_correction(monkeypatch, lambda m: np.zeros((3, m)))
+
+    @pytest.mark.parametrize("row, value", [(0, np.inf), (1, np.inf),
+                                            (2, -np.inf), (1, np.nan)])
+    def test_non_finite_bands_stagnate(self, monkeypatch, row, value):
+        def bands(m):
+            out = np.ones((3, m))
+            out[1] = 4.0
+            out[row, m // 2] = value
+            return out
+
+        with pytest.raises(NewtonStagnationError, match="not finite"):
+            self.newton_correction(monkeypatch, bands)
