@@ -6,12 +6,21 @@ convergence or stability harness and writes its CSV table.  Exit codes:
 0 success, 1 a check failed, 2 the configuration (or one of its
 hypotheses) was rejected, 3 the solver failed.  Summaries carry no
 timing fields, so identical configs and rng_seed give identical output.
+
+Stdout is strict JSON (RFC 8259): a non-finite number is printed as the
+string "Infinity", "-Infinity" or "NaN", which float() reads back.
+
+The argument parser is built once per process and reused by every call
+of main, so a process that runs many short commands in turn parses each
+with the same parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 
@@ -45,17 +54,26 @@ def _keep_freed_heap():
             mallopt(-1, 64 << 20)    # M_TRIM_THRESHOLD: keep 64 MiB freed
 
 
-def _json_default(obj):
-    # numpy scalars (bool_, float64, ...) all expose .item()
-    item = getattr(obj, "item", None)
+def _plain(node):
+    """node as plain JSON data: numpy scalars (bool_, float64, ...) by
+    their .item(), and every non-finite float as the string "Infinity",
+    "-Infinity" or "NaN"."""
+    if isinstance(node, dict):
+        return {key: _plain(value) for key, value in node.items()}
+    if isinstance(node, (list, tuple)):
+        return [_plain(value) for value in node]
+    item = getattr(node, "item", None)
     if callable(item):
-        return item()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
+        node = item()
+    if isinstance(node, float) and not math.isfinite(node):
+        return "NaN" if math.isnan(node) else (
+            "Infinity" if node > 0 else "-Infinity")
+    return node
 
 
 def _emit(payload: dict):
-    json.dump(payload, sys.stdout, sort_keys=True, indent=2,
-              default=_json_default)
+    json.dump(_plain(payload), sys.stdout, sort_keys=True, indent=2,
+              allow_nan=False)
     sys.stdout.write("\n")
 
 
@@ -69,10 +87,10 @@ def _dump_fields(field, outputs: dict):
 
 
 def _write_profile_csv(profile, path):
+    rows = "".join(f"{r!r},{v!r}\n" for r, v in
+                   zip(profile.r.tolist(), profile.values.tolist()))
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("r,v\n")
-        for r, v in zip(profile.r, profile.values):
-            fh.write(f"{float(r)!r},{float(v)!r}\n")
+        fh.write("r,v\n" + rows)
 
 
 def _emit_solution(payload: dict, converged: bool) -> int:
@@ -298,6 +316,7 @@ def _cmd_study(cfg, kind: str) -> int:
     return EXIT_OK if table.report.passed else EXIT_CHECK_FAILED
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cmasolve",

@@ -24,7 +24,7 @@ import numpy as np
 from .expressions import grid_env, parse_expression, radial_env
 from .grids import MIN_RESOLUTION, Box, GridError, ScalarField, build_grid
 from .iteration import ProblemSpec, RadialProblemSpec
-from .radial import MIN_MESH
+from .radial import MIN_MESH, _radial_mesh
 from .rhs import ConstantRhs, ExponentialRhs, ExpressionRhs, PowerPlusRhs
 from .solvers import SolverConfig
 
@@ -167,7 +167,7 @@ class RunConfig:
         weight = self.rhs_spec.get("weight", 1.0)
         if ball:
             # weights live on the unknown mesh nodes r < R
-            r = np.linspace(0.0, self.radius, res + 1)[:-1]
+            r = _radial_mesh(self.radius, res).r[:-1]
             env = radial_env(r)
             weight = self._sample(weight, env, r.shape)
             mu = self._sample(self.mu_src, env, r.shape)
@@ -199,7 +199,7 @@ class RunConfig:
         _require(src is not None,
                  "convergence studies need study.exact in the config")
         if isinstance(problem, RadialProblemSpec):
-            r = np.linspace(0.0, problem.R, problem.mesh + 1)
+            r = _radial_mesh(problem.R, problem.mesh).r
             return self._sample(src, radial_env(r), r.shape)
         return self._sample(src, grid_env(problem.grid), problem.grid.shape)
 

@@ -38,7 +38,8 @@ import numpy as np
 
 from .errors import HypothesisViolation
 from .grids import Box, Grid, ScalarField, _density_or_inf, ma_density
-from .radial import RadialProfile, _finish, radial_residual, solve_radial
+from .radial import (RadialProfile, _finish, _radial_mesh, radial_residual,
+                     solve_radial)
 from .rhs import BoundRhs, bind_on_grid, bind_on_mesh
 from .solvers import SolverConfig, maximal_extension, solve_ma_fixed_rhs
 
@@ -400,8 +401,9 @@ def solve_mam(p, init: ScalarField | None = None):
 
 def _solve_mam_radial(p: RadialProblemSpec):
     cfg = p.config
-    r = np.linspace(0.0, p.R, p.mesh + 1)
-    bound = bind_on_mesh(p.rhs, r[:-1], p.w_mu)
+    # the mesh every Picard step solves on, built once for the problem
+    grid = _radial_mesh(float(p.R), p.mesh)
+    bound = bind_on_mesh(p.rhs, grid.r[:-1], p.w_mu)
 
     def solve(dens, init=None):
         prof = solve_radial(p.n, dens, p.boundary_value, p.R, p.mesh, cfg,
@@ -419,8 +421,7 @@ def _solve_mam_radial(p: RadialProblemSpec):
     u, converged, steps, history, _, _, chains_ok = _picard(
         solve, slice(None, -1), bound, cfg, u0)
     last = history[-1]
-    prof = _finish(r, u, last.inner_residual, last.newton_iters,
-                   p.R / p.mesh)
+    prof = _finish(grid, u, last.inner_residual, last.newton_iters)
 
     final_residual = radial_residual(p.n, prof.values, p.R,
                                      bound(prof.values[:-1]))

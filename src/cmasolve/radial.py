@@ -15,12 +15,20 @@ regularization ladder (solvers._walk_ladder) with a tridiagonal Jacobian,
 each correction one call of LAPACK's tridiagonal solver gtsv: radial
 iterates take no eigenvalue guard and no psh test, and the ladder starts
 from the quadratic profile of the mean density.
+
+What depends only on (R, mesh), the node radii, the spacing and the
+r-only coefficients of the Jacobian, is built once per mesh as read-only
+arrays (_radial_mesh) and shared by every Newton step, every Picard step
+of one radial problem and the returned profile.  The memo holds one mesh,
+the last one asked for.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -60,7 +68,39 @@ class RadialProfile:
         return np.interp(rq, self.r, self.values)
 
 
-def _residual_parts(n, w, h, r):
+class _RadialMesh(NamedTuple):
+    """The input-independent part of a radial solve on [0, R] with mesh
+    intervals: node radii r (mesh + 1 of them), spacing h, and the r-only
+    Jacobian coefficients at the nodes 1 .. mesh - 1: dA_dn and dA_dp, the
+    derivatives of A = vpp + vp/r in the values at nodes i+1 and i-1, and
+    dB_dn, that of B = 2 vp/r in the value at node i+1.  All arrays are
+    read-only."""
+
+    r: np.ndarray
+    h: float
+    dA_dn: np.ndarray
+    dA_dp: np.ndarray
+    dB_dn: np.ndarray
+
+
+@lru_cache(maxsize=1)
+def _radial_mesh(R: float, mesh: int) -> _RadialMesh:
+    """The mesh record of [0, R] with mesh intervals; a repeated call with
+    the same (R, mesh) returns the record it built last.  Callers pass R
+    as a Python float, since a 0-d numpy radius does not hash."""
+    h = R / mesh
+    r = np.linspace(0.0, R, mesh + 1)
+    ri = r[1:-1]
+    grid = _RadialMesh(r, h,
+                       dA_dn=1.0 / h ** 2 + 1.0 / (2.0 * h * ri),
+                       dA_dp=1.0 / h ** 2 - 1.0 / (2.0 * h * ri),
+                       dB_dn=1.0 / (h * ri))
+    for arr in (grid.r, grid.dA_dn, grid.dA_dp, grid.dB_dn):
+        arr.setflags(write=False)
+    return grid
+
+
+def _residual_parts(n, w, grid: _RadialMesh):
     """Operator value and the A, B factors at the M unknown nodes.
 
     w holds all M+1 node values (w[-1] is the fixed boundary value).
@@ -68,6 +108,7 @@ def _residual_parts(n, w, h, r):
     to 2 vpp there.
     """
     fact = math.factorial(n)
+    h, r = grid.h, grid.r
     vpp = np.empty(w.size - 1)
     A = np.empty_like(vpp)
     B = np.empty_like(vpp)
@@ -82,7 +123,7 @@ def _residual_parts(n, w, h, r):
     return op, A, B
 
 
-def _jacobian_bands(n, h, r, A, B, floor):
+def _jacobian_bands(n, grid: _RadialMesh, A, B, floor):
     """Tridiagonal Jacobian of the operator as one (3, M) array whose rows
     are lower (coupling to node i-1), diag and upper (to node i+1).
 
@@ -91,6 +132,7 @@ def _jacobian_bands(n, h, r, A, B, floor):
     residual itself.
     """
     fact = math.factorial(n)
+    h = grid.h
     m = A.size
     Bf = np.maximum(B, floor)
     Bp = np.power(Bf, n - 1)
@@ -102,16 +144,12 @@ def _jacobian_bands(n, h, r, A, B, floor):
     diag[0] = base0 * (-2.0 / h ** 2)
     upper[0] = base0 * (2.0 / h ** 2)
 
-    ri = r[1:-1]
-    dA_dn = 1.0 / h ** 2 + 1.0 / (2.0 * h * ri)   # neighbor i+1
-    dA_dp = 1.0 / h ** 2 - 1.0 / (2.0 * h * ri)   # neighbor i-1
-    dB_dn = 1.0 / (h * ri)
     cross = fact * A[1:] * (n - 1) * np.power(Bf[1:], n - 2) if n >= 2 \
         else np.zeros(m - 1)
     main = fact * Bp[1:]
     diag[1:] = main * (-2.0 / h ** 2)
-    upper[1:] = main * dA_dn + cross * dB_dn
-    lower[1:] = main * dA_dp - cross * dB_dn
+    upper[1:] = main * grid.dA_dn + cross * grid.dB_dn
+    lower[1:] = main * grid.dA_dp - cross * grid.dB_dn
     return bands
 
 
@@ -135,15 +173,14 @@ class _RadialNewton:
 
     def __init__(self, n, density, bval, R, mesh):
         self.n, self.density, self.bval, self.R = n, density, bval, R
-        self.h = R / mesh
-        self.r = np.linspace(0.0, R, mesh + 1)
+        self.grid = _radial_mesh(float(R), mesh)
         self.norm = math.factorial(n) * 4.0 ** n
         self.index = slice(None, -1)
         self.min_density = float(density.min())
         self.mean_density = float(density.mean())
 
     def evaluate(self, w, eps):
-        op, A, B = _residual_parts(self.n, w, self.h, self.r)
+        op, A, B = _residual_parts(self.n, w, self.grid)
         F = op - (self.density + eps)
         return float(np.abs(F).max()), None, (F, A, B)
 
@@ -153,7 +190,7 @@ class _RadialNewton:
         if eps > 0:
             # at a regularized solution B sits near (eps/norm)^{1/n}-scale
             floor = max(floor, 0.25 * (eps / self.norm) ** (1.0 / self.n))
-        bands = _jacobian_bands(self.n, self.h, self.r, A, B, floor)
+        bands = _jacobian_bands(self.n, self.grid, A, B, floor)
         try:
             step = _solve_tridiag(*bands, -F)
         except np.linalg.LinAlgError as exc:
@@ -168,7 +205,7 @@ class _RadialNewton:
 
     def surrogate(self, eps):
         c = ((self.mean_density + eps) / self.norm) ** (1.0 / self.n)
-        w = self.bval + c * (self.r ** 2 - self.R ** 2)
+        w = self.bval + c * (self.grid.r ** 2 - self.R ** 2)
         w[-1] = self.bval
         return w
 
@@ -202,7 +239,7 @@ def solve_radial(n: int, density, boundary_value: float, R: float,
         w0[-1] = bval
     backend = _RadialNewton(n, density, bval, R, mesh)
     w, rsup, iters, _ = _walk_ladder(backend, cfg, w0)
-    return _finish(backend.r, w, rsup, iters, backend.h)
+    return _finish(backend.grid, w, rsup, iters)
 
 
 def radial_residual(n: int, values: np.ndarray, R: float, density) -> float:
@@ -213,13 +250,11 @@ def radial_residual(n: int, values: np.ndarray, R: float, density) -> float:
     """
     values = np.asarray(values, dtype=float)
     mesh = values.size - 1
-    h = R / mesh
-    r = np.linspace(0.0, R, mesh + 1)
-    op, _, _ = _residual_parts(n, values, h, r)
+    op, _, _ = _residual_parts(n, values, _radial_mesh(float(R), mesh))
     return float(np.abs(op - _frozen_density(density, (mesh,))).max())
 
 
-def _finish(r, w, rsup, iters, h):
-    vprime = np.gradient(w, h)
-    return RadialProfile(r=np.array(r), values=np.array(w), residual=rsup,
+def _finish(grid: _RadialMesh, w, rsup, iters):
+    vprime = np.gradient(w, grid.h)
+    return RadialProfile(r=grid.r, values=np.array(w), residual=rsup,
                          newton_iters=iters, vprime_min=float(vprime.min()))

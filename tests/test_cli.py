@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cmasolve.cli
 from cmasolve.cli import main
 from cmasolve.grids import read_field_bin, read_field_csv
 
@@ -41,6 +42,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+def strict_loads(text):
+    """Parse text as RFC 8259 JSON: a bare Infinity or NaN raises."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 class TestSolve:
@@ -395,12 +405,14 @@ class TestOverflowingSeedDensity:
     crashed on: the density counts as +inf."""
 
     def test_subsolution_check_reports(self, tmp_path, capsys):
+        # the infinite margin is printed as a string that float() reads
         cfg = write_cfg(tmp_path, rhs={"family": "constant", "weight": 4.0},
                         subsolution_seed="1e308 * r2")
         code, out, _ = run(capsys, "verify", "--check", "subsolution", cfg)
         assert code == 1
-        (row,) = json.loads(out)["checks"]
-        assert row["margin"] == float("inf")
+        assert '"margin": "Infinity"' in out
+        (row,) = strict_loads(out)["checks"]
+        assert float(row["margin"]) == float("inf")
         assert row["upper_gap"] > row["tol"]
         assert row["passed"] is False
 
@@ -413,8 +425,8 @@ class TestOverflowingSeedDensity:
                         subsolution_seed="-1e308 * r2")
         code, out, _ = run(capsys, "verify", "--check", "subsolution", cfg)
         assert code == 1
-        (row,) = json.loads(out)["checks"]
-        assert row["psh_defect"] == float("inf")
+        (row,) = strict_loads(out)["checks"]
+        assert row["psh_defect"] == "Infinity"
         assert row["passed"] is False
 
     def test_stability_reads_an_infinite_cap(self, tmp_path, capsys):
@@ -427,6 +439,62 @@ class TestOverflowingSeedDensity:
         code, out, _ = run(capsys, "study", "stability", cfg)
         assert code == 0
         assert len(json.loads(out)["rows"]) == 2
+
+
+class TestStrictJson:
+    """Non-finite numbers reach stdout as strings, finite ones as before."""
+
+    def emitted(self, capsys, payload):
+        cmasolve.cli._emit(payload)
+        return capsys.readouterr().out
+
+    def test_non_finite_values_are_named(self, capsys):
+        out = self.emitted(capsys, {
+            "a": float("inf"), "b": -np.inf, "c": float("nan"),
+            "d": [np.float64("nan"), (np.float32("-inf"), 1.5)],
+            "e": {"f": np.float64(np.inf)}})
+        assert strict_loads(out) == {
+            "a": "Infinity", "b": "-Infinity", "c": "NaN",
+            "d": ["NaN", ["-Infinity", 1.5]], "e": {"f": "Infinity"}}
+
+    def test_finite_values_print_as_before(self, capsys):
+        payload = {"x": 0.1 + 0.2, "y": np.float64(1e-300),
+                   "z": np.float32(0.5), "flag": np.bool_(True),
+                   "k": np.int64(7), "rows": [{"s": "Infinity", "v": None}],
+                   "pair": (1, -1.5e308)}
+        expected = json.dumps(payload, sort_keys=True, indent=2,
+                              default=lambda o: o.item()) + "\n"
+        assert self.emitted(capsys, payload) == expected
+
+
+class TestParserReuse:
+    """main() reuses one parser per process; no call sees another's
+    arguments."""
+
+    def test_one_parser_per_process(self):
+        assert cmasolve.cli._build_parser() is cmasolve.cli._build_parser()
+
+    def test_consecutive_calls_report_only_their_own_rows(self, tmp_path,
+                                                          capsys):
+        cfg = write_cfg(tmp_path, subsolution_seed="r2 - 1",
+                        verify={"pairs": 1})
+        code, out, _ = run(capsys, "verify", "--check", "comparison", cfg)
+        assert code == 0
+        assert [row["name"] for row in strict_loads(out)["checks"]] == [
+            "comparison", "comparison"]
+        code, out, _ = run(capsys, "verify", "--check", "subsolution", cfg)
+        assert code == 0
+        assert [row["name"] for row in strict_loads(out)["checks"]] == [
+            "subsolution"]
+
+    def test_usage_error_after_a_successful_call_exits_2(self, tmp_path,
+                                                        capsys):
+        cfg = write_cfg(tmp_path)
+        assert run(capsys, "solve", cfg)[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", cfg])
+        assert exc.value.code == 2
+        assert "--check" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("error", [
@@ -609,30 +677,49 @@ class TestCliFuzz:
             del parent[path[-1]]
         else:
             parent[path[-1]] = data.draw(_pool(path))
-
-        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
-            with open("mutated.json", "w", encoding="utf-8") as fh:
-                json.dump(raw, fh)
-            out, err = io.StringIO(), io.StringIO()
-            with (contextlib.redirect_stdout(out),
-                  contextlib.redirect_stderr(err),
-                  warnings.catch_warnings(record=True) as caught):
-                warnings.simplefilter("always")
-                code = main(list(argv))
-        assert code in (0, 1, 2, 3)
-        if code == 2:
-            assert out.getvalue() == ""
-            assert err.getvalue().startswith("error: ")
-            # a numpy warning would print ahead of the message; the
-            # program's own UserWarnings are diagnostics it means to give
-            assert all(issubclass(w.category, UserWarning) for w in caught), [
-                f"{w.category.__name__}: {w.message}" for w in caught]
-        else:
-            payload = json.loads(out.getvalue())
-            if code == 3:
-                assert payload["error"]
+        code = _check_exit_contract(raw, argv)
         if kind in ("delete", "add"):
             assert code == 2
+
+    def test_overflowing_seed_exit_contract(self):
+        # a mutation the draws above seldom reach: the seed's density
+        # overflows, and the check's infinite margin must print as strict
+        # JSON
+        with open(os.path.join(CONFIG_DIR, "stability_n1.json"),
+                  encoding="utf-8") as fh:
+            raw = _shrunk(json.load(fh))
+        raw["subsolution_seed"] = "1e308 * r2"
+        argv = ["verify", "mutated.json", "--check", "subsolution"]
+        assert _check_exit_contract(raw, argv) == 1
+
+
+def _check_exit_contract(raw, argv):
+    """Run main() on the config raw, written as mutated.json in a fresh
+    working directory; assert the exit contract and return the code: a
+    documented code, and on exit 2 an error line and no stdout, else
+    strict JSON on stdout."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        with open("mutated.json", "w", encoding="utf-8") as fh:
+            json.dump(raw, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with (contextlib.redirect_stdout(out),
+              contextlib.redirect_stderr(err),
+              warnings.catch_warnings(record=True) as caught):
+            warnings.simplefilter("always")
+            code = main(list(argv))
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        # a numpy warning would print ahead of the message; the
+        # program's own UserWarnings are diagnostics it means to give
+        assert all(issubclass(w.category, UserWarning) for w in caught), [
+            f"{w.category.__name__}: {w.message}" for w in caught]
+    else:
+        payload = strict_loads(out.getvalue())
+        if code == 3:
+            assert payload["error"]
+    return code
 
 
 class TestVerify:

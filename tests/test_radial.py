@@ -1,5 +1,6 @@
 """Radial reduction on the ball."""
 
+import json
 import math
 import time
 
@@ -8,8 +9,10 @@ import pytest
 import sympy as sp
 from scipy.linalg import solve_banded
 
+import cmasolve.iteration
 import cmasolve.radial
 import cmasolve.solvers
+from cmasolve.cli import main
 from cmasolve.errors import HypothesisViolation, SolverError
 from cmasolve.iteration import RadialProblemSpec, solve_mam
 from cmasolve.radial import RadialProfile, radial_residual, solve_radial
@@ -209,3 +212,80 @@ class TestTridiagonalSolve:
 
         with pytest.raises(NewtonStagnationError, match="not finite"):
             self.newton_correction(monkeypatch, bands)
+
+
+class TestMeshReuse:
+    """The input-independent arrays of a radial solve are built once per
+    (R, mesh), held one mesh at a time, and never written."""
+
+    def solve(self, mesh):
+        # vanishing density at the axis: the solve walks the ladder
+        dens = 108.0 * np.linspace(0.0, 1.0, mesh + 1)[:-1] ** 2
+        return solve_radial(2, dens, 0.0, 1.0, mesh=mesh)
+
+    def test_profiles_bit_equal_with_warm_or_cold_memo(self):
+        memo = cmasolve.radial._radial_mesh
+        cold = {}
+        for mesh in (64, 128):
+            memo.cache_clear()
+            cold[mesh] = self.solve(mesh)
+        # 64 after 128 rebuilds the evicted mesh; the last 64 reuses it
+        for mesh in (64, 128, 64, 64):
+            prof = self.solve(mesh)
+            assert np.array_equal(prof.r, cold[mesh].r)
+            assert np.array_equal(prof.values, cold[mesh].values)
+            assert prof.newton_iters == cold[mesh].newton_iters
+        info = memo.cache_info()
+        assert info.maxsize == 1 and info.currsize == 1
+
+    def test_mesh_arrays_are_read_only(self):
+        prof = self.solve(64)
+        grid = cmasolve.radial._radial_mesh(1.0, 64)
+        assert prof.r is grid.r
+        for arr in (grid.r, grid.dA_dn, grid.dA_dp, grid.dB_dn):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+    def test_numpy_radius(self):
+        # a 0-d array does not hash; the memo is keyed by float(R)
+        prof = solve_radial(1, 4.0, 0.0, np.array(1.0), mesh=64)
+        assert np.array_equal(prof.values,
+                              solve_radial(1, 4.0, 0.0, 1.0, mesh=64).values)
+        assert radial_residual(1, prof.values, np.array(1.0), 4.0) \
+            == prof.residual
+
+    def test_one_mesh_and_one_solve_radial_call_per_picard_step(
+            self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve_radial(*args, **kwargs)
+
+        monkeypatch.setattr(cmasolve.iteration, "solve_radial", counted)
+        p = RadialProblemSpec(
+            n=2, boundary_value=0.0,
+            rhs=ExponentialRhs(1.0, w=lambda r: 32.0 * np.exp(1.0 - r ** 2)),
+            mesh=64)
+        memo = cmasolve.radial._radial_mesh
+        memo.cache_clear()
+        sol = solve_mam(p)
+        assert sol.converged
+        # u0, then one frozen-density solve per Picard step
+        assert len(calls) == sol.outer_iters + 1
+        assert memo.cache_info().misses == 1
+
+    def test_one_mesh_per_radial_command(self, tmp_path, capsys):
+        # the config's sampling, the solves and the residual share it
+        path = tmp_path / "ball.json"
+        path.write_text(json.dumps({
+            "n": 2, "domain": {"ball": {"radius": 1.0}}, "resolution": 64,
+            "boundary": 0.0,
+            "rhs": {"family": "exponential", "kappa": 1.0,
+                    "weight": "32 * exp(1 - r2)"}}))
+        memo = cmasolve.radial._radial_mesh
+        memo.cache_clear()
+        assert main(["radial", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["converged"] is True
+        assert memo.cache_info().misses == 1
