@@ -8,6 +8,11 @@ because raw indicators on kinks make centered second differences
 meaningless at crossing nodes.  stability_experiment, uniqueness_check
 and convergence_study are empirical harnesses that re-run the solvers
 under controlled variations.
+
+stability_experiment solves its perturbed densities as one family in
+delta (solvers.FrozenFamily), each started from the solved perturbations
+nearest to it; uniqueness_check keeps its independent starts, which are
+its point.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from .grids import (DensityField, ScalarField, _clamped_density,
                     _density_or_inf, _det_and_eigenvalues, _hessian_entries,
                     _psh_defect, ma_density)
 from .iteration import ProblemSpec, prepare, solve_mam
-from .solvers import SolverConfig, solve_ma_fixed_rhs
+from .solvers import FrozenFamily, SolverConfig
 
 __all__ = [
     "CheckReport",
@@ -257,9 +262,16 @@ def stability_experiment(p: ProblemSpec, perturbations) -> StabilityTable:
     request above that cap is rejected.  The table passes when the sup
     errors decrease along the rows wherever the L1 distances at least
     halve, and the last error is within 10 tol_inner + d_last.
+
+    The base solve is the member delta = 0 of a FrozenFamily, and each
+    perturbed solve starts from the members solved before it.  Every
+    request is checked against the cap before the first solve.
     """
     cfg = p.config
     grid = p.grid
+    # read once: the requests are checked before the solves and walked again
+    # by them, and a generator would be empty the second time
+    perturbations = [float(delta) for delta in perturbations]
     if not getattr(p.rhs, "t_independent", False):
         raise HypothesisViolation(
             "stability runs need data independent of the solution value; "
@@ -277,9 +289,8 @@ def stability_experiment(p: ProblemSpec, perturbations) -> StabilityTable:
                                         where=np.isfinite(cap))))
     shape = _sin_shape(grid)
 
-    densities = []
-    for delta in perturbations:
-        hj = h_base * (1.0 + float(delta) * shape)
+    def perturbed(delta):
+        hj = h_base * (1.0 + delta * shape)
         if float(hj.min()) < 0.0:
             raise HypothesisViolation(
                 f"perturbation {delta:g} makes the density negative",
@@ -291,17 +302,23 @@ def stability_experiment(p: ProblemSpec, perturbations) -> StabilityTable:
                 f"{excess:.3e}; without the cap the perturbed solutions "
                 "need not converge",
                 "perturbed densities are capped by the density of v0")
-        densities.append(np.minimum(hj, cap))
+        return np.minimum(hj, cap)
 
-    base = solve_ma_fixed_rhs(DensityField(grid, h_base), p.boundary, cfg)
+    # every request is checked before the first solve; the row loop
+    # rebuilds each density rather than holding all of them
+    for delta in perturbations:
+        perturbed(delta)
+
+    family = FrozenFamily(p.boundary, cfg)
+    base = family.solve(0.0, DensityField(grid, h_base))
     cell = grid.cell_volume
     rows = []
-    for delta, hj in zip(perturbations, densities):
-        sol = solve_ma_fixed_rhs(DensityField(grid, hj), p.boundary, cfg,
-                                 init=base.u)
+    for delta in perturbations:
+        hj = perturbed(delta)
+        sol = family.solve(delta, DensityField(grid, hj))
         err = float(np.abs(sol.u.values - base.u.values).max())
         dist = float(np.abs(hj - h_base).sum()) * cell
-        rows.append(StabilityRow(float(delta), dist, err))
+        rows.append(StabilityRow(delta, dist, err))
 
     margins = []
     for prev, cur in zip(rows[:-1], rows[1:]):

@@ -158,18 +158,21 @@ def _verify_comparison(cfg, p):
     import numpy as np
 
     from .checks import comparison_check
-    from .solvers import solve_ma_fixed_rhs
+    from .solvers import FrozenFamily
 
     rng = np.random.default_rng(cfg.rng_seed)
     pairs = cfg.verify.get("pairs", 20)
     grid = p.grid
     norm_scale = 4.0 ** grid.n
+    # every density is a constant c on one boundary: each solve starts
+    # from the solved members nearest in c
+    family = FrozenFamily(p.boundary, p.config)
     rows = []
     for _ in range(pairs):
         base = float(rng.uniform(0.25, 1.0)) * norm_scale
         extra = float(rng.uniform(0.0, 0.5)) * norm_scale
-        u = solve_ma_fixed_rhs(base + extra, p.boundary, p.config).u
-        v = solve_ma_fixed_rhs(base, p.boundary, p.config).u
+        u = family.solve(base + extra, base + extra).u
+        v = family.solve(base, base).u
         rows.append(comparison_check(u, v, cfg=p.config).to_dict())
         rows.append(comparison_check(v, u, cfg=p.config).to_dict())
     return rows

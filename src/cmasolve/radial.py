@@ -210,6 +210,22 @@ class _RadialNewton:
         return w
 
 
+def _is_integer(k) -> bool:
+    return isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+
+
+def _check_radial_args(n, R, mesh, mesh_arg: str = "mesh"):
+    """Raise ValueError naming the first of n, R and mesh a radial solve
+    cannot take; mesh_arg names the argument that carries the mesh."""
+    if not _is_integer(n) or n < 1:
+        raise ValueError("dimension n must be a positive integer")
+    if not (R > 0 and np.isfinite(R)):
+        raise ValueError("radius R must be positive and finite")
+    if not _is_integer(mesh) or mesh < MIN_MESH:
+        raise ValueError(f"{mesh_arg} must be an integer of at least "
+                         f"{MIN_MESH} intervals, got {mesh!r}")
+
+
 def solve_radial(n: int, density, boundary_value: float, R: float,
                  mesh: int = 256, cfg: SolverConfig | None = None,
                  init: np.ndarray | None = None) -> RadialProfile:
@@ -222,12 +238,7 @@ def solve_radial(n: int, density, boundary_value: float, R: float,
     given, supplies all mesh+1 node values as a warm start.
     """
     cfg = cfg or SolverConfig()
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError("dimension n must be a positive integer")
-    if not (R > 0 and np.isfinite(R)):
-        raise ValueError("radius R must be positive and finite")
-    if mesh < MIN_MESH:
-        raise ValueError(f"mesh must be at least {MIN_MESH} intervals")
+    _check_radial_args(n, R, mesh)
     bval = float(boundary_value)
     density = _frozen_density(density, (mesh,))
 
@@ -249,7 +260,10 @@ def radial_residual(n: int, values: np.ndarray, R: float, density) -> float:
     Lets callers re-verify a returned profile independently of the solver.
     """
     values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise ValueError("values must be a 1-d array of node values")
     mesh = values.size - 1
+    _check_radial_args(n, R, mesh, "the mesh of values (its size less one)")
     op, _, _ = _residual_parts(n, values, _radial_mesh(float(R), mesh))
     return float(np.abs(op - _frozen_density(density, (mesh,))).max())
 

@@ -23,6 +23,11 @@ DAMPING (the backtracking factor), MIN_STEP (the shortest trial step),
 PSD_FLOOR (the least eigenvalue floor of a linearization) and REG_LADDER
 (the regularization rungs, ending at the true problem).  SolverConfig
 holds only the tolerances and iteration caps a caller chooses.
+
+FrozenFamily solves a one-parameter family of frozen-density problems on
+one boundary (natural-parameter continuation): each member starts from
+the members already solved, and a poor start falls back on the ladder's
+surrogate restart.
 """
 
 from __future__ import annotations
@@ -366,6 +371,55 @@ def solve_ma_fixed_rhs(g, boundary: ScalarField,
     u, rsup, iters, lam1 = _walk_ladder(_GridNewton(g_arr, boundary, cfg),
                                         cfg, warm)
     return MaSolveResult(ScalarField(grid, u), rsup, iters, max(0.0, -lam1))
+
+
+class FrozenFamily:
+    """Frozen-density solves of a one-parameter family on one boundary,
+    each started from the members already solved (natural-parameter
+    continuation).
+
+    solve(t, g) solves with density g, the member at parameter t.  Its
+    start is the linear interpolation between the two solved members
+    that bracket t, else the nearest solved member; the first member
+    starts cold.  A poor prediction costs no more than a cold start:
+    _walk_ladder restarts from the surrogate when Newton from it stalls,
+    hits its cap or loses psh-ness.  At most three members are kept; a
+    fourth drops the one farthest in parameter from the newest.
+    """
+
+    KEEP = 3
+
+    def __init__(self, boundary: ScalarField,
+                 cfg: SolverConfig | None = None):
+        self.boundary = boundary
+        self.cfg = cfg or SolverConfig()
+        self.members: list[tuple[float, ScalarField]] = []
+
+    def predict(self, t: float) -> ScalarField | None:
+        """The start of the member at t, or None when none is solved."""
+        if not self.members:
+            return None
+        below = [m for m in self.members if m[0] <= t]
+        above = [m for m in self.members if m[0] >= t]
+        if below and above:
+            t_lo, u_lo = max(below, key=lambda m: m[0])
+            t_hi, u_hi = min(above, key=lambda m: m[0])
+            if t_hi == t_lo:
+                return u_lo
+            w = (t - t_lo) / (t_hi - t_lo)
+            return ScalarField(self.boundary.grid,
+                               (1.0 - w) * u_lo.values + w * u_hi.values)
+        return min(self.members, key=lambda m: abs(m[0] - t))[1]
+
+    def solve(self, t: float, g) -> MaSolveResult:
+        t = float(t)
+        res = solve_ma_fixed_rhs(g, self.boundary, self.cfg,
+                                 init=self.predict(t))
+        members = [m for m in self.members if m[0] != t] + [(t, res.u)]
+        if len(members) > self.KEEP:
+            members.remove(max(members, key=lambda m: abs(m[0] - t)))
+        self.members = members
+        return res
 
 
 def maximal_extension(boundary: ScalarField,

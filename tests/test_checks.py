@@ -8,22 +8,24 @@ from the stencil's consistency.
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmasolve import grids
+from cmasolve import checks, cli, grids, solvers
 from cmasolve.checks import (CheckReport, comparison_check,
                              convergence_study, demailly_max_check,
                              stability_experiment, uniqueness_check)
+from cmasolve.config import load_config
 from cmasolve.errors import HypothesisViolation, SolverError
 from cmasolve.grids import (DensityField, ScalarField, build_grid,
                             ma_density, unit_box)
 from cmasolve.iteration import ProblemSpec, RadialProblemSpec, prepare
 from cmasolve.rhs import ConstantRhs, ExponentialRhs, ExpressionRhs
-from cmasolve.solvers import SolverConfig, solve_ma_fixed_rhs
+from cmasolve.solvers import FrozenFamily, SolverConfig, solve_ma_fixed_rhs
 
 
 def sq_norm(grid):
@@ -214,6 +216,15 @@ class TestStability:
         ratios = [b / a for a, b in zip(errs[:-1], errs[1:])]
         assert all(0.4 <= r <= 0.6 for r in ratios)
 
+    def test_generator_of_perturbations(self):
+        # the requests are read twice; a generator once gave an empty
+        # table that passed
+        deltas = [2.0 ** -j for j in range(1, 4)]
+        table = stability_experiment(self.poisson_problem(),
+                                     (d for d in deltas))
+        assert table == stability_experiment(self.poisson_problem(), deltas)
+        assert [row.delta for row in table.rows] == deltas
+
     def test_n2_ladder_passes(self):
         grid = build_grid(unit_box(2), 7)
         bdry = sq_minus_one(grid)
@@ -241,6 +252,102 @@ class TestStability:
         p = cheng_yau_problem()
         with pytest.raises(ValueError, match="constant-family"):
             stability_experiment(p, [0.5])
+
+
+class TestContinuationStarts:
+    """The comparison verify and the stability study start each solve from
+    solved neighbours (FrozenFamily); cold or base-started solves must give
+    the same results."""
+
+    cfg = SolverConfig()
+    deltas = [0.5, 0.25, 0.125, 0.0625, 0.03125]
+
+    @staticmethod
+    def record_solves(monkeypatch):
+        calls = []
+        solve = solvers.solve_ma_fixed_rhs
+
+        def recorded(g, boundary, cfg=None, init=None):
+            res = solve(g, boundary, cfg, init)
+            calls.append((g, init, res))
+            return res
+
+        monkeypatch.setattr(solvers, "solve_ma_fixed_rhs", recorded)
+        return calls
+
+    def stability_problem(self):
+        grid = build_grid(unit_box(2), 9)
+        bdry = sq_minus_one(grid)
+        v0 = ScalarField(grid, 3.0 * bdry.values)
+        return ProblemSpec(boundary=bdry, rhs=ConstantRhs(32.0), v0=v0)
+
+    def test_stability_matches_base_started_solves(self, monkeypatch):
+        p = self.stability_problem()
+        grid = p.grid
+        calls = self.record_solves(monkeypatch)
+        table = stability_experiment(p, self.deltas)
+        iters = sum(res.newton_iters for *_, res in calls)
+
+        # the rows as every perturbed solve started from the base solve
+        calls.clear()
+        h_base = np.full(grid.interior_shape, 32.0)
+        base = solvers.solve_ma_fixed_rhs(h_base, p.boundary, self.cfg)
+        rows = []
+        for delta in self.deltas:
+            hj = h_base * (1.0 + delta * checks._sin_shape(grid))
+            sol = solvers.solve_ma_fixed_rhs(hj, p.boundary, self.cfg,
+                                             init=base.u)
+            rows.append((float(np.abs(hj - h_base).sum())
+                         * grid.cell_volume,
+                         float(np.abs(sol.u.values - base.u.values).max())))
+        base_iters = sum(res.newton_iters for *_, res in calls)
+
+        assert table.report.passed
+        for row, (dist, err) in zip(table.rows, rows):
+            assert row.dist_l1 == dist
+            assert abs(row.err_sup - err) <= 10 * self.cfg.tol_inner
+        assert iters < base_iters
+
+    def test_comparison_matches_cold_solves(self, tmp_path, monkeypatch):
+        path = tmp_path / "cmp.json"
+        path.write_text(json.dumps({
+            "n": 2, "domain": {"box": {"lo": [-0.5] * 4, "hi": [0.5] * 4}},
+            "resolution": 9, "boundary": "r2 - 1.2 + 0.3 * x1 * y2",
+            "rhs": {"family": "constant", "weight": 32.0},
+            "rng_seed": 3, "verify": {"pairs": 3}}))
+        run_cfg = load_config(path)
+        p = run_cfg.build_problem()
+        calls = self.record_solves(monkeypatch)
+        rows = cli._verify_comparison(run_cfg, p)
+        monkeypatch.undo()
+        # the first solve starts cold, every later one from its neighbours
+        assert [init is None for _, init, _ in calls] == [True] + [False] * 5
+
+        solved = [res.u for *_, res in calls]
+        cold = [solve_ma_fixed_rhs(g, p.boundary, self.cfg).u
+                for g, *_ in calls]
+        for u, ref in zip(solved, cold):
+            assert np.abs(u.values - ref.values).max() \
+                <= 10 * self.cfg.tol_inner
+        cold_rows = []
+        for u, v in zip(cold[::2], cold[1::2]):
+            cold_rows += [comparison_check(u, v), comparison_check(v, u)]
+        for row, ref in zip(rows, cold_rows):
+            assert row["passed"] is ref.passed
+            assert abs(row["margin"] - ref.margin) <= 10 * self.cfg.tol_inner
+
+    def test_ordered_constants_give_ordered_solutions(self):
+        # the comparison principle on solves through one family, in a
+        # scrambled order so that starts both interpolate and extrapolate
+        grid = build_grid(unit_box(2), 9)
+        family = FrozenFamily(sq_minus_one(grid), self.cfg)
+        sols = {}
+        for c in (40.0, 12.0, 28.0, 20.0, 56.0, 16.0):
+            sols[c] = family.solve(c, c).u.values
+        order = sorted(sols)
+        for lo, hi in zip(order, order[1:]):
+            # a larger density gives a lower solution
+            assert (sols[hi] - sols[lo]).max() <= 2 * self.cfg.tol_inner
 
 
 class TestUniqueness:

@@ -114,6 +114,27 @@ class TestHypotheses:
         with pytest.raises(ValueError, match="shape"):
             radial_residual(1, np.zeros(65), 1.0, np.full(63, 4.0))
 
+    @pytest.mark.parametrize("call, name", [
+        # these raised ZeroDivisionError and numpy's TypeError before
+        (lambda: radial_residual(1, np.zeros(1), 1.0, 4.0), "mesh of values"),
+        (lambda: radial_residual(1, np.zeros(3), 0.0, 4.0), "radius R"),
+        (lambda: solve_radial(1, 4.0, 0.0, 1.0, mesh=64.0), "mesh"),
+        (lambda: solve_radial(1, 4.0, 0.0, 1.0, mesh=True), "mesh"),
+        (lambda: solve_radial(True, 4.0, 0.0, 1.0), "dimension n"),
+        (lambda: solve_radial(1, 4.0, 0.0, math.inf, mesh=64), "radius R"),
+        (lambda: radial_residual(2.0, np.zeros(65), 1.0, 4.0), "dimension n"),
+        (lambda: radial_residual(1, np.zeros(33), math.nan, 4.0), "radius R"),
+        (lambda: radial_residual(1, np.zeros((5, 13)), 1.0, 4.0), "1-d"),
+    ])
+    def test_mesh_arguments_raise_value_error(self, call, name):
+        with pytest.raises(ValueError, match=name):
+            call()
+
+    def test_integer_mesh_types_accepted(self):
+        # numpy integers pass the shared check like Python ints
+        prof = solve_radial(np.int64(1), 4.0, 0.0, 1.0, mesh=np.int32(32))
+        assert radial_residual(1, prof.values, 1.0, 4.0) == prof.residual
+
 
 class TestNewtonFailures:
     def test_stall_raises_a_solver_error(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+import cmasolve.solvers
 from cmasolve.grids import (
     DensityField,
     ScalarField,
@@ -21,6 +22,7 @@ from cmasolve.solvers import (
     MIN_STEP,
     PSD_FLOOR,
     REG_LADDER,
+    FrozenFamily,
     NewtonIterationError,
     SolverConfig,
     _newton_stage,
@@ -258,6 +260,95 @@ class TestMaFixedRhs:
         dens[1, 2] = np.nan
         with pytest.raises(ValueError, match="finite"):
             solve_ma_fixed_rhs(dens, sq_norm_minus_one(g))
+
+
+class TestFrozenFamily:
+    """Continuation starts of FrozenFamily."""
+
+    def affine_members(self, ts):
+        # u(t) = a + t b, stored as if solved
+        g = build_grid(unit_box(1), 9)
+        a = sq_norm_minus_one(g).values
+        b = np.cos(3.0 * g.points()).prod(axis=-1)
+        family = FrozenFamily(sq_norm_minus_one(g))
+        family.members = [(t, ScalarField(g, a + t * b)) for t in ts]
+        return family, a, b
+
+    @pytest.mark.parametrize("t", [0.3, 1.0, 2.75])
+    def test_bracketing_start_is_the_interpolation(self, t):
+        family, a, b = self.affine_members([3.0, -1.0, 0.5])
+        start = family.predict(t).values
+        assert np.abs(start - (a + t * b)).max() <= 1e-14 * (
+            1.0 + np.abs(b).max() * 3.0)
+
+    def test_interpolation_of_solved_poisson_members(self):
+        # at n = 1 the solution is affine in a constant density c
+        g = build_grid(unit_box(1), 17)
+        cfg = SolverConfig()
+        family = FrozenFamily(sq_norm_minus_one(g), cfg)
+        family.solve(1.0, 1.0)
+        family.solve(7.0, 7.0)
+        cold = solve_ma_fixed_rhs(3.0, sq_norm_minus_one(g), cfg).u
+        assert np.abs(family.predict(3.0).values - cold.values).max() \
+            <= 10 * cfg.tol_inner
+
+    def test_outside_the_bracket_the_nearest_member(self):
+        family, _, _ = self.affine_members([0.0, 1.0, 2.0])
+        members = dict(family.members)
+        assert family.predict(-0.4) is members[0.0]
+        assert family.predict(5.0) is members[2.0]
+        for t in (0.0, 1.0, 2.0):
+            assert family.predict(t) is members[t]
+
+    def test_first_member_starts_cold(self, monkeypatch):
+        g = build_grid(unit_box(1), 9)
+        inits = []
+
+        def recorded(g_, boundary, cfg=None, init=None):
+            inits.append(init)
+            return solve_ma_fixed_rhs(g_, boundary, cfg, init)
+
+        monkeypatch.setattr(cmasolve.solvers, "solve_ma_fixed_rhs", recorded)
+        family = FrozenFamily(sq_norm_minus_one(g))
+        first = family.solve(2.0, 2.0)
+        family.solve(3.0, 3.0)
+        assert inits[0] is None and inits[1] is first.u
+
+    def test_keeps_at_most_three_members(self):
+        g = build_grid(unit_box(1), 9)
+        family = FrozenFamily(sq_norm_minus_one(g))
+        for t in (4.0, 1.0, 2.0, 3.0, 2.5, 2.5):
+            family.solve(t, t)
+            assert len(family.members) <= FrozenFamily.KEEP == 3
+        # each fourth member dropped the one farthest from the newest, and
+        # a repeated parameter replaced its member
+        assert sorted(t for t, _ in family.members) == [2.0, 2.5, 3.0]
+
+    def test_non_psh_prediction_restarts_the_ladder(self, monkeypatch):
+        g = build_grid(unit_box(2), 9)
+        bdry = sq_norm_minus_one(g)
+        cfg = SolverConfig()
+        cold = solve_ma_fixed_rhs(40.0, bdry, cfg)
+        # boundary values on the ring, concave inside
+        concave = ScalarField(g, np.where(g.interior_mask(),
+                                          -4.0 * bdry.values, bdry.values))
+        monkeypatch.setattr(FrozenFamily, "predict",
+                            lambda self, t: concave)
+        starts = []
+        surrogate = cmasolve.solvers._GridNewton.surrogate
+
+        def counted(self, eps):
+            starts.append(eps)
+            return surrogate(self, eps)
+
+        monkeypatch.setattr(cmasolve.solvers._GridNewton, "surrogate",
+                            counted)
+        res = FrozenFamily(bdry, cfg).solve(40.0, 40.0)
+        assert starts == [0.0]
+        assert res.residual <= cfg.tol_inner
+        assert res.psh_defect <= np.sqrt(cfg.tol_inner)
+        assert np.abs(res.u.values - cold.u.values).max() \
+            <= 10 * cfg.tol_inner
 
 
 class ScriptedBackend:
