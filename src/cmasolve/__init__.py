@@ -1,6 +1,7 @@
 """Solver and verification harness for Dirichlet problems of the complex
-Monge-Ampere equation (dd^c u)^n = F(u, .) dmu on boxes in C^n, with a
-radial backend for balls.
+Monge-Ampere equation (dd^c u)^n = F(u, .) dmu on boxes in C^n and, with
+a radial backend, on balls: one ProblemSpec, solve_mam and Solution serve
+both.
 
 The package splits into grid/operator primitives (grids), linear and
 fixed-density nonlinear solvers (linsolve, solvers, radial), the outer
@@ -16,9 +17,8 @@ _EXPORTS = {
     "Box": "grids", "DensityField": "grids",
     "Grid": "grids", "GridError": "grids", "HermitianField": "grids",
     "ScalarField": "grids", "build_grid": "grids",
-    "complex_hessian": "grids", "integrate": "grids",
-    "ma_density": "grids", "ma_normalization": "grids",
-    "unit_box": "grids",
+    "complex_hessian": "grids", "ma_density": "grids",
+    "ma_normalization": "grids", "unit_box": "grids",
     # errors
     "HypothesisViolation": "errors", "SolverError": "errors",
     # solvers
@@ -26,8 +26,8 @@ _EXPORTS = {
     "maximal_extension": "solvers", "solve_ma_fixed_rhs": "solvers",
     "solve_poisson": "solvers",
     # radial
-    "RadialProfile": "radial", "radial_residual": "radial",
-    "solve_radial": "radial",
+    "BallMesh": "radial", "RadialProfile": "radial",
+    "radial_residual": "radial", "solve_radial": "radial",
     # rhs
     "BoundRhs": "rhs", "ConstantRhs": "rhs", "ExponentialRhs": "rhs",
     "ExpressionRhs": "rhs", "PowerPlusRhs": "rhs",
@@ -36,8 +36,7 @@ _EXPORTS = {
     "Expression": "expressions", "ParseError": "expressions",
     "parse_expression": "expressions",
     # iteration
-    "ProblemSpec": "iteration", "RadialProblemSpec": "iteration",
-    "Solution": "iteration", "RadialSolution": "iteration",
+    "ProblemSpec": "iteration", "Solution": "iteration",
     "SubsolutionReport": "iteration", "balayage_step": "iteration",
     "prepare": "iteration", "solve_mam": "iteration",
     "subsolution_check": "iteration",

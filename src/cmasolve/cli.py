@@ -1,11 +1,12 @@
 """Command-line entry points.
 
-Four subcommands: solve and radial run one problem and print a JSON
-summary; verify runs the requested property checks; study runs the
-convergence or stability harness and writes its CSV table.  Exit codes:
-0 success, 1 a check failed, 2 the configuration (or one of its
-hypotheses) was rejected, 3 the solver failed.  Summaries carry no
-timing fields, so identical configs and rng_seed give identical output.
+Four subcommands: solve (on a box) and radial (on a ball) run one
+problem and print one JSON summary; verify runs the requested property
+checks; study runs the convergence or stability harness and writes its
+CSV table.  Exit codes: 0 success, 1 a check failed, 2 the configuration
+(or one of its hypotheses) was rejected, 3 the solver failed.  Summaries
+carry no timing fields, so identical configs and rng_seed give identical
+output.
 
 Stdout is strict JSON (RFC 8259): a non-finite number is printed as the
 string "Infinity", "-Infinity" or "NaN", which float() reads back.
@@ -86,21 +87,11 @@ def _dump_fields(field, outputs: dict):
         write_field_bin(field, outputs["field_bin"])
 
 
-def _write_profile_csv(profile, path):
+def _write_profile_csv(field, path):
     rows = "".join(f"{r!r},{v!r}\n" for r, v in
-                   zip(profile.r.tolist(), profile.values.tolist()))
+                   zip(field.grid.r.tolist(), field.values.tolist()))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("r,v\n" + rows)
-
-
-def _emit_solution(payload: dict, converged: bool) -> int:
-    """Print a solve summary; a stalled one names its failure in error."""
-    if not converged:
-        payload["error"] = (f"outer iteration stopped after "
-                            f"{payload['outer_iters']} steps without "
-                            f"meeting tol_outer")
-    _emit(payload)
-    return EXIT_OK if converged else EXIT_SOLVER_FAILED
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -112,46 +103,49 @@ def _require_domain(cfg, kind: str, message: str):
         raise ConfigError(message)
 
 
-def _cmd_solve(cfg) -> int:
-    from .iteration import solve_mam
+# the domain each solving subcommand runs on, and the message for others
+_SOLVE_DOMAINS = {
+    "solve": ("box", "solve runs on box domains; use the radial "
+              "subcommand for ball domains"),
+    "radial": ("ball", "the radial subcommand needs a ball domain"),
+}
 
-    _require_domain(cfg, "box", "solve runs on box domains; use the radial "
-                    "subcommand for ball domains")
+
+def _cmd_solve(cfg, command: str) -> int:
+    """solve (a box) or radial (a ball): one problem, one summary of the
+    shared keys and the domain's own.  A stalled solve names its failure
+    in error."""
+    from .iteration import solve_mam
+    from .radial import MONOTONE_TOL
+
+    _require_domain(cfg, *_SOLVE_DOMAINS[command])
     sol = solve_mam(cfg.build_problem())
-    _dump_fields(sol.u, cfg.outputs)
-    return _emit_solution({
-        "command": "solve",
+    payload = {
+        "command": command,
         "n": cfg.n,
-        "resolution": cfg.resolution,
         "converged": sol.converged,
         "outer_iters": sol.outer_iters,
         "final_residual": sol.final_residual,
         "tol_outer_residual": sol.tol_outer_residual,
         "residual_ok": sol.residual_ok,
-        "sandwich_ok": sol.sandwich_ok,
         "chains_ok": sol.chains_ok,
-        "psh_defect": sol.psh_defect,
-    }, sol.converged)
-
-
-def _cmd_radial(cfg) -> int:
-    from .iteration import solve_mam
-
-    _require_domain(cfg, "ball", "the radial subcommand needs a ball domain")
-    sol = solve_mam(cfg.build_problem())
-    if cfg.outputs.get("field_csv"):
-        _write_profile_csv(sol.profile, cfg.outputs["field_csv"])
-    return _emit_solution({
-        "command": "radial",
-        "n": cfg.n,
-        "mesh": cfg.resolution,
-        "converged": sol.converged,
-        "outer_iters": sol.outer_iters,
-        "final_residual": sol.final_residual,
-        "tol_outer_residual": sol.tol_outer_residual,
-        "residual_ok": sol.residual_ok,
-        "monotone_ok": sol.profile.monotone_ok,
-    }, sol.converged)
+    }
+    if cfg.domain_kind == "box":
+        _dump_fields(sol.u, cfg.outputs)
+        payload.update(resolution=cfg.resolution,
+                       sandwich_ok=sol.sandwich_ok,
+                       psh_defect=sol.psh_defect)
+    else:
+        if cfg.outputs.get("field_csv"):
+            _write_profile_csv(sol.u, cfg.outputs["field_csv"])
+        payload.update(mesh=cfg.resolution,
+                       monotone_ok=sol.psh_defect <= MONOTONE_TOL)
+    if not sol.converged:
+        payload["error"] = (f"outer iteration stopped after "
+                            f"{sol.outer_iters} steps without meeting "
+                            f"tol_outer")
+    _emit(payload)
+    return EXIT_OK if sol.converged else EXIT_SOLVER_FAILED
 
 
 def _verify_comparison(cfg, p):
@@ -356,10 +350,8 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
-        if args.command == "solve":
-            return _cmd_solve(cfg)
-        if args.command == "radial":
-            return _cmd_radial(cfg)
+        if args.command in _SOLVE_DOMAINS:
+            return _cmd_solve(cfg, args.command)
         if args.command == "verify":
             return _cmd_verify(cfg, args.check)
         return _cmd_study(cfg, args.kind)

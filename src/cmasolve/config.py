@@ -4,8 +4,8 @@ A config is one JSON object; expressions are strings in the embedded
 arithmetic language (coordinates x1..yn, r2, and t inside right-hand
 sides).  load_config validates structure and the type of every value
 early, so a malformed file fails before any solve starts and RunConfig
-holds typed values; RunConfig.build_problem assembles
-the ProblemSpec or RadialProblemSpec the subcommands run on.  Bounds on
+holds typed values; RunConfig.build_problem assembles the ProblemSpec
+the subcommands run on, over a box grid or a ball mesh.  Bounds on
 numbers are those of the objects the config becomes (the grid, the
 radial mesh, the rhs family, SolverConfig), plus MAX_NODES on the size
 of a grid or mesh and MAX_PAIRS on the comparison pairs; load_config and
@@ -23,8 +23,8 @@ import numpy as np
 
 from .expressions import grid_env, parse_expression, radial_env
 from .grids import MIN_RESOLUTION, Box, GridError, ScalarField, build_grid
-from .iteration import ProblemSpec, RadialProblemSpec
-from .radial import MIN_MESH, _radial_mesh
+from .iteration import ProblemSpec
+from .radial import MIN_MESH, BallMesh
 from .rhs import ConstantRhs, ExponentialRhs, ExpressionRhs, PowerPlusRhs
 from .solvers import SolverConfig
 
@@ -152,8 +152,8 @@ class RunConfig:
             src = parse_expression(src, n, context="spatial")(env)
         return np.broadcast_to(np.asarray(src, dtype=np.float64), shape)
 
-    def build_problem(self, resolution: int | None = None):
-        """Assemble the ProblemSpec or RadialProblemSpec to run."""
+    def build_problem(self, resolution: int | None = None) -> ProblemSpec:
+        """Assemble the ProblemSpec to run, on a box grid or a ball mesh."""
         res = self.resolution if resolution is None else int(resolution)
         ball = self.domain_kind == "ball"
         least, unit = ((MIN_MESH, "mesh intervals on a ball") if ball
@@ -164,44 +164,38 @@ class RunConfig:
         _require(res <= most,
                  f"resolution {res} is above {most} ({unit} at n = "
                  f"{self.n})")
-        weight = self.rhs_spec.get("weight", 1.0)
         if ball:
-            # weights live on the unknown mesh nodes r < R
-            r = _radial_mesh(self.radius, res).r[:-1]
-            env = radial_env(r)
-            weight = self._sample(weight, env, r.shape)
-            mu = self._sample(self.mu_src, env, r.shape)
-            bval = self._sample(self.boundary_src, radial_env(self.radius),
-                                ())
-            return RadialProblemSpec(
-                n=self.n, boundary_value=float(bval),
-                rhs=_family(self.rhs_spec, weight), R=self.radius,
-                mesh=res, w_mu=mu, config=self.solver)
-
-        grid = build_grid(self.box, res)
-        nodes, interior = grid_env(grid), grid_env(grid, interior=True)
-        weight = self._sample(weight, interior, grid.interior_shape)
-        mu = self._sample(self.mu_src, interior, grid.interior_shape)
-        boundary = ScalarField(grid, self._sample(self.boundary_src, nodes,
-                                                  grid.shape))
+            domain = BallMesh(self.n, self.radius, res)
+            # the weights live on the unknown mesh nodes r < R, and the
+            # boundary data is the one value at r = R
+            interior = radial_env(domain.r[:-1])
+            nodes = radial_env(self.radius)
+        else:
+            domain = build_grid(self.box, res)
+            nodes = grid_env(domain)
+            interior = grid_env(domain, interior=True)
+        weight = self._sample(self.rhs_spec.get("weight", 1.0), interior,
+                              domain.interior_shape)
+        mu = self._sample(self.mu_src, interior, domain.interior_shape)
+        boundary = self._sample(self.boundary_src, nodes, domain.shape)
         v0 = None
         if self.seed_src is not None:
-            v0 = ScalarField(grid, self._sample(self.seed_src, nodes,
-                                                grid.shape))
-        return ProblemSpec(boundary=boundary,
+            v0 = ScalarField(domain, self._sample(self.seed_src, nodes,
+                                                  domain.shape))
+        return ProblemSpec(boundary=ScalarField(domain, boundary),
                            rhs=_family(self.rhs_spec, weight), w_mu=mu,
                            v0=v0, config=self.solver,
                            theorem_mode=self.theorem_mode)
 
-    def exact_values(self, problem):
+    def exact_values(self, problem: ProblemSpec) -> np.ndarray:
         """Nodal values of the study's exact-solution expression."""
         src = self.study.get("exact")
         _require(src is not None,
                  "convergence studies need study.exact in the config")
-        if isinstance(problem, RadialProblemSpec):
-            r = _radial_mesh(problem.R, problem.mesh).r
-            return self._sample(src, radial_env(r), r.shape)
-        return self._sample(src, grid_env(problem.grid), problem.grid.shape)
+        domain = problem.grid
+        env = (radial_env(domain.r) if self.domain_kind == "ball"
+               else grid_env(domain))
+        return self._sample(src, env, domain.shape)
 
 
 def _parse_domain(raw, n: int):

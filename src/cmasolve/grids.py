@@ -156,7 +156,8 @@ def _as_locked(values: np.ndarray, dtype) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Real values at every node of a grid.  Immutable once constructed."""
+    """Real values at every node of a grid (or of a radial.BallMesh).
+    Immutable once constructed."""
 
     grid: Grid
     values: np.ndarray
@@ -343,15 +344,6 @@ def _clamped_density(det: np.ndarray, n: int) -> np.ndarray:
     """4^n n! det, clamped below at zero."""
     dens = ma_normalization(n) * det
     return np.maximum(dens, 0.0, out=dens)
-
-
-def integrate(d: DensityField) -> float:
-    """Nodal quadrature: sum of interior values times the cell volume.
-
-    numpy's pairwise summation keeps the result deterministic and stable;
-    the rule is exact for constants on the interior block.
-    """
-    return float(d.values.sum()) * d.grid.cell_volume
 
 
 # ---------------------------------------------------------------------------

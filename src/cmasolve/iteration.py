@@ -8,14 +8,19 @@ data, the update map reverses order; starting from u0 (whose density
 uses the maximal extension f) the even-indexed iterates then climb and
 the odd-indexed ones descend, bracketing the limit.  Both chains are
 recorded: on a stall they are returned as a sub/supersolution bracket
-instead of a bare failure.  Grid and radial problems run this one loop
-(_picard), each with its own frozen-density solve, so both report the
-chain certificate.  _picard is the only place where the density depends
-on the solution: the grid and radial solves take a frozen density array,
-and G's hypotheses are checked where it is bound and sampled
-(rhs.BoundRhs).
+instead of a bare failure.  _picard is the only place where the density
+depends on the solution: the frozen solves take a density array, and G's
+hypotheses are checked where it is bound and sampled (rhs.BoundRhs).
 
-Each ProblemSpec owns its f, its right-hand side bound to the grid and
+A ProblemSpec lives on a box Grid or a radial.BallMesh, and both run
+one pipeline: one prepared state, one loop (_picard) and one Solution.
+What differs between the two domains is a small backend (_BoxBackend,
+_BallBackend): how G is bound to the nodes, the frozen-density solve,
+the maximal extension f, the final residual and psh measure, and the
+norms of a refinement study.  On a ball f is the constant boundary
+value and is never solved.
+
+Each ProblemSpec owns its f, its right-hand side bound to the nodes and
 its prepared state (u0, the t-range and the outer residual tolerance).
 All are computed on first use and kept on that spec, so the solves,
 checks and verifiers that share one spec bind G once and solve f at most
@@ -38,16 +43,13 @@ import numpy as np
 
 from .errors import HypothesisViolation
 from .grids import Box, Grid, ScalarField, _density_or_inf, ma_density
-from .radial import (RadialProfile, _finish, _radial_mesh, radial_residual,
-                     solve_radial)
+from .radial import BallMesh, radial_residual, solve_radial
 from .rhs import BoundRhs, bind_on_grid, bind_on_mesh
 from .solvers import SolverConfig, maximal_extension, solve_ma_fixed_rhs
 
 __all__ = [
     "ProblemSpec",
-    "RadialProblemSpec",
     "Solution",
-    "RadialSolution",
     "OuterStep",
     "SubsolutionReport",
     "prepare",
@@ -67,14 +69,88 @@ class OuterStep(NamedTuple):
     psh_defect: float
 
 
+class _BoxBackend:
+    """A box problem's domain-specific steps: G bound to the grid's
+    interior nodes, finite-difference frozen solves, f the maximal
+    extension, and the Monge-Ampere density of the last iterate."""
+
+    def __init__(self, boundary: ScalarField, cfg: SolverConfig):
+        self.boundary, self.cfg = boundary, cfg
+
+    def bind(self, rhs, w_mu) -> BoundRhs:
+        return bind_on_grid(rhs, self.boundary.grid, w_mu)
+
+    def solve(self, dens, init=None):
+        """(values, residual, newton_iters, psh_defect) of the frozen
+        solve for dens, warm-started from the node values init."""
+        if init is not None:
+            init = ScalarField(self.boundary.grid, init)
+        res = solve_ma_fixed_rhs(dens, self.boundary, self.cfg, init=init)
+        return res.u.values, res.residual, res.newton_iters, res.psh_defect
+
+    def f(self) -> ScalarField:
+        return maximal_extension(self.boundary, self.cfg)
+
+    def final(self, u: ScalarField, bound: BoundRhs, last: OuterStep):
+        """(sup residual, psh defect) of the iterate u."""
+        dens, defect = ma_density(u)
+        g = bound(u.values[u.grid.interior])
+        return float(np.abs(dens.values - g).max()), defect
+
+    def norms(self, err: np.ndarray) -> tuple[float, float]:
+        """(h, L2 norm over the interior) of a nodal error."""
+        grid = self.boundary.grid
+        l2 = np.sqrt((err[grid.interior] ** 2).sum() * grid.cell_volume)
+        return float(max(grid.spacing)), float(l2)
+
+
+class _BallBackend:
+    """A ball problem's domain-specific steps: G bound to the mesh nodes
+    r < R, radial frozen solves, f the constant boundary value (the
+    radial maximal extension of constant data), and the radial residual.
+    The psh measure is how far the profile's slope dips below zero."""
+
+    def __init__(self, boundary: ScalarField, cfg: SolverConfig):
+        self.boundary, self.cfg = boundary, cfg
+        self.ball = boundary.grid
+        self.bval = float(boundary.values[-1])
+
+    def bind(self, rhs, w_mu) -> BoundRhs:
+        return bind_on_mesh(rhs, self.ball.r[:-1], w_mu)
+
+    def solve(self, dens, init=None):
+        ball = self.ball
+        prof = solve_radial(ball.n, dens, self.bval, ball.R, ball.mesh,
+                            self.cfg, init=init)
+        return (prof.values, prof.residual, prof.newton_iters,
+                max(0.0, -prof.vprime_min))
+
+    def f(self) -> ScalarField:
+        return self.boundary
+
+    def final(self, u: ScalarField, bound: BoundRhs, last: OuterStep):
+        # the last frozen solve returned u, so its psh measure is u's
+        ball = self.ball
+        return (radial_residual(ball.n, u.values, ball.R,
+                                bound(u.values[:-1])), last.psh_defect)
+
+    def norms(self, err: np.ndarray) -> tuple[float, float]:
+        h = float(self.ball.r[1] - self.ball.r[0])
+        return h, float(np.sqrt((err ** 2).sum() * h))
+
+
+_BACKENDS = {Grid: _BoxBackend, BallMesh: _BallBackend}
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Grid-mode problem: boundary data, a right-hand-side family, the
-    measure density, and an optional declared subsolution seed.  Its
+    """The problem on the domain of its boundary data, a box Grid or a
+    BallMesh: boundary data, a right-hand-side family, the measure
+    density, and an optional declared subsolution seed (boxes only).  Its
     bound right-hand side, maximal extension `f` and prepared state are
-    built on first use and kept on the instance.  This is the grid's only
-    check of the boundary sign; with theorem_mode off, positive data
-    draws a warning when f is solved."""
+    built on first use and kept on the instance.  This is the only check
+    of the boundary sign; with theorem_mode off, positive data draws a
+    warning when f is read."""
 
     boundary: ScalarField
     rhs: object
@@ -89,15 +165,21 @@ class ProblemSpec:
                                       "boundary values nonpositive")
         if self.v0 is not None and self.v0.grid != self.grid:
             raise ValueError("subsolution seed lives on a different grid")
+        if self.v0 is not None and not isinstance(self.grid, Grid):
+            raise ValueError("subsolution seeds apply to box domains only")
 
     @property
-    def grid(self) -> Grid:
+    def grid(self) -> Grid | BallMesh:
         return self.boundary.grid
 
     @cached_property
+    def _backend(self):
+        return _BACKENDS[type(self.grid)](self.boundary, self.config)
+
+    @cached_property
     def bound(self) -> BoundRhs:
-        """The right-hand side G bound to the grid's interior nodes."""
-        return bind_on_grid(self.rhs, self.grid, self.w_mu)
+        """The right-hand side G bound to the interior nodes."""
+        return self._backend.bind(self.rhs, self.w_mu)
 
     @cached_property
     def f(self) -> ScalarField:
@@ -105,29 +187,11 @@ class ProblemSpec:
         if _boundary_max(self.boundary) > 0:
             warnings.warn("boundary data is not nonpositive; comparison-"
                           "based checks may not apply", stacklevel=3)
-        return maximal_extension(self.boundary, self.config)
+        return self._backend.f()
 
     @cached_property
     def _state(self) -> dict:
         return _prepare_state(self)
-
-
-@dataclass(frozen=True)
-class RadialProblemSpec:
-    """Radially symmetric problem on the ball of radius R."""
-
-    n: int
-    boundary_value: float
-    rhs: object
-    R: float = 1.0
-    mesh: int = 256
-    w_mu: object = 1.0
-    config: SolverConfig = field(default_factory=SolverConfig)
-
-    def __post_init__(self):
-        if self.boundary_value > 0:
-            raise HypothesisViolation("positive boundary data",
-                                      "boundary values nonpositive")
 
 
 @dataclass(frozen=True)
@@ -159,7 +223,11 @@ class SubsolutionReport:
 
 @dataclass(frozen=True)
 class Solution:
-    """Converged (or bracketed) outer iteration on a grid."""
+    """Converged (or bracketed) outer iteration on a box or a ball.
+
+    psh_defect is the last iterate's departure from plurisubharmonicity:
+    max(0, -lambda_min) of its complex Hessian on a box, max(0, -v') of
+    its profile on a ball.  sandwich_ok is None without a seed."""
 
     problem: ProblemSpec
     u: ScalarField
@@ -182,21 +250,6 @@ class Solution:
     def f(self) -> ScalarField:
         """The problem's maximal extension, solved on first access."""
         return self.problem.f
-
-
-@dataclass(frozen=True)
-class RadialSolution:
-    """Converged (or best-effort) outer iteration on the ball."""
-
-    profile: RadialProfile
-    converged: bool
-    outer_iters: int
-    history: tuple[OuterStep, ...]
-    final_residual: float
-    tol_outer_residual: float
-    residual_ok: bool
-    chains_ok: bool
-    lip_t: float
 
 
 @dataclass(frozen=True)
@@ -230,12 +283,13 @@ def prepare(p: ProblemSpec) -> _Prepared:
     return _Prepared(problem=p, **p._state)
 
 
-def _first_iterate(bound: BoundRhs, boundary: ScalarField,
-                   cfg: SolverConfig, f_of) -> tuple[ScalarField, float]:
+def _first_iterate(backend, bound: BoundRhs,
+                   f_of) -> tuple[ScalarField, float]:
     """u0, the solve with G frozen at the maximal extension f = f_of(),
     and max(0, max f), the top of the t-range the iterates visit.  A
     t-independent G never calls f_of: G(f, .) is then G(0, .) bit for
     bit, and f, being psh, peaks on the boundary."""
+    boundary = backend.boundary
     if bound.t_independent:
         t_freeze = 0.0
         t_top = _boundary_max(boundary)
@@ -243,20 +297,14 @@ def _first_iterate(bound: BoundRhs, boundary: ScalarField,
         f = f_of()
         t_freeze = f.values[boundary.grid.interior]
         t_top = float(f.values.max())
-    u0 = solve_ma_fixed_rhs(bound(t_freeze), boundary, cfg).u
+    u0 = ScalarField(boundary.grid, backend.solve(bound(t_freeze))[0])
     return u0, max(0.0, t_top)
-
-
-def _tol_outer_residual(cfg: SolverConfig, lip: float) -> float:
-    """What the final residual of the outer loop must meet: its step
-    tolerance scaled by G's t-slope, and no tighter than tol_inner."""
-    return 10.0 * max(cfg.tol_inner, cfg.tol_outer * lip)
 
 
 def _prepare_state(p: ProblemSpec) -> dict:
     cfg = p.config
     bound = p.bound
-    u0, t_hi = _first_iterate(bound, p.boundary, cfg, lambda: p.f)
+    u0, t_hi = _first_iterate(p._backend, bound, lambda: p.f)
 
     phi0 = None
     if p.v0 is not None:
@@ -267,7 +315,9 @@ def _prepare_state(p: ProblemSpec) -> dict:
         t_lo = min(t_lo, float(phi0.values.min()))
     t_lo -= 1.0
     lip = bound.validate(t_lo, t_hi)
-    tol_res = _tol_outer_residual(cfg, lip)
+    # the final residual must meet the outer step tolerance scaled by G's
+    # t-slope, and no tighter than tol_inner
+    tol_res = 10.0 * max(cfg.tol_inner, cfg.tol_outer * lip)
 
     if p.v0 is not None:
         rep = subsolution_check(p.v0, p)
@@ -288,7 +338,8 @@ def _picard(solve, interior, bound: BoundRhs, cfg: SolverConfig,
 
     solve(dens, init) solves the frozen-density problem for the density
     dens, warm-started from the node values init, and returns (values,
-    residual, newton_iters, psh_defect); interior indexes the nodes the
+    residual, newton_iters, psh_defect); neither u0 nor the values are
+    written to, so no iterate is copied.  interior indexes the nodes the
     density is evaluated at.  Step k warm-starts from iterate k - 2, and
     step 1 from u0.  Returns (u, converged, steps, history, lower_env,
     upper_env, chains_ok).  Envelopes are full-shape arrays: the running
@@ -297,7 +348,7 @@ def _picard(solve, interior, bound: BoundRhs, cfg: SolverConfig,
     """
     slack = 2.0 * cfg.tol_inner
     u_cur = u0
-    last_by_parity = {0: np.array(u0), 1: None}
+    last_by_parity = {0: u0, 1: None}
     lower_env = np.array(u0)
     upper_env = None
     chains_ok = True
@@ -307,8 +358,7 @@ def _picard(solve, interior, bound: BoundRhs, cfg: SolverConfig,
     for k in range(1, cfg.max_outer + 1):
         dens = bound(u_cur[interior])
         warm = last_by_parity[k % 2]
-        vals, *stats = solve(dens, u_cur if warm is None else warm)
-        new_vals = np.array(vals)
+        new_vals, *stats = solve(dens, u_cur if warm is None else warm)
         change = float(np.abs(new_vals - u_cur).max())
         parity = k % 2
         prev = last_by_parity[parity]
@@ -336,31 +386,18 @@ def _picard(solve, interior, bound: BoundRhs, cfg: SolverConfig,
     return u_cur, converged, steps, history, lower_env, upper_env, chains_ok
 
 
-def _grid_solver(boundary: ScalarField, cfg: SolverConfig):
-    """The frozen-density grid solve in the form _picard calls it."""
-    def solve(dens, init):
-        res = solve_ma_fixed_rhs(dens, boundary, cfg,
-                                 init=ScalarField(boundary.grid, init))
-        return res.u.values, res.residual, res.newton_iters, res.psh_defect
-    return solve
+def solve_mam(p: ProblemSpec, init: ScalarField | None = None) -> Solution:
+    """Outer iteration to the solution of the solution-dependent problem,
+    on a box or a ball.
 
-
-def solve_mam(p, init: ScalarField | None = None):
-    """Outer iteration to the solution of the solution-dependent problem.
-
-    Accepts a ProblemSpec (grid) or RadialProblemSpec (ball).  Stops when
-    successive iterates move less than the config's tol_outer in sup norm
-    or after its max_outer steps; on a stall
-    the returned record still carries the even/odd envelopes as a
-    certified bracket.  `init` overrides the default starting iterate
-    (grid problems only); its interior is taken as-is and the boundary
-    ring is replaced by the problem's boundary data.
+    Stops when successive iterates move less than the config's tol_outer
+    in sup norm or after its max_outer steps; on a stall the returned
+    record still carries the even/odd envelopes as a certified bracket.
+    `init` overrides the default starting iterate; its interior is taken
+    as-is and the boundary values are replaced by the problem's boundary
+    data.
     """
     cfg = p.config
-    if isinstance(p, RadialProblemSpec):
-        if init is not None:
-            raise ValueError("explicit initialization is grid-only")
-        return _solve_mam_radial(p)
     prep = prepare(p)
     grid = p.grid
 
@@ -372,13 +409,9 @@ def solve_mam(p, init: ScalarField | None = None):
         start = ScalarField(grid, vals)
 
     u, converged, steps, history, lower_env, upper_env, chains_ok = _picard(
-        _grid_solver(p.boundary, cfg), grid.interior, p.bound, cfg,
-        start.values)
+        p._backend.solve, grid.interior, p.bound, cfg, start.values)
     u = ScalarField(grid, u)
-
-    dens, defect = ma_density(u)
-    final_residual = float(np.abs(
-        dens.values - p.bound(u.values[grid.interior])).max())
+    final_residual, defect = p._backend.final(u, p.bound, history[-1])
     residual_ok = bool(final_residual <= prep.tol_outer_residual)
 
     sandwich_ok = None
@@ -397,40 +430,6 @@ def solve_mam(p, init: ScalarField | None = None):
         bracket_lower=ScalarField(grid, lower_env),
         bracket_upper=ScalarField(grid, upper_env),
         psh_defect=defect, lip_t=prep.lip_t)
-
-
-def _solve_mam_radial(p: RadialProblemSpec):
-    cfg = p.config
-    # the mesh every Picard step solves on, built once for the problem
-    grid = _radial_mesh(float(p.R), p.mesh)
-    bound = bind_on_mesh(p.rhs, grid.r[:-1], p.w_mu)
-
-    def solve(dens, init=None):
-        prof = solve_radial(p.n, dens, p.boundary_value, p.R, p.mesh, cfg,
-                            init=init)
-        return (prof.values, prof.residual, prof.newton_iters,
-                max(0.0, -prof.vprime_min))
-
-    # the radial maximal extension of constant boundary data is constant
-    u0 = solve(bound(np.full(p.mesh, p.boundary_value)))[0]
-
-    t_lo = float(u0.min()) - 1.0
-    lip = bound.validate(t_lo, 0.0)
-    tol_res = _tol_outer_residual(cfg, lip)
-
-    u, converged, steps, history, _, _, chains_ok = _picard(
-        solve, slice(None, -1), bound, cfg, u0)
-    last = history[-1]
-    prof = _finish(grid, u, last.inner_residual, last.newton_iters)
-
-    final_residual = radial_residual(p.n, prof.values, p.R,
-                                     bound(prof.values[:-1]))
-    return RadialSolution(profile=prof, converged=converged,
-                          outer_iters=steps, history=tuple(history),
-                          final_residual=final_residual,
-                          tol_outer_residual=tol_res,
-                          residual_ok=bool(final_residual <= tol_res),
-                          chains_ok=chains_ok, lip_t=lip)
 
 
 def subsolution_check(u: ScalarField, p: ProblemSpec) -> SubsolutionReport:
@@ -495,15 +494,13 @@ def balayage_step(u: ScalarField, sub, p: ProblemSpec) -> ScalarField:
 
     # the local maximal extension and initial iterate mirror the global
     # construction with u's restriction as data
-    u0_local, t_hi = _first_iterate(
-        local_bound, local_boundary, cfg,
-        lambda: maximal_extension(local_boundary, cfg))
+    local = _BoxBackend(local_boundary, cfg)
+    u0_local, t_hi = _first_iterate(local, local_bound, local.f)
     t_lo = float(u0_local.values.min()) - 1.0
     local_bound.validate(t_lo, t_hi)
 
-    local_u, conv, *_ = _picard(
-        _grid_solver(local_boundary, cfg), local_grid.interior, local_bound,
-        cfg, u0_local.values)
+    local_u, conv, *_ = _picard(local.solve, local_grid.interior,
+                                local_bound, cfg, u0_local.values)
     if not conv:
         warnings.warn("local balayage solve did not meet the outer "
                       "tolerance; returning the glued best iterate")

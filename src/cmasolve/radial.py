@@ -16,6 +16,10 @@ each correction one call of LAPACK's tridiagonal solver gtsv: radial
 iterates take no eigenvalue guard and no psh test, and the ladder starts
 from the quadratic profile of the mean density.
 
+A ball problem's domain is a BallMesh: an iteration.ProblemSpec over it
+runs the outer loop a box problem runs, with solve_radial as its
+frozen-density solve.
+
 What depends only on (R, mesh), the node radii, the spacing and the
 r-only coefficients of the Jacobian, is built once per mesh as read-only
 arrays (_radial_mesh) and shared by every Newton step, every Picard step
@@ -36,10 +40,13 @@ from scipy.linalg.lapack import dgtsv
 from .solvers import (PSD_FLOOR, NewtonStagnationError, SolverConfig,
                       _frozen_density, _walk_ladder)
 
-__all__ = ["RadialProfile", "radial_residual", "solve_radial"]
+__all__ = ["BallMesh", "RadialProfile", "radial_residual", "solve_radial"]
 
 # fewest mesh intervals a radial solve accepts
 MIN_MESH = 32
+# how far below zero the slope of a profile may dip while the profile
+# still counts as nondecreasing, that is psh
+MONOTONE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -47,7 +54,8 @@ class RadialProfile:
     """Solution record for a radial solve.
 
     vprime_min flags loss of monotonicity: a psh radial profile is
-    nondecreasing, so a clearly negative minimum marks a non-psh output.
+    nondecreasing, so a minimum below -MONOTONE_TOL marks a non-psh
+    output.
     """
 
     r: np.ndarray
@@ -59,10 +67,6 @@ class RadialProfile:
     def __post_init__(self):
         for arr in (self.r, self.values):
             arr.setflags(write=False)
-
-    @property
-    def monotone_ok(self) -> bool:
-        return self.vprime_min >= -1e-9
 
     def __call__(self, rq):
         return np.interp(rq, self.r, self.values)
@@ -98,6 +102,41 @@ def _radial_mesh(R: float, mesh: int) -> _RadialMesh:
     for arr in (grid.r, grid.dA_dn, grid.dA_dp, grid.dB_dn):
         arr.setflags(write=False)
     return grid
+
+
+@dataclass(frozen=True)
+class BallMesh:
+    """The ball {|z| <= R} in C^n as the domain of a radial problem: the
+    uniform r-mesh of [0, R] with mesh intervals.  The node r = R carries
+    the Dirichlet value and the nodes r < R are the unknowns, so a
+    ScalarField over it holds mesh + 1 values, and shape, interior,
+    interior_shape and interior_mask() mean what they mean on a Grid."""
+
+    n: int
+    R: float
+    mesh: int
+    interior = (slice(0, -1),)
+
+    def __post_init__(self):
+        _check_radial_args(self.n, self.R, self.mesh)
+
+    @property
+    def r(self) -> np.ndarray:
+        """The node radii, read-only and shared with the solves."""
+        return _radial_mesh(float(self.R), self.mesh).r
+
+    @property
+    def shape(self) -> tuple[int]:
+        return (self.mesh + 1,)
+
+    @property
+    def interior_shape(self) -> tuple[int]:
+        return (self.mesh,)
+
+    def interior_mask(self) -> np.ndarray:
+        mask = np.ones(self.shape, dtype=bool)
+        mask[-1] = False
+        return mask
 
 
 def _residual_parts(n, w, grid: _RadialMesh):
@@ -233,9 +272,9 @@ def solve_radial(n: int, density, boundary_value: float, R: float,
 
     density is frozen: a number or an array over the mesh nodes r < R,
     finite and nonnegative.  boundary_value fixes v(R); its sign is a
-    hypothesis of the outer problem, checked by RadialProblemSpec, not
-    here.  v'(0) = 0 is built into the axis stencil.  init, when
-    given, supplies all mesh+1 node values as a warm start.
+    hypothesis of the outer problem, checked by ProblemSpec, not here.
+    v'(0) = 0 is built into the axis stencil.  init, when given, supplies
+    all mesh+1 node values as a warm start.
     """
     cfg = cfg or SolverConfig()
     _check_radial_args(n, R, mesh)
@@ -250,7 +289,9 @@ def solve_radial(n: int, density, boundary_value: float, R: float,
         w0[-1] = bval
     backend = _RadialNewton(n, density, bval, R, mesh)
     w, rsup, iters, _ = _walk_ladder(backend, cfg, w0)
-    return _finish(backend.grid, w, rsup, iters)
+    vprime = np.gradient(w, backend.grid.h)
+    return RadialProfile(r=backend.grid.r, values=np.array(w), residual=rsup,
+                         newton_iters=iters, vprime_min=float(vprime.min()))
 
 
 def radial_residual(n: int, values: np.ndarray, R: float, density) -> float:
@@ -266,9 +307,3 @@ def radial_residual(n: int, values: np.ndarray, R: float, density) -> float:
     _check_radial_args(n, R, mesh, "the mesh of values (its size less one)")
     op, _, _ = _residual_parts(n, values, _radial_mesh(float(R), mesh))
     return float(np.abs(op - _frozen_density(density, (mesh,))).max())
-
-
-def _finish(grid: _RadialMesh, w, rsup, iters):
-    vprime = np.gradient(w, grid.h)
-    return RadialProfile(r=grid.r, values=np.array(w), residual=rsup,
-                         newton_iters=iters, vprime_min=float(vprime.min()))

@@ -19,8 +19,9 @@ from cmasolve.cli import main as cli_main
 from cmasolve.errors import HypothesisViolation
 from cmasolve.expressions import evaluate_on_grid, parse_expression
 from cmasolve.grids import DensityField, ScalarField, build_grid, unit_box
-from cmasolve.iteration import (ProblemSpec, RadialProblemSpec,
-                                balayage_step, solve_mam, subsolution_check)
+from cmasolve.iteration import (ProblemSpec, balayage_step, solve_mam,
+                                subsolution_check)
+from cmasolve.radial import BallMesh
 from cmasolve.rhs import ConstantRhs, ExponentialRhs
 from cmasolve.solvers import solve_ma_fixed_rhs
 
@@ -130,12 +131,13 @@ def test_criterion_3_radial_backend():
     t0 = time.monotonic()
     for n in (1, 2, 3, 4):
         scale = 4.0 ** n * math.factorial(n)
-        p = RadialProblemSpec(n=n, boundary_value=0.0,
-                              rhs=ConstantRhs(scale), mesh=512)
+        ball = BallMesh(n, 1.0, 512)
+        p = ProblemSpec(boundary=ScalarField(ball, np.zeros(513)),
+                        rhs=ConstantRhs(scale))
         sol = solve_mam(p)
         assert sol.converged
-        exact = sol.profile.r ** 2 - 1.0
-        errs.append(float(np.abs(sol.profile.values - exact).max()))
+        exact = ball.r ** 2 - 1.0
+        errs.append(float(np.abs(sol.u.values - exact).max()))
     elapsed = time.monotonic() - t0
     assert max(errs) <= SUP_RADIAL
     assert elapsed < SECONDS_RADIAL

@@ -23,7 +23,8 @@ from cmasolve.config import load_config
 from cmasolve.errors import HypothesisViolation, SolverError
 from cmasolve.grids import (DensityField, ScalarField, build_grid,
                             ma_density, unit_box)
-from cmasolve.iteration import ProblemSpec, RadialProblemSpec, prepare
+from cmasolve.iteration import ProblemSpec, prepare
+from cmasolve.radial import BallMesh
 from cmasolve.rhs import ConstantRhs, ExponentialRhs, ExpressionRhs
 from cmasolve.solvers import FrozenFamily, SolverConfig, solve_ma_fixed_rhs
 
@@ -400,10 +401,10 @@ def exp_mms_problem(res):
 
 
 def radial_cubic_problem(mesh):
-    r = np.linspace(0.0, 1.0, mesh + 1)
-    p = RadialProblemSpec(n=2, boundary_value=0.0,
-                          rhs=ExpressionRhs("108 * r2"), mesh=mesh)
-    return p, r ** 3 - 1.0
+    ball = BallMesh(2, 1.0, mesh)
+    p = ProblemSpec(boundary=ScalarField(ball, np.zeros(mesh + 1)),
+                    rhs=ExpressionRhs("108 * r2"))
+    return p, ball.r ** 3 - 1.0
 
 
 class TestConvergenceStudy:

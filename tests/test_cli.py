@@ -117,8 +117,13 @@ class TestRadial:
         code, out, _ = run(capsys, "radial", cfg)
         assert code == 0
         payload = json.loads(out)
+        assert set(payload) == {
+            "command", "n", "mesh", "converged", "outer_iters",
+            "final_residual", "tol_outer_residual", "residual_ok",
+            "monotone_ok", "chains_ok"}
         assert payload["converged"] is True
         assert payload["monotone_ok"] is True
+        assert payload["chains_ok"] is True
         assert payload["mesh"] == 128
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "r,v"
@@ -578,7 +583,7 @@ class TestConfigFuzz:
             with mock.patch.multiple(
                     config_mod, build_grid=mock.DEFAULT,
                     ProblemSpec=mock.DEFAULT,
-                    RadialProblemSpec=mock.DEFAULT) as built:
+                    BallMesh=mock.DEFAULT) as built:
                 try:
                     cfg = config_mod.load_config(cfg_path)
                 except config_mod.ConfigError:

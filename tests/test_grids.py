@@ -22,7 +22,6 @@ from cmasolve.grids import (
     _hessian_entries,
     build_grid,
     complex_hessian,
-    integrate,
     ma_density,
     ma_normalization,
     mixed_difference,
@@ -319,22 +318,6 @@ class TestMaDensity:
 
 
 class TestIntegrateAndDumps:
-    def test_integrate_constant(self):
-        g = build_grid(unit_box(2), 9)
-        val = integrate(DensityField.constant(g, 32.0))
-        expected = 32.0 * (7 ** 4) * g.cell_volume
-        assert val == pytest.approx(expected, rel=1e-13)
-        # refines toward the continuum value 32 * vol(box)
-        g2 = build_grid(unit_box(2), 17)
-        val2 = integrate(DensityField.constant(g2, 32.0))
-        assert abs(val2 - 32.0) < abs(val - 32.0)
-
-    def test_integrate_deterministic(self):
-        g = build_grid(unit_box(1), 33)
-        rng = np.random.default_rng(11)
-        d = DensityField(g, rng.random(g.interior_shape))
-        assert integrate(d) == integrate(d)
-
     def test_csv_round_trip_bit_identical(self, tmp_path):
         g = build_grid(unit_box(1), 7)
         rng = np.random.default_rng(5)

@@ -11,7 +11,7 @@ from cmasolve.errors import HypothesisViolation
 from cmasolve.grids import DensityField, ScalarField, build_grid, ma_density, unit_box
 from cmasolve.iteration import (
     ProblemSpec,
-    RadialProblemSpec,
+    Solution,
     balayage_step,
     prepare,
     solve_mam,
@@ -19,6 +19,7 @@ from cmasolve.iteration import (
 )
 from cmasolve.rhs import (ConstantRhs, ExponentialRhs, ExpressionRhs, PowerPlusRhs,
                           bind_on_grid)
+from cmasolve.radial import MONOTONE_TOL, BallMesh, solve_radial
 from cmasolve.solvers import SolverConfig, maximal_extension, solve_ma_fixed_rhs
 
 
@@ -47,6 +48,14 @@ def cheng_yau_problem(res=9, with_seed=True, n=2):
     w = DensityField(grid, scale * np.exp(1.0 - (pts ** 2).sum(axis=-1)))
     v0 = bdry if with_seed else None
     return ProblemSpec(boundary=bdry, rhs=ExponentialRhs(1.0, w), v0=v0)
+
+
+def cheng_yau_ball(mesh=64, boundary_value=0.0):
+    """The radialized model problem on the unit ball of C^2."""
+    ball = BallMesh(2, 1.0, mesh)
+    return ProblemSpec(
+        boundary=ScalarField(ball, np.full(mesh + 1, boundary_value)),
+        rhs=ExponentialRhs(1.0, w=lambda r: 32.0 * np.exp(1.0 - r ** 2)))
 
 
 class TestChengYau:
@@ -137,16 +146,12 @@ class TestPowerPlus:
 
 class TestRadialBackend:
     def test_cheng_yau_radialized(self):
-        p = RadialProblemSpec(
-            n=2, boundary_value=0.0,
-            rhs=ExponentialRhs(1.0, w=lambda r: 32.0 * np.exp(1.0 - r ** 2)),
-            R=1.0, mesh=64)
-        sol = solve_mam(p)
+        sol = solve_mam(cheng_yau_ball())
         assert sol.converged
-        exact = sol.profile.r ** 2 - 1.0
-        assert np.abs(sol.profile.values - exact).max() <= 1e-6
+        exact = sol.u.grid.r ** 2 - 1.0
+        assert np.abs(sol.u.values - exact).max() <= 1e-6
         assert sol.residual_ok
-        assert sol.profile.monotone_ok
+        assert sol.psh_defect <= MONOTONE_TOL
         assert sol.chains_ok
 
     def test_ball_cubic_config_reports_chains(self):
@@ -158,14 +163,43 @@ class TestRadialBackend:
 
     def test_grid_and_radial_agree_through_closed_form(self):
         gsol = solve_mam(cheng_yau_problem(res=9))
-        rsol = solve_mam(RadialProblemSpec(
-            n=2, boundary_value=0.0,
-            rhs=ExponentialRhs(1.0, w=lambda r: 32.0 * np.exp(1.0 - r ** 2)),
-            R=1.0, mesh=64))
+        rsol = solve_mam(cheng_yau_ball())
         gerr = np.abs(gsol.u.values
                       - sq_minus_one(gsol.u.grid).values).max()
-        rerr = np.abs(rsol.profile.values - (rsol.profile.r ** 2 - 1)).max()
+        rerr = np.abs(rsol.u.values - (rsol.u.grid.r ** 2 - 1)).max()
         assert gerr <= 1e-6 and rerr <= 1e-6
+
+    def test_one_solution_type_for_box_and_ball(self):
+        box = solve_mam(cheng_yau_problem(res=9))
+        ball = solve_mam(cheng_yau_ball())
+        assert type(box) is type(ball) is Solution
+        assert box.u.grid == build_grid(unit_box(2), 9)
+        assert ball.u.grid == BallMesh(2, 1.0, 64)
+        # a ball takes no seed, so it has no phi0 and no sandwich
+        assert box.sandwich_ok is True
+        assert ball.phi0 is None and ball.sandwich_ok is None
+
+    def test_prepare_on_a_ball(self):
+        # f is the constant boundary value: it tops the t-range at
+        # max(0, bval) and freezes the density of u0
+        p = cheng_yau_ball(boundary_value=-0.25)
+        prep = prepare(p)
+        assert prep.phi0 is None
+        assert prep.t_hi == 0.0
+        assert prep.f is p.boundary
+        u0 = solve_radial(2, p.bound(np.full(64, -0.25)), -0.25, 1.0, 64)
+        assert np.array_equal(prep.u0.values, u0.values)
+
+    def test_init_on_a_ball_goes_through_the_splice(self):
+        p = cheng_yau_ball()
+        sol = solve_mam(p)
+        # a wrong boundary value in init is replaced by the problem's
+        init = np.array(sol.u.values)
+        init[-1] = -5.0
+        again = solve_mam(p, init=ScalarField(p.grid, init))
+        assert again.u0.values[-1] == 0.0
+        assert np.array_equal(again.u0.values[:-1], sol.u.values[:-1])
+        assert again.converged and again.outer_iters <= 2
 
 
 class TestSubsolutionCheck:

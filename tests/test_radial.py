@@ -14,11 +14,21 @@ import cmasolve.radial
 import cmasolve.solvers
 from cmasolve.cli import main
 from cmasolve.errors import HypothesisViolation, SolverError
-from cmasolve.iteration import RadialProblemSpec, solve_mam
-from cmasolve.radial import RadialProfile, radial_residual, solve_radial
+from cmasolve.grids import ScalarField
+from cmasolve.iteration import ProblemSpec, solve_mam
+from cmasolve.radial import (MONOTONE_TOL, BallMesh, RadialProfile,
+                             radial_residual, solve_radial)
 from cmasolve.rhs import ConstantRhs, ExponentialRhs
 from cmasolve.solvers import (NewtonIterationError, NewtonStagnationError,
                               SolverConfig)
+
+
+def ball_problem(n, boundary_value, rhs, mesh=256):
+    """The problem on the unit ball with constant boundary data."""
+    ball = BallMesh(n, 1.0, mesh)
+    return ProblemSpec(boundary=ScalarField(ball, np.full(mesh + 1,
+                                                          boundary_value)),
+                       rhs=rhs)
 
 
 def radial_operator_oracle(n, v_expr, r_sym):
@@ -40,7 +50,7 @@ class TestQuadraticOracle:
         exact = prof.r ** 2 - 1.0
         assert np.abs(prof.values - exact).max() <= 1e-7
         assert prof.residual <= 1e-10
-        assert prof.monotone_ok
+        assert prof.vprime_min >= -MONOTONE_TOL
         assert prof.values[-1] == 0.0
 
     def test_oracle_matches_hand_value(self):
@@ -87,7 +97,7 @@ class TestHypotheses:
         # the sign of the boundary value is a hypothesis of the problem; a
         # frozen-density solve leaves it unchecked, as on grids
         with pytest.raises(HypothesisViolation, match="nonpositive"):
-            RadialProblemSpec(n=2, boundary_value=0.5, rhs=ConstantRhs(32.0))
+            ball_problem(2, 0.5, ConstantRhs(32.0))
 
     def test_negative_rhs_rejected(self):
         # a frozen density is checked as the grid solver checks it; F's
@@ -139,17 +149,15 @@ class TestHypotheses:
 class TestNewtonFailures:
     def test_stall_raises_a_solver_error(self):
         # the residual stalls at round-off above the absolute tol_inner
-        p = RadialProblemSpec(
-            n=2, boundary_value=0.0,
-            rhs=ExponentialRhs(1.0, w=lambda r: 32.0 * np.exp(1.0 - r ** 2)),
-            mesh=256)
+        p = ball_problem(2, 0.0, ExponentialRhs(
+            1.0, w=lambda r: 32.0 * np.exp(1.0 - r ** 2)), mesh=256)
         try:
             sol = solve_mam(p)
         except SolverError as exc:
             assert isinstance(exc, (NewtonStagnationError,
                                     NewtonIterationError))
             assert exc.residual > 0.0
-            assert exc.iterate.shape == (p.mesh + 1,)
+            assert exc.iterate.shape == p.grid.shape
         else:
             assert sol.converged
 
@@ -285,10 +293,8 @@ class TestMeshReuse:
             return solve_radial(*args, **kwargs)
 
         monkeypatch.setattr(cmasolve.iteration, "solve_radial", counted)
-        p = RadialProblemSpec(
-            n=2, boundary_value=0.0,
-            rhs=ExponentialRhs(1.0, w=lambda r: 32.0 * np.exp(1.0 - r ** 2)),
-            mesh=64)
+        p = ball_problem(2, 0.0, ExponentialRhs(
+            1.0, w=lambda r: 32.0 * np.exp(1.0 - r ** 2)), mesh=64)
         memo = cmasolve.radial._radial_mesh
         memo.cache_clear()
         sol = solve_mam(p)
