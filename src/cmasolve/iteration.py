@@ -436,8 +436,10 @@ def subsolution_check(u: ScalarField, p: ProblemSpec) -> SubsolutionReport:
     """Membership check: density dominates G(u, .), u sits below the
     problem's maximal extension f, and u is discretely psh, all within
     tol = 10 h^2 (1 + max G).  A density that overflows counts as +inf,
-    so the other two parts decide."""
+    so the other two parts decide.  Boxes only."""
     grid = p.grid
+    if not isinstance(grid, Grid):
+        raise ValueError("subsolution_check applies to box domains only")
     if u.grid != grid:
         raise ValueError("field lives on a different grid")
     g_at_u = p.bound(u.values[grid.interior])
@@ -457,8 +459,10 @@ def balayage_step(u: ScalarField, sub, p: ProblemSpec) -> ScalarField:
     exclusive, each window at least 5 nodes and at least 2 cells from the
     domain boundary.  The sub-box problem takes u as boundary data and is
     run through the same outer iteration; the glued result dominates u
-    wherever u was a subsolution.
+    wherever u was a subsolution.  Boxes only.
     """
+    if not isinstance(p.grid, Grid):
+        raise ValueError("balayage_step applies to box domains only")
     grid = u.grid
     cfg = p.config
     if len(sub) != 2 * grid.n:

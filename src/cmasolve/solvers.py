@@ -24,6 +24,18 @@ PSD_FLOOR (the least eigenvalue floor of a linearization) and REG_LADDER
 (the regularization rungs, ending at the true problem).  SolverConfig
 holds only the tolerances and iteration caps a caller chooses.
 
+At a double root, such as the maximal extension's (dd^c f)^2 = 0, Newton
+converges only linearly: each full step cuts the residual by 1/4 and
+halves the correction along a fixed direction (Decker, Keller & Kelley,
+SIAM J. Numer. Anal. 20, 1983).  When a full step has cut the residual
+by about 1/4 (TAIL_CUT) and the next correction is parallel to it and
+about half as long (TAIL_COS2, TAIL_RATIO), _newton_stage first tries one
+extrapolated step that sums the geometric tail (Griewank, SIAM Review 27,
+1985), under the same residual and eigenvalue tests as any trial.  A
+plain Newton step always follows an extrapolated iterate, so a stage
+never ends on one: the jump lands within the residual tolerance but
+leaves a psh defect the plain step removes.
+
 FrozenFamily solves a one-parameter family of frozen-density problems on
 one boundary (natural-parameter continuation): each member starts from
 the members already solved, and a poor start falls back on the ladder's
@@ -80,6 +92,14 @@ DAMPING = 0.5
 MIN_STEP = 1e-4
 PSD_FLOOR = 1e-12
 REG_LADDER = (1e-2, 1e-4, 1e-6, 0.0)
+# Newton's linear tail at a double root, where det H vanishes to second
+# order (as it does where f is maximal): each full step cuts the residual
+# by 1/4 and halves the correction along a fixed direction.  TAIL_CUT
+# brackets the cut 1/4 and TAIL_RATIO the ratio 1/2 of successive
+# correction lengths; TAIL_COS2 is the least squared cosine between them.
+TAIL_CUT = (0.2, 0.3)
+TAIL_RATIO = (0.45, 0.55)
+TAIL_COS2 = 1.0 - 2e-3
 
 
 @dataclass(frozen=True)
@@ -157,6 +177,22 @@ def solve_poisson(g, boundary: ScalarField,
 #                       each state is passed to it once and may be spent;
 #   surrogate(eps)      a starting iterate for density + eps.
 
+def _tail_factor(delta: np.ndarray, prev: np.ndarray) -> float | None:
+    """1 / (1 - rho) when delta continues the geometric tail of prev: the
+    same direction within TAIL_COS2 and length ratio rho within
+    TAIL_RATIO.  Then u + delta / (1 - rho) sums the tail's remaining
+    corrections.  None otherwise."""
+    dd = float(np.vdot(delta, delta))
+    pp = float(np.vdot(prev, prev))
+    dp = float(np.vdot(delta, prev))
+    if dp <= 0.0 or dp * dp < TAIL_COS2 * dd * pp:
+        return None
+    rho = float(np.sqrt(dd / pp))
+    if not TAIL_RATIO[0] <= rho <= TAIL_RATIO[1]:
+        return None
+    return 1.0 / (1.0 - rho)
+
+
 def _newton_stage(backend, u: np.ndarray, eps: float, stage_tol: float,
                   cfg: SolverConfig):
     """Damped Newton at regularization eps from u, to sup residual below
@@ -168,6 +204,17 @@ def _newton_stage(backend, u: np.ndarray, eps: float, stage_tol: float,
     guard, no worse than the iterate's own.  The first residual-decreasing
     trial that fails it is kept, and taken when no decreasing trial
     passes.
+
+    Inside a double root's linear tail (see TAIL_CUT) the step first tries
+    the extrapolated iterate u + delta / (1 - rho), which sums the tail's
+    geometric series of corrections.  It is taken when its residual
+    decreases and it passes the guard; otherwise the step backtracks from
+    alpha = 1 as usual.  An extrapolated iterate never ends the stage: it
+    meets the residual but not the psh-ness of the tail's end (lambda_min
+    -5e-11 where a plain step leaves -2e-14 on f at res 17), so one plain
+    step always follows it.  Only when that step finds no decrease that
+    passes the guard, or the iteration cap allows none, does the
+    extrapolated iterate stand.
     """
     # the stage_tol/norm allowance keeps the guard feasible in the
     # degenerate endgame, where iterates carry lam1 ~ -eps at roundoff
@@ -180,15 +227,28 @@ def _newton_stage(backend, u: np.ndarray, eps: float, stage_tol: float,
         guard = min(guard, -float(np.sqrt(cfg.tol_inner)))
     rsup, lam1, state = backend.evaluate(u, eps)
     iters = 0
-    while rsup >= stage_tol:
+    # the last correction while its full step cut the residual by
+    # TAIL_CUT, and whether u is an extrapolated iterate
+    tail, jumped = None, False
+    while rsup >= stage_tol or (jumped and iters < cfg.max_newton):
         if iters >= cfg.max_newton:
             raise NewtonIterationError(rsup, u)
         iters += 1
         delta = backend.correct(u, state, rsup, eps)
 
-        alpha = 1.0
         step = fallback = None
-        while alpha >= MIN_STEP:
+        full = False
+        factor = None if tail is None else _tail_factor(delta, tail)
+        if factor is not None:
+            trial = u.copy()
+            trial[backend.index] += factor * delta
+            t_rsup, t_lam1, t_state = backend.evaluate(trial, eps)
+            if t_rsup < rsup and (t_lam1 is None
+                                  or t_lam1 >= min(guard, lam1)):
+                step = (trial, t_rsup, t_lam1, t_state)
+        jumped = step is not None
+        alpha = 1.0
+        while step is None and alpha >= MIN_STEP:
             trial = u.copy()
             trial[backend.index] += alpha * delta
             t_rsup, t_lam1, t_state = backend.evaluate(trial, eps)
@@ -198,15 +258,22 @@ def _newton_stage(backend, u: np.ndarray, eps: float, stage_tol: float,
                 # steps would fail the guard too, down to MIN_STEP
                 if t_lam1 is None or t_lam1 >= min(guard, lam1):
                     step = (trial, t_rsup, t_lam1, t_state)
+                    full = alpha == 1.0
                     break
                 if fallback is None:
                     fallback = (trial, t_rsup, t_lam1, t_state)
             alpha *= DAMPING
+        if step is None and rsup < stage_tol:
+            # the plain step after a jump that met stage_tol found no
+            # decrease that passes the guard (round-off); the jump did
+            break
         # every decreasing trial made lam1 worse than the guard and the
         # iterate's own: take the first of them and let psh_defect report
         step = step or fallback
         if step is None:
             raise NewtonStagnationError(rsup, u, "line search")
+        full = full and TAIL_CUT[0] * rsup <= step[1] <= TAIL_CUT[1] * rsup
+        tail = delta if full else None
         u, rsup, lam1, state = step
     return u, rsup, iters, lam1
 

@@ -233,6 +233,12 @@ class TestSubsolutionCheck:
         h = max(p.grid.spacing)
         assert rep.tol == pytest.approx(10 * h * h * (1 + 32.0), rel=1e-6)
 
+    def test_ball_problem_rejected(self):
+        p = cheng_yau_ball()
+        with pytest.raises(ValueError, match="subsolution_check applies "
+                                             "to box domains only"):
+            subsolution_check(p.boundary, p)
+
 
 class TestBalayage:
     def test_improves_seed_and_preserves_subsolution(self):
@@ -269,6 +275,12 @@ class TestBalayage:
         prep = prepare(p)
         with pytest.raises(HypothesisViolation, match="subsolution"):
             balayage_step(prep.f, ((2, 7),) * 4, p)
+
+    def test_ball_problem_rejected(self):
+        p = cheng_yau_ball()
+        with pytest.raises(ValueError, match="balayage_step applies to box "
+                                             "domains only"):
+            balayage_step(p.boundary, ((2, 7),) * 4, p)
 
 
 class TestHypothesisEnforcement:

@@ -352,24 +352,27 @@ class TestFrozenFamily:
 
 
 class ScriptedBackend:
-    """One unknown x, always corrected by +1, so the trial at step alpha
-    from x = 0 is x = alpha; script(x) gives (residual, lambda_min)."""
+    """One unknown x, by default always corrected by +1, so the trial at
+    step alpha from x = 0 is x = alpha; script(x) gives (residual,
+    lambda_min).  correction(u), when given, is the correction at u; with
+    more than one unknown, x is the tuple of them."""
 
     norm = 32.0
     index = slice(None)
 
-    def __init__(self, script):
+    def __init__(self, script, correction=None):
         self.script = script
+        self.correction = correction or (lambda u: np.ones(1))
         self.evaluated = []
 
     def evaluate(self, u, eps):
-        x = float(u[0])
+        x = float(u[0]) if u.size == 1 else tuple(u.tolist())
         self.evaluated.append(x)
         rsup, lam1 = self.script(x)
         return rsup, lam1, None
 
     def correct(self, u, state, rsup, eps):
-        return np.ones(1)
+        return self.correction(u)
 
 
 class TestEigenvalueGuard:
@@ -421,6 +424,140 @@ class TestEigenvalueGuard:
         x, _, iters, evaluated = self.stage(script, 0.0)
         assert (x, iters) == (taken, 1)
         assert evaluated == ([0.0, 1.0] if taken == 1.0 else [0.0, 1.0, 0.5])
+
+
+class TestTailExtrapolation:
+    """The extrapolated step of _newton_stage inside a double root's tail.
+
+    Newton on x^2 = 0 corrects x by -x/2: each full step halves x and cuts
+    the residual x^2 by 1/4, the tail of a double root."""
+
+    cfg = SolverConfig()
+
+    def stage(self, script, correction, start=1.0, cfg=None):
+        backend = ScriptedBackend(script, correction)
+        cfg = cfg or self.cfg
+        u, rsup, iters, lam1 = _newton_stage(
+            backend, np.atleast_1d(np.array(start, dtype=float)), 0.0,
+            cfg.tol_inner, cfg)
+        return u, rsup, iters, backend.evaluated
+
+    @staticmethod
+    def halving(u):
+        return -0.5 * u
+
+    def test_first_trial_sums_the_tail(self):
+        # the full step 1 -> 1/2 cuts the residual by 1/4; the next
+        # correction -1/4 is parallel and half as long, so the first trial
+        # is 1/2 - (1/4) / (1 - 1/2) = 0, the root
+        u, rsup, iters, evaluated = self.stage(lambda x: (x * x, 0.0),
+                                               self.halving)
+        assert evaluated[:3] == [1.0, 0.5, 0.0]
+        assert u[0] == 0.0 and rsup == 0.0
+
+    def test_a_jump_below_stage_tol_takes_one_more_step(self):
+        # the jump lands on the root, below stage_tol; one plain step
+        # (here the zero correction) still follows it
+        _, _, iters, evaluated = self.stage(lambda x: (x * x, 0.0),
+                                            self.halving)
+        assert evaluated == [1.0, 0.5, 0.0, 0.0]
+        assert iters == 3
+
+    @pytest.mark.parametrize("at_root", [(2.0, 0.0), (0.0, -1.0)],
+                             ids=["residual-rises", "fails-guard"])
+    def test_rejected_jump_backtracks_from_a_full_step(self, at_root):
+        # the jump to 0 raises the residual or fails the guard: the plain
+        # full step to 1/4 is the next trial, and the rejected jump cost
+        # one evaluation
+        def script(x):
+            return at_root if x == 0.0 else (x * x, 0.0)
+
+        _, _, _, evaluated = self.stage(script, self.halving)
+        assert evaluated[:4] == [1.0, 0.5, 0.0, 0.25]
+
+    def test_a_plain_step_that_cannot_follow_leaves_the_jump(self):
+        # past the jump every trial raises the residual, as at a round-off
+        # floor: the jump met stage_tol and the guard, so it stands
+        def script(x):
+            return (1e-12, 0.0) if x == 0.0 else (x * x, 0.0)
+
+        def correction(u):
+            return -0.5 * u if u[0] != 0.0 else np.ones(1)
+
+        u, rsup, iters, evaluated = self.stage(script, correction)
+        assert u[0] == 0.0 and rsup == 1e-12 and iters == 3
+        # the plain step backtracked from alpha = 1 down to MIN_STEP
+        trials = int(np.log(MIN_STEP) / np.log(DAMPING)) + 1
+        assert evaluated[3:] == [DAMPING ** k for k in range(trials)]
+
+    def test_the_jump_stands_over_a_step_that_fails_the_guard(self):
+        # past the jump the only decreasing trial, the full step to -1,
+        # fails the guard: the jump met stage_tol and passed it, so it
+        # stands rather than that trial
+        def script(x):
+            if x == 0.0:
+                return 1e-12, 0.0
+            if x == -1.0:
+                return 5e-13, -1.0
+            return (x * x, 0.0) if x > 0.0 else (1.0, 0.0)
+
+        def correction(u):
+            return -0.5 * u if u[0] != 0.0 else -np.ones(1)
+
+        u, rsup, iters, evaluated = self.stage(script, correction)
+        assert u[0] == 0.0 and rsup == 1e-12 and iters == 3
+        assert evaluated[3] == -1.0
+
+    def test_a_jump_on_the_last_allowed_step_stands(self):
+        u, rsup, iters, _ = self.stage(lambda x: (x * x, 0.0), self.halving,
+                                       cfg=SolverConfig(max_newton=2))
+        assert u[0] == 0.0 and iters == 2
+
+    def test_no_jump_at_ratio_three_tenths(self):
+        # corrections shrinking by 0.3 with the residual still cut by 1/4
+        # a step: the ratio is outside the tail's, so every step is plain
+        p = np.log(4.0) / np.log(1.0 / 0.3)
+        _, _, iters, evaluated = self.stage(lambda x: (abs(x) ** p, 0.0),
+                                            lambda u: -0.7 * u)
+        assert np.allclose(evaluated,
+                           [0.3 ** k for k in range(len(evaluated))],
+                           rtol=1e-12, atol=0.0)
+        assert iters == len(evaluated) - 1
+
+    def test_no_jump_across_non_parallel_corrections(self):
+        # x halves each step and the residual x^2 falls by 1/4, but from
+        # x = 1/2 on the corrections turn sideways: the second makes
+        # cos^2 = 1/1.04 with the first at ratio 0.51, so its step is
+        # plain; the third is parallel to the second and is extrapolated
+        def correction(u):
+            x = u[0]
+            return np.array([-0.5 * x, 0.0 if x == 1.0 else 0.1 * x])
+
+        _, _, _, evaluated = self.stage(lambda x: (x[0] ** 2, 0.0),
+                                        correction, start=[1.0, 0.0])
+        assert evaluated[:3] == [(1.0, 0.0), (0.5, 0.0), (0.25, 0.05)]
+        assert evaluated[3] == pytest.approx((0.0, 0.1), abs=1e-12)
+
+    def test_no_jump_outside_the_residual_cut(self):
+        # halving parallel corrections, but each full step cuts the
+        # residual |x| by 1/2, not by 1/4: every step is plain
+        _, _, iters, evaluated = self.stage(lambda x: (abs(x), 0.0),
+                                            self.halving)
+        assert evaluated == [0.5 ** k for k in range(len(evaluated))]
+        assert iters == len(evaluated) - 1
+
+    def test_no_jump_after_a_backtracked_step(self):
+        # Newton's correction -x overshoots: the full step to 0 fails the
+        # guard and the half step to 1/2 cuts the residual by 1/4; the next
+        # correction -1/2 is parallel and half as long, but the step before
+        # was not a full one, so the first trial is the plain one, 0, not
+        # the jump to -1/2
+        def script(x):
+            return x * x, (-1.0 if x == 0.0 else 0.0)
+
+        _, _, _, evaluated = self.stage(script, lambda u: -u)
+        assert evaluated[:4] == [1.0, 0.0, 0.5, 0.0]
+        assert min(evaluated) >= 0.0
 
 
 class TestMaximalExtension:
