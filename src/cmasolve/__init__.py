@@ -26,8 +26,8 @@ _EXPORTS = {
     "maximal_extension": "solvers", "solve_ma_fixed_rhs": "solvers",
     "solve_poisson": "solvers",
     # radial
-    "BallMesh": "radial", "RadialProfile": "radial",
-    "radial_residual": "radial", "solve_radial": "radial",
+    "BallMesh": "radial", "radial_residual": "radial",
+    "solve_radial": "radial",
     # rhs
     "BoundRhs": "rhs", "ConstantRhs": "rhs", "ExponentialRhs": "rhs",
     "ExpressionRhs": "rhs", "PowerPlusRhs": "rhs",

@@ -154,6 +154,12 @@ def _axis_chunks(extent: int) -> list[slice]:
             if b > a]
 
 
+def _overflow(label: str) -> HypothesisViolation:
+    return HypothesisViolation(
+        f"the Monge-Ampere density of {label} overflows",
+        "finite Monge-Ampere densities")
+
+
 def demailly_max_check(u1: ScalarField, u2: ScalarField,
                        eps_smooth: float) -> CheckReport:
     """Mass of the smoothed maximum against the one-sided mass sum.
@@ -174,29 +180,36 @@ def demailly_max_check(u1: ScalarField, u2: ScalarField,
 
     # psh pre-check against the inputs' own spectral scale: a density
     # scale would hide concave inputs, whose determinant is positive.  The
-    # check and the input's density come from one Hessian
+    # check and the input's density come from one Hessian, and a Hessian
+    # or density that overflows is rejected before either is read
     h2 = _grid_h2(grid)
     dens = []
     for label, field in (("u1", u1), ("u2", u2)):
-        entries = _hessian_entries(field.values, grid.spacing)
-        det, lam, _ = _det_and_eigenvalues(entries)
-        spectral = _max_abs_row_sum(entries)
+        with np.errstate(over="ignore", invalid="ignore"):
+            entries = _hessian_entries(field.values, grid.spacing)
+            det, lam, _ = _det_and_eigenvalues(entries)
+            spectral = _max_abs_row_sum(entries)
+            density = _clamped_density(det, grid.n)
+        if not (np.all(np.isfinite(density)) and np.all(np.isfinite(lam))):
+            raise _overflow(label)
         defect = _psh_defect(lam)
         if defect > 10.0 * h2 * (1.0 + spectral):
             raise HypothesisViolation(
                 f"{label} has psh defect {defect:.3e} against spectral "
                 f"scale {spectral:.3e}",
                 "u1, u2 plurisubharmonic")
-        dens.append(_clamped_density(det, grid.n))
+        dens.append(density)
     d1, d2 = dens
     scale = 1.0 + float(max(d1.max(initial=0.0), d2.max(initial=0.0)))
     tol = 10.0 * h2 * scale
 
     m = _smooth_max(u1.values, u2.values, eps_smooth)
-    dm, _ = ma_density(ScalarField(grid, m))
+    dm, _ = _density_or_inf(ScalarField(grid, m))
+    if not np.all(np.isfinite(dm)):
+        raise _overflow(f"the maximum smoothed at {eps_smooth:g}")
     diff_int = u1.interior_values() - u2.interior_values()
     rhs = np.where(diff_int >= 0.0, d1, d2)
-    point_margin = dm.values - rhs
+    point_margin = dm - rhs
 
     sep = np.abs(u1.values - u2.values)
     chunks = [_axis_chunks(grid.interior_shape[a])
@@ -272,10 +285,11 @@ def stability_experiment(p: ProblemSpec, perturbations) -> StabilityTable:
     # read once: the requests are checked before the solves and walked again
     # by them, and a generator would be empty the second time
     perturbations = [float(delta) for delta in perturbations]
-    if not getattr(p.rhs, "t_independent", False):
+    if not p.bound.t_independent:
         raise HypothesisViolation(
             "stability runs need data independent of the solution value; "
-            "use a constant-family rhs", "t-independent density")
+            "use a constant-family rhs or an expression without t",
+            "t-independent density")
     if p.v0 is None:
         raise HypothesisViolation(
             "no dominating seed supplied",

@@ -45,7 +45,8 @@ from .errors import HypothesisViolation
 from .grids import Box, Grid, ScalarField, _density_or_inf, ma_density
 from .radial import BallMesh, radial_residual, solve_radial
 from .rhs import BoundRhs, bind_on_grid, bind_on_mesh
-from .solvers import SolverConfig, maximal_extension, solve_ma_fixed_rhs
+from .solvers import (MaSolveResult, SolverConfig, maximal_extension,
+                      solve_ma_fixed_rhs)
 
 __all__ = [
     "ProblemSpec",
@@ -80,13 +81,9 @@ class _BoxBackend:
     def bind(self, rhs, w_mu) -> BoundRhs:
         return bind_on_grid(rhs, self.boundary.grid, w_mu)
 
-    def solve(self, dens, init=None):
-        """(values, residual, newton_iters, psh_defect) of the frozen
-        solve for dens, warm-started from the node values init."""
-        if init is not None:
-            init = ScalarField(self.boundary.grid, init)
-        res = solve_ma_fixed_rhs(dens, self.boundary, self.cfg, init=init)
-        return res.u.values, res.residual, res.newton_iters, res.psh_defect
+    def solve(self, dens, init: ScalarField | None = None) -> MaSolveResult:
+        """The frozen solve for dens, warm-started from the field init."""
+        return solve_ma_fixed_rhs(dens, self.boundary, self.cfg, init=init)
 
     def f(self) -> ScalarField:
         return maximal_extension(self.boundary, self.cfg)
@@ -113,29 +110,22 @@ class _BallBackend:
     def __init__(self, boundary: ScalarField, cfg: SolverConfig):
         self.boundary, self.cfg = boundary, cfg
         self.ball = boundary.grid
-        self.bval = float(boundary.values[-1])
 
     def bind(self, rhs, w_mu) -> BoundRhs:
         return bind_on_mesh(rhs, self.ball.r[:-1], w_mu)
 
-    def solve(self, dens, init=None):
-        ball = self.ball
-        prof = solve_radial(ball.n, dens, self.bval, ball.R, ball.mesh,
-                            self.cfg, init=init)
-        return (prof.values, prof.residual, prof.newton_iters,
-                max(0.0, -prof.vprime_min))
+    def solve(self, dens, init: ScalarField | None = None) -> MaSolveResult:
+        return solve_radial(dens, self.boundary, self.cfg, init=init)
 
     def f(self) -> ScalarField:
         return self.boundary
 
     def final(self, u: ScalarField, bound: BoundRhs, last: OuterStep):
         # the last frozen solve returned u, so its psh measure is u's
-        ball = self.ball
-        return (radial_residual(ball.n, u.values, ball.R,
-                                bound(u.values[:-1])), last.psh_defect)
+        return radial_residual(u, bound(u.values[:-1])), last.psh_defect
 
     def norms(self, err: np.ndarray) -> tuple[float, float]:
-        h = float(self.ball.r[1] - self.ball.r[0])
+        h = self.ball.h
         return h, float(np.sqrt((err ** 2).sum() * h))
 
 
@@ -297,7 +287,7 @@ def _first_iterate(backend, bound: BoundRhs,
         f = f_of()
         t_freeze = f.values[boundary.grid.interior]
         t_top = float(f.values.max())
-    u0 = ScalarField(boundary.grid, backend.solve(bound(t_freeze))[0])
+    u0 = backend.solve(bound(t_freeze)).u
     return u0, max(0.0, t_top)
 
 
@@ -331,40 +321,42 @@ def _prepare_state(p: ProblemSpec) -> dict:
                 tol_outer_residual=tol_res)
 
 
-def _picard(solve, interior, bound: BoundRhs, cfg: SolverConfig,
-            u0: np.ndarray):
+def _picard(solve, bound: BoundRhs, cfg: SolverConfig, u0: ScalarField):
     """Fixed-point loop with even/odd chain accounting, to successive
     iterates within cfg.tol_outer or cfg.max_outer steps.
 
-    solve(dens, init) solves the frozen-density problem for the density
-    dens, warm-started from the node values init, and returns (values,
-    residual, newton_iters, psh_defect); neither u0 nor the values are
-    written to, so no iterate is copied.  interior indexes the nodes the
-    density is evaluated at.  Step k warm-starts from iterate k - 2, and
+    solve(dens, init) is the backend's frozen-density solve for the
+    density dens, warm-started from the field init; it returns the
+    solver's MaSolveResult.  The density is evaluated at the interior
+    nodes of the iterate.  Step k warm-starts from iterate k - 2, and
     step 1 from u0.  Returns (u, converged, steps, history, lower_env,
-    upper_env, chains_ok).  Envelopes are full-shape arrays: the running
-    max of even iterates (a climbing subsolution chain) and min of odd
-    iterates.
+    upper_env, chains_ok), u a ScalarField.  Envelopes are full-shape
+    arrays: the running max of even iterates (a climbing subsolution
+    chain) and min of odd iterates.
     """
     slack = 2.0 * cfg.tol_inner
+    interior = u0.grid.interior
     u_cur = u0
     last_by_parity = {0: u0, 1: None}
-    lower_env = np.array(u0)
+    lower_env = np.array(u0.values)
     upper_env = None
     chains_ok = True
     history = []
     converged = False
     steps = 0
     for k in range(1, cfg.max_outer + 1):
-        dens = bound(u_cur[interior])
-        warm = last_by_parity[k % 2]
-        new_vals, *stats = solve(dens, u_cur if warm is None else warm)
-        change = float(np.abs(new_vals - u_cur).max())
         parity = k % 2
         prev = last_by_parity[parity]
-        if parity == 1:
-            if prev is not None and float((new_vals - prev).max()) > slack:
+        res = solve(bound(u_cur.values[interior]),
+                    u_cur if prev is None else prev)
+        new_vals = res.u.values
+        change = float(np.abs(new_vals - u_cur.values).max())
+        # the odd iterates descend and the even ones climb
+        if prev is not None:
+            rise = new_vals - prev.values
+            if float((rise if parity == 1 else -rise).max()) > slack:
                 chains_ok = False
+        if parity == 1:
             if upper_env is None:
                 upper_env = np.array(new_vals)
             else:
@@ -373,12 +365,11 @@ def _picard(solve, interior, bound: BoundRhs, cfg: SolverConfig,
             if float((lower_env - new_vals).max()) > slack:
                 chains_ok = False
         else:
-            if prev is not None and float((prev - new_vals).max()) > slack:
-                chains_ok = False
             np.maximum(lower_env, new_vals, out=lower_env)
-        last_by_parity[parity] = new_vals
-        history.append(OuterStep(change, *stats))
-        u_cur = new_vals
+        last_by_parity[parity] = res.u
+        history.append(OuterStep(change, res.residual, res.newton_iters,
+                                 res.psh_defect))
+        u_cur = res.u
         steps = k
         if change < cfg.tol_outer:
             converged = True
@@ -409,8 +400,7 @@ def solve_mam(p: ProblemSpec, init: ScalarField | None = None) -> Solution:
         start = ScalarField(grid, vals)
 
     u, converged, steps, history, lower_env, upper_env, chains_ok = _picard(
-        p._backend.solve, grid.interior, p.bound, cfg, start.values)
-    u = ScalarField(grid, u)
+        p._backend.solve, p.bound, cfg, start)
     final_residual, defect = p._backend.final(u, p.bound, history[-1])
     residual_ok = bool(final_residual <= prep.tol_outer_residual)
 
@@ -503,13 +493,12 @@ def balayage_step(u: ScalarField, sub, p: ProblemSpec) -> ScalarField:
     t_lo = float(u0_local.values.min()) - 1.0
     local_bound.validate(t_lo, t_hi)
 
-    local_u, conv, *_ = _picard(local.solve, local_grid.interior,
-                                local_bound, cfg, u0_local.values)
+    local_u, conv, *_ = _picard(local.solve, local_bound, cfg, u0_local)
     if not conv:
         warnings.warn("local balayage solve did not meet the outer "
                       "tolerance; returning the glued best iterate")
 
     glued = np.array(u.values)
     inner_block = tuple(slice(w[0] + 1, w[1] - 1) for w in windows)
-    glued[inner_block] = local_u[local_grid.interior]
+    glued[inner_block] = local_u.values[local_grid.interior]
     return ScalarField(grid, glued)

@@ -18,90 +18,40 @@ from the quadratic profile of the mean density.
 
 A ball problem's domain is a BallMesh: an iteration.ProblemSpec over it
 runs the outer loop a box problem runs, with solve_radial as its
-frozen-density solve.
+frozen-density solve.  It has the box solver's contract: a frozen
+density, boundary data as a ScalarField on the BallMesh and an optional
+warm-start field in, a solvers.MaSolveResult out.
 
-What depends only on (R, mesh), the node radii, the spacing and the
-r-only coefficients of the Jacobian, is built once per mesh as read-only
-arrays (_radial_mesh) and shared by every Newton step, every Picard step
-of one radial problem and the returned profile.  The memo holds one mesh,
-the last one asked for.
+The BallMesh owns what depends only on (R, mesh): the node radii, the
+spacing and the r-only coefficients of the Jacobian, built once when the
+mesh is constructed, as read-only arrays, and shared by every Newton step
+and every Picard step of the problems on it.  Its constructor is the only
+check of n, R and mesh.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import NamedTuple
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .solvers import (PSD_FLOOR, NewtonStagnationError, SolverConfig,
-                      _frozen_density, _walk_ladder)
+from .grids import ScalarField
+from .solvers import (PSD_FLOOR, MaSolveResult, NewtonStagnationError,
+                      SolverConfig, _frozen_density, _walk_ladder)
 
-__all__ = ["BallMesh", "RadialProfile", "radial_residual", "solve_radial"]
+__all__ = ["BallMesh", "radial_residual", "solve_radial"]
 
-# fewest mesh intervals a radial solve accepts
+# fewest mesh intervals a BallMesh accepts
 MIN_MESH = 32
 # how far below zero the slope of a profile may dip while the profile
 # still counts as nondecreasing, that is psh
 MONOTONE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class RadialProfile:
-    """Solution record for a radial solve.
-
-    vprime_min flags loss of monotonicity: a psh radial profile is
-    nondecreasing, so a minimum below -MONOTONE_TOL marks a non-psh
-    output.
-    """
-
-    r: np.ndarray
-    values: np.ndarray
-    residual: float
-    newton_iters: int
-    vprime_min: float
-
-    def __post_init__(self):
-        for arr in (self.r, self.values):
-            arr.setflags(write=False)
-
-    def __call__(self, rq):
-        return np.interp(rq, self.r, self.values)
-
-
-class _RadialMesh(NamedTuple):
-    """The input-independent part of a radial solve on [0, R] with mesh
-    intervals: node radii r (mesh + 1 of them), spacing h, and the r-only
-    Jacobian coefficients at the nodes 1 .. mesh - 1: dA_dn and dA_dp, the
-    derivatives of A = vpp + vp/r in the values at nodes i+1 and i-1, and
-    dB_dn, that of B = 2 vp/r in the value at node i+1.  All arrays are
-    read-only."""
-
-    r: np.ndarray
-    h: float
-    dA_dn: np.ndarray
-    dA_dp: np.ndarray
-    dB_dn: np.ndarray
-
-
-@lru_cache(maxsize=1)
-def _radial_mesh(R: float, mesh: int) -> _RadialMesh:
-    """The mesh record of [0, R] with mesh intervals; a repeated call with
-    the same (R, mesh) returns the record it built last.  Callers pass R
-    as a Python float, since a 0-d numpy radius does not hash."""
-    h = R / mesh
-    r = np.linspace(0.0, R, mesh + 1)
-    ri = r[1:-1]
-    grid = _RadialMesh(r, h,
-                       dA_dn=1.0 / h ** 2 + 1.0 / (2.0 * h * ri),
-                       dA_dp=1.0 / h ** 2 - 1.0 / (2.0 * h * ri),
-                       dB_dn=1.0 / (h * ri))
-    for arr in (grid.r, grid.dA_dn, grid.dA_dp, grid.dB_dn):
-        arr.setflags(write=False)
-    return grid
+def _is_integer(k) -> bool:
+    return isinstance(k, (int, np.integer)) and not isinstance(k, bool)
 
 
 @dataclass(frozen=True)
@@ -110,20 +60,45 @@ class BallMesh:
     uniform r-mesh of [0, R] with mesh intervals.  The node r = R carries
     the Dirichlet value and the nodes r < R are the unknowns, so a
     ScalarField over it holds mesh + 1 values, and shape, interior,
-    interior_shape and interior_mask() mean what they mean on a Grid."""
+    interior_shape and interior_mask() mean what they mean on a Grid.
+
+    Construction checks n, R and mesh and builds the read-only arrays
+    every solve on the mesh shares: the node radii r, the spacing h, and
+    the r-only Jacobian coefficients at the nodes 1 .. mesh - 1: dA_dn
+    and dA_dp, the derivatives of A = vpp + vp/r in the values at nodes
+    i+1 and i-1, and dB_dn, that of B = 2 vp/r in the value at node i+1.
+    """
 
     n: int
     R: float
     mesh: int
+    r: np.ndarray = field(init=False, repr=False, compare=False)
+    h: float = field(init=False, repr=False, compare=False)
+    dA_dn: np.ndarray = field(init=False, repr=False, compare=False)
+    dA_dp: np.ndarray = field(init=False, repr=False, compare=False)
+    dB_dn: np.ndarray = field(init=False, repr=False, compare=False)
     interior = (slice(0, -1),)
 
     def __post_init__(self):
-        _check_radial_args(self.n, self.R, self.mesh)
-
-    @property
-    def r(self) -> np.ndarray:
-        """The node radii, read-only and shared with the solves."""
-        return _radial_mesh(float(self.R), self.mesh).r
+        n, R, mesh = self.n, self.R, self.mesh
+        if not _is_integer(n) or n < 1:
+            raise ValueError("dimension n must be a positive integer")
+        if not (R > 0 and np.isfinite(R)):
+            raise ValueError("radius R must be positive and finite")
+        if not _is_integer(mesh) or mesh < MIN_MESH:
+            raise ValueError(f"mesh must be an integer of at least "
+                             f"{MIN_MESH} intervals, got {mesh!r}")
+        R = float(R)
+        h = R / mesh
+        r = np.linspace(0.0, R, mesh + 1)
+        ri = r[1:-1]
+        arrays = dict(r=r, dA_dn=1.0 / h ** 2 + 1.0 / (2.0 * h * ri),
+                      dA_dp=1.0 / h ** 2 - 1.0 / (2.0 * h * ri),
+                      dB_dn=1.0 / (h * ri))
+        for name, arr in arrays.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "h", h)
 
     @property
     def shape(self) -> tuple[int]:
@@ -139,15 +114,14 @@ class BallMesh:
         return mask
 
 
-def _residual_parts(n, w, grid: _RadialMesh):
+def _residual_parts(w, ball: BallMesh):
     """Operator value and the A, B factors at the M unknown nodes.
 
     w holds all M+1 node values (w[-1] is the fixed boundary value).
     Node 0 sits on the axis: vpp = 2(w1-w0)/h^2 and both factors collapse
     to 2 vpp there.
     """
-    fact = math.factorial(n)
-    h, r = grid.h, grid.r
+    n, h, r = ball.n, ball.h, ball.r
     vpp = np.empty(w.size - 1)
     A = np.empty_like(vpp)
     B = np.empty_like(vpp)
@@ -158,11 +132,11 @@ def _residual_parts(n, w, grid: _RadialMesh):
     vp = (w[2:] - w[:-2]) / (2.0 * h)
     A[1:] = vpp[1:] + vp / r[1:-1]
     B[1:] = 2.0 * vp / r[1:-1]
-    op = fact * A * np.power(B, n - 1)
+    op = math.factorial(n) * A * np.power(B, n - 1)
     return op, A, B
 
 
-def _jacobian_bands(n, grid: _RadialMesh, A, B, floor):
+def _jacobian_bands(ball: BallMesh, A, B, floor):
     """Tridiagonal Jacobian of the operator as one (3, M) array whose rows
     are lower (coupling to node i-1), diag and upper (to node i+1).
 
@@ -170,8 +144,8 @@ def _jacobian_bands(n, grid: _RadialMesh, A, B, floor):
     invertible where the profile flattens; the floor never enters the
     residual itself.
     """
+    n, h = ball.n, ball.h
     fact = math.factorial(n)
-    h = grid.h
     m = A.size
     Bf = np.maximum(B, floor)
     Bp = np.power(Bf, n - 1)
@@ -187,8 +161,8 @@ def _jacobian_bands(n, grid: _RadialMesh, A, B, floor):
         else np.zeros(m - 1)
     main = fact * Bp[1:]
     diag[1:] = main * (-2.0 / h ** 2)
-    upper[1:] = main * grid.dA_dn + cross * grid.dB_dn
-    lower[1:] = main * grid.dA_dp - cross * grid.dB_dn
+    upper[1:] = main * ball.dA_dn + cross * ball.dB_dn
+    lower[1:] = main * ball.dA_dp - cross * ball.dB_dn
     return bands
 
 
@@ -205,21 +179,20 @@ def _solve_tridiag(lower, diag, upper, rhs_vec):
 
 
 class _RadialNewton:
-    """The radial system at density + eps: tridiagonal Jacobian
-    corrections, and the quadratic profile of the mean density as
-    surrogate.  Radial iterates take no eigenvalue guard and no psh test.
-    The state is (residual, A, B)."""
+    """The radial system at density + eps on a BallMesh: tridiagonal
+    Jacobian corrections, and the quadratic profile of the mean density
+    as surrogate.  Radial iterates take no eigenvalue guard and no psh
+    test.  The state is (residual, A, B)."""
 
-    def __init__(self, n, density, bval, R, mesh):
-        self.n, self.density, self.bval, self.R = n, density, bval, R
-        self.grid = _radial_mesh(float(R), mesh)
-        self.norm = math.factorial(n) * 4.0 ** n
+    def __init__(self, ball: BallMesh, density, bval):
+        self.ball, self.density, self.bval = ball, density, bval
+        self.norm = math.factorial(ball.n) * 4.0 ** ball.n
         self.index = slice(None, -1)
         self.min_density = float(density.min())
         self.mean_density = float(density.mean())
 
     def evaluate(self, w, eps):
-        op, A, B = _residual_parts(self.n, w, self.grid)
+        op, A, B = _residual_parts(w, self.ball)
         F = op - (self.density + eps)
         return float(np.abs(F).max()), None, (F, A, B)
 
@@ -228,8 +201,8 @@ class _RadialNewton:
         floor = PSD_FLOOR
         if eps > 0:
             # at a regularized solution B sits near (eps/norm)^{1/n}-scale
-            floor = max(floor, 0.25 * (eps / self.norm) ** (1.0 / self.n))
-        bands = _jacobian_bands(self.n, self.grid, A, B, floor)
+            floor = max(floor, 0.25 * (eps / self.norm) ** (1.0 / self.ball.n))
+        bands = _jacobian_bands(self.ball, A, B, floor)
         try:
             step = _solve_tridiag(*bands, -F)
         except np.linalg.LinAlgError as exc:
@@ -243,67 +216,50 @@ class _RadialNewton:
         return step
 
     def surrogate(self, eps):
-        c = ((self.mean_density + eps) / self.norm) ** (1.0 / self.n)
-        w = self.bval + c * (self.grid.r ** 2 - self.R ** 2)
+        ball = self.ball
+        c = ((self.mean_density + eps) / self.norm) ** (1.0 / ball.n)
+        w = self.bval + c * (ball.r ** 2 - ball.R ** 2)
         w[-1] = self.bval
         return w
 
 
-def _is_integer(k) -> bool:
-    return isinstance(k, (int, np.integer)) and not isinstance(k, bool)
-
-
-def _check_radial_args(n, R, mesh, mesh_arg: str = "mesh"):
-    """Raise ValueError naming the first of n, R and mesh a radial solve
-    cannot take; mesh_arg names the argument that carries the mesh."""
-    if not _is_integer(n) or n < 1:
-        raise ValueError("dimension n must be a positive integer")
-    if not (R > 0 and np.isfinite(R)):
-        raise ValueError("radius R must be positive and finite")
-    if not _is_integer(mesh) or mesh < MIN_MESH:
-        raise ValueError(f"{mesh_arg} must be an integer of at least "
-                         f"{MIN_MESH} intervals, got {mesh!r}")
-
-
-def solve_radial(n: int, density, boundary_value: float, R: float,
-                 mesh: int = 256, cfg: SolverConfig | None = None,
-                 init: np.ndarray | None = None) -> RadialProfile:
-    """Solve n!(v'' + v'/r)(2v'/r)^(n-1) = density on [0, R].
+def solve_radial(density, boundary: ScalarField,
+                 cfg: SolverConfig | None = None,
+                 init: ScalarField | None = None) -> MaSolveResult:
+    """Solve n!(v'' + v'/r)(2v'/r)^(n-1) = density on the BallMesh of
+    boundary, whose value at r = R fixes v(R).
 
     density is frozen: a number or an array over the mesh nodes r < R,
-    finite and nonnegative.  boundary_value fixes v(R); its sign is a
+    finite and nonnegative.  The sign of the boundary value is a
     hypothesis of the outer problem, checked by ProblemSpec, not here.
     v'(0) = 0 is built into the axis stencil.  init, when given, supplies
-    all mesh+1 node values as a warm start.
+    the interior of a warm start, as in solve_ma_fixed_rhs.  The result's
+    psh_defect is max(0, -min v'), how far the profile's slope dips below
+    zero.
     """
     cfg = cfg or SolverConfig()
-    _check_radial_args(n, R, mesh)
-    bval = float(boundary_value)
-    density = _frozen_density(density, (mesh,))
+    ball = boundary.grid
+    density = _frozen_density(density, ball.interior_shape)
 
-    w0 = None
+    warm = None
     if init is not None:
-        w0 = np.asarray(init, dtype=float).copy()
-        if w0.shape != (mesh + 1,):
-            raise ValueError(f"init needs {mesh + 1} node values")
-        w0[-1] = bval
-    backend = _RadialNewton(n, density, bval, R, mesh)
-    w, rsup, iters, _ = _walk_ladder(backend, cfg, w0)
-    vprime = np.gradient(w, backend.grid.h)
-    return RadialProfile(r=backend.grid.r, values=np.array(w), residual=rsup,
-                         newton_iters=iters, vprime_min=float(vprime.min()))
+        warm = np.array(boundary.values)
+        warm[ball.interior] = init.values[ball.interior]
+    backend = _RadialNewton(ball, density, float(boundary.values[-1]))
+    w, rsup, iters, _ = _walk_ladder(backend, cfg, warm)
+    vprime_min = float(np.gradient(w, ball.h).min())
+    return MaSolveResult(ScalarField(ball, w), rsup, iters,
+                         max(0.0, -vprime_min))
 
 
-def radial_residual(n: int, values: np.ndarray, R: float, density) -> float:
-    """Sup-norm residual of a node-value array against a frozen density,
-    given as solve_radial takes it.
+def radial_residual(u: ScalarField, density) -> float:
+    """Sup-norm residual of a field on a BallMesh against a frozen
+    density, given as solve_radial takes it.
 
-    Lets callers re-verify a returned profile independently of the solver.
+    Lets callers re-verify a returned solution independently of the
+    solver.
     """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1:
-        raise ValueError("values must be a 1-d array of node values")
-    mesh = values.size - 1
-    _check_radial_args(n, R, mesh, "the mesh of values (its size less one)")
-    op, _, _ = _residual_parts(n, values, _radial_mesh(float(R), mesh))
-    return float(np.abs(op - _frozen_density(density, (mesh,))).max())
+    ball = u.grid
+    op, _, _ = _residual_parts(u.values, ball)
+    return float(np.abs(op - _frozen_density(density,
+                                              ball.interior_shape)).max())

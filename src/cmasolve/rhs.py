@@ -119,8 +119,6 @@ class ExpressionRhs:
 
     source: str
 
-    t_independent = False  # refined at bind time by inspecting the variables
-
 
 _SEPARABLE = (ConstantRhs, ExponentialRhs, PowerPlusRhs)
 

@@ -367,6 +367,30 @@ class TestConfigValidation:
                                   "subsolution_seed": "1e308 * r2"},
                      "above-f gap 5.000e+307",
                      marks=pytest.mark.filterwarnings("error")),
+        # the densities of the inputs overflow, or at 1.1e153 only that of
+        # their smoothed maximum; the Hessian of the 1e300 seed overflows
+        # too
+        pytest.param(("verify", "--check", "demailly"), {
+            "n": 2, "domain": {"box": {"lo": [-0.5] * 4, "hi": [0.5] * 4}},
+            "resolution": 7, "boundary": "1.1e153 * (r2 - 1)",
+            "rhs": {"family": "constant", "weight": 32.0},
+            "subsolution_seed": "1.1e153 * (r2 - 1)"},
+            "the Monge-Ampere density of the maximum smoothed at 0.1 "
+            "overflows", marks=pytest.mark.filterwarnings("error")),
+        pytest.param(("verify", "--check", "demailly"), {
+            "n": 2, "domain": {"box": {"lo": [-0.5] * 4, "hi": [0.5] * 4}},
+            "resolution": 7, "boundary": "1e154 * (r2 - 1)",
+            "rhs": {"family": "constant", "weight": 32.0},
+            "subsolution_seed": "1e154 * (r2 - 1)"},
+            "the Monge-Ampere density of u1 overflows",
+            marks=pytest.mark.filterwarnings("error")),
+        pytest.param(("verify", "--check", "demailly"), {
+            "n": 2, "domain": {"box": {"lo": [-0.5] * 4, "hi": [0.5] * 4}},
+            "resolution": 7, "boundary": "1e300 * (r2 - 1)",
+            "rhs": {"family": "constant", "weight": 32.0},
+            "subsolution_seed": "1e300 * (r2 - 1)"},
+            "the Monge-Ampere density of u1 overflows",
+            marks=pytest.mark.filterwarnings("error")),
         # 1e300 pairs would run without end
         (("verify", "--check", "comparison"), {"verify": {"pairs": 1e300}},
          "verify.pairs must be at most 1000"),
@@ -389,8 +413,9 @@ class TestConfigValidation:
             "box-res-huge", "ball-mesh-huge", "output-dir-missing",
             "r2-overflow", "config-not-utf8", "config-nested-100000",
             "seed-density-overflow-n2", "seed-density-overflow-n2-concave",
-            "seed-density-overflow-n1",
-            "pairs-1e300", "pairs-1001"])
+            "seed-density-overflow-n1", "demailly-smoothed-max-overflow",
+            "demailly-density-overflow",
+            "demailly-hessian-overflow", "pairs-1e300", "pairs-1001"])
     def test_invalid_input_exits_2(self, tmp_path, capsys, command,
                                    overrides, needle):
         if isinstance(overrides, bytes):
@@ -849,6 +874,27 @@ class TestStudy:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "delta,dist_l1,err_sup"
         assert len(lines) == 3
+
+    def test_stability_takes_a_t_free_expression(self, tmp_path, capsys):
+        # an expression without t binds to the constant family's density,
+        # so both runs write the same table
+        with open(os.path.join(CONFIG_DIR, "stability_n1.json"),
+                  encoding="utf-8") as fh:
+            base = json.load(fh)
+        written = []
+        for name, rhs in (("family", {"family": "constant", "weight": 8.0}),
+                          ("expression", {"expression": "8.0"})):
+            csv_path = tmp_path / f"{name}.csv"
+            cfg = dict(base, rhs=rhs,
+                       outputs={"study_csv": str(csv_path)})
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(cfg))
+            code, out, _ = run(capsys, "study", "stability", str(path))
+            assert code == 0
+            payload = json.loads(out)
+            assert payload.pop("csv") == str(csv_path)
+            written.append((csv_path.read_bytes(), payload))
+        assert written[0] == written[1]
 
     def test_stability_needs_seed(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, rhs={"family": "constant", "weight": 8.0})

@@ -19,8 +19,9 @@ from cmasolve.iteration import (
 )
 from cmasolve.rhs import (ConstantRhs, ExponentialRhs, ExpressionRhs, PowerPlusRhs,
                           bind_on_grid)
-from cmasolve.radial import MONOTONE_TOL, BallMesh, solve_radial
-from cmasolve.solvers import SolverConfig, maximal_extension, solve_ma_fixed_rhs
+from cmasolve.radial import MONOTONE_TOL, BallMesh, radial_residual, solve_radial
+from cmasolve.solvers import (MaSolveResult, SolverConfig, maximal_extension,
+                              solve_ma_fixed_rhs)
 
 
 def sq_minus_one(grid):
@@ -187,7 +188,7 @@ class TestRadialBackend:
         assert prep.phi0 is None
         assert prep.t_hi == 0.0
         assert prep.f is p.boundary
-        u0 = solve_radial(2, p.bound(np.full(64, -0.25)), -0.25, 1.0, 64)
+        u0 = solve_radial(p.bound(np.full(64, -0.25)), p.boundary).u
         assert np.array_equal(prep.u0.values, u0.values)
 
     def test_init_on_a_ball_goes_through_the_splice(self):
@@ -200,6 +201,45 @@ class TestRadialBackend:
         assert again.u0.values[-1] == 0.0
         assert np.array_equal(again.u0.values[:-1], sol.u.values[:-1])
         assert again.converged and again.outer_iters <= 2
+
+
+def frozen_problem(domain):
+    """(frozen solve, density, boundary data) of the model problem's first
+    frozen solve on a box or on a ball."""
+    if domain == "box":
+        grid = build_grid(unit_box(2), 7)
+        return (solve_ma_fixed_rhs, cheng_yau_weight(grid).values,
+                sq_minus_one(grid))
+    ball = BallMesh(2, 1.0, 64)
+    return (solve_radial, 32.0 * np.exp(1.0 - ball.r[:-1] ** 2),
+            ScalarField(ball, np.zeros(65)))
+
+
+class TestFrozenSolveContract:
+    """The box and the ball solver take (density, boundary, cfg, init) and
+    return one MaSolveResult."""
+
+    @pytest.mark.parametrize("domain", ["box", "ball"])
+    def test_one_contract(self, domain):
+        solve, g, boundary = frozen_problem(domain)
+        grid = boundary.grid
+        edge = ~grid.interior_mask()
+        res = solve(g, boundary)
+        assert isinstance(res, MaSolveResult)
+        assert res.u.grid == grid
+        assert np.array_equal(res.u.values[edge], boundary.values[edge])
+        # a wrong boundary value in init is replaced by the data
+        wrong = np.array(res.u.values)
+        wrong[edge] -= 5.0
+        warm = solve(g, boundary, init=res.u)
+        again = solve(g, boundary, init=ScalarField(grid, wrong))
+        assert np.array_equal(again.u.values, warm.u.values)
+        assert again.newton_iters == warm.newton_iters
+        assert np.array_equal(again.u.values[edge], boundary.values[edge])
+        if domain == "ball":
+            assert radial_residual(res.u, g) == res.residual
+            slope = np.gradient(res.u.values, grid.h)
+            assert res.psh_defect == max(0.0, -float(slope.min()))
 
 
 class TestSubsolutionCheck:

@@ -16,19 +16,29 @@ from cmasolve.cli import main
 from cmasolve.errors import HypothesisViolation, SolverError
 from cmasolve.grids import ScalarField
 from cmasolve.iteration import ProblemSpec, solve_mam
-from cmasolve.radial import (MONOTONE_TOL, BallMesh, RadialProfile,
-                             radial_residual, solve_radial)
+from cmasolve.radial import (MONOTONE_TOL, BallMesh, radial_residual,
+                             solve_radial)
 from cmasolve.rhs import ConstantRhs, ExponentialRhs
 from cmasolve.solvers import (NewtonIterationError, NewtonStagnationError,
                               SolverConfig)
 
 
+def constant_data(ball, value=0.0):
+    """The boundary value as a field on the ball's mesh."""
+    return ScalarField(ball, np.full(ball.mesh + 1, value))
+
+
+def solve_unit_ball(n, density, boundary_value=0.0, mesh=256, **kwargs):
+    """solve_radial on the unit ball with constant boundary data."""
+    ball = BallMesh(n, 1.0, mesh)
+    return solve_radial(density, constant_data(ball, boundary_value),
+                        **kwargs)
+
+
 def ball_problem(n, boundary_value, rhs, mesh=256):
     """The problem on the unit ball with constant boundary data."""
     ball = BallMesh(n, 1.0, mesh)
-    return ProblemSpec(boundary=ScalarField(ball, np.full(mesh + 1,
-                                                          boundary_value)),
-                       rhs=rhs)
+    return ProblemSpec(boundary=constant_data(ball, boundary_value), rhs=rhs)
 
 
 def radial_operator_oracle(n, v_expr, r_sym):
@@ -45,13 +55,14 @@ class TestQuadraticOracle:
         # v = r^2 - 1 makes the operator n! * 4 * 4^(n-1) identically
         rhs_val = math.factorial(n) * 4.0 ** n
         t0 = time.monotonic()
-        prof = solve_radial(n, rhs_val, 0.0, 1.0, mesh=512)
+        res = solve_unit_ball(n, rhs_val, mesh=512)
         assert time.monotonic() - t0 < 5.0
-        exact = prof.r ** 2 - 1.0
-        assert np.abs(prof.values - exact).max() <= 1e-7
-        assert prof.residual <= 1e-10
-        assert prof.vprime_min >= -MONOTONE_TOL
-        assert prof.values[-1] == 0.0
+        exact = res.u.grid.r ** 2 - 1.0
+        assert np.abs(res.u.values - exact).max() <= 1e-7
+        assert res.residual <= 1e-10
+        # psh_defect is max(0, -min v'): the profile is nondecreasing
+        assert res.psh_defect <= MONOTONE_TOL
+        assert res.u.values[-1] == 0.0
 
     def test_oracle_matches_hand_value(self):
         # independent check of the constant: symbolic operator on r^2 - 1
@@ -76,20 +87,21 @@ class TestManufactured:
             rr = np.linspace(0.0, 1.0, mesh + 1)
             # the density extends continuously to the axis, where op is a
             # 0/0 form; evaluating just off it gives the limit
-            prof = solve_radial(n, op(np.maximum(rr[:-1], 1e-300)), 0.0, 1.0,
-                                mesh=mesh)
-            errors.append(np.abs(prof.values - exact(prof.r)).max())
+            res = solve_unit_ball(n, op(np.maximum(rr[:-1], 1e-300)),
+                                  mesh=mesh)
+            errors.append(np.abs(res.u.values - exact(rr)).max())
         rates = [np.log2(errors[i] / errors[i + 1]) for i in range(2)]
         assert all(1.7 <= q <= 2.3 for q in rates), (errors, rates)
 
     def test_degenerate_rhs_constant_profile(self):
-        prof = solve_radial(2, 0.0, -0.25, 1.0, mesh=64)
-        assert np.abs(prof.values + 0.25).max() <= 1e-12
-        assert prof.newton_iters == 0
+        res = solve_unit_ball(2, 0.0, -0.25, mesh=64)
+        assert np.abs(res.u.values + 0.25).max() <= 1e-12
+        assert res.newton_iters == 0
 
     def test_profile_interpolation(self):
-        prof = solve_radial(1, 4.0, 0.0, 1.0, mesh=64)
-        assert abs(prof(0.5) - (0.25 - 1.0)) <= 1e-3
+        res = solve_unit_ball(1, 4.0, mesh=64)
+        v_half = np.interp(0.5, res.u.grid.r, res.u.values)
+        assert abs(v_half - (0.25 - 1.0)) <= 1e-3
 
 
 class TestHypotheses:
@@ -103,47 +115,51 @@ class TestHypotheses:
         # a frozen density is checked as the grid solver checks it; F's
         # hypotheses belong to BoundRhs
         with pytest.raises(ValueError, match="nonnegative"):
-            solve_radial(2, -1.0, 0.0, 1.0)
+            solve_unit_ball(2, -1.0)
         dens = np.full(64, 32.0)
         dens[5] = -1e-3
         with pytest.raises(ValueError, match="nonnegative"):
-            solve_radial(2, dens, 0.0, 1.0, mesh=64)
+            solve_unit_ball(2, dens, mesh=64)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError, match="positive integer"):
-            solve_radial(0, 4.0, 0.0, 1.0)
+            BallMesh(0, 1.0, 256)
         with pytest.raises(ValueError, match="at least 32"):
-            solve_radial(1, 4.0, 0.0, 1.0, mesh=8)
+            BallMesh(1, 1.0, 8)
         with pytest.raises(ValueError, match="radius"):
-            solve_radial(1, 4.0, 0.0, -1.0)
+            BallMesh(1, -1.0, 256)
         # a density array holds one finite value per unknown node r < R
         with pytest.raises(ValueError, match="shape"):
-            solve_radial(1, np.full(65, 4.0), 0.0, 1.0, mesh=64)
+            solve_unit_ball(1, np.full(65, 4.0), mesh=64)
         with pytest.raises(ValueError, match="finite"):
-            solve_radial(1, np.full(64, np.inf), 0.0, 1.0, mesh=64)
+            solve_unit_ball(1, np.full(64, np.inf), mesh=64)
         with pytest.raises(ValueError, match="shape"):
-            radial_residual(1, np.zeros(65), 1.0, np.full(63, 4.0))
+            radial_residual(constant_data(BallMesh(1, 1.0, 64)),
+                            np.full(63, 4.0))
 
     @pytest.mark.parametrize("call, name", [
         # these raised ZeroDivisionError and numpy's TypeError before
-        (lambda: radial_residual(1, np.zeros(1), 1.0, 4.0), "mesh of values"),
-        (lambda: radial_residual(1, np.zeros(3), 0.0, 4.0), "radius R"),
-        (lambda: solve_radial(1, 4.0, 0.0, 1.0, mesh=64.0), "mesh"),
-        (lambda: solve_radial(1, 4.0, 0.0, 1.0, mesh=True), "mesh"),
-        (lambda: solve_radial(True, 4.0, 0.0, 1.0), "dimension n"),
-        (lambda: solve_radial(1, 4.0, 0.0, math.inf, mesh=64), "radius R"),
-        (lambda: radial_residual(2.0, np.zeros(65), 1.0, 4.0), "dimension n"),
-        (lambda: radial_residual(1, np.zeros(33), math.nan, 4.0), "radius R"),
-        (lambda: radial_residual(1, np.zeros((5, 13)), 1.0, 4.0), "1-d"),
+        (lambda: BallMesh(1, 0.0, 32), "radius R"),
+        (lambda: BallMesh(1, 1.0, 64.0), "mesh"),
+        (lambda: BallMesh(1, 1.0, True), "mesh"),
+        (lambda: BallMesh(1, 1.0, 0), "mesh"),
+        (lambda: BallMesh(True, 1.0, 64), "dimension n"),
+        (lambda: BallMesh(1, math.inf, 64), "radius R"),
+        (lambda: BallMesh(2.0, 1.0, 64), "dimension n"),
+        (lambda: BallMesh(1, math.nan, 32), "radius R"),
+        # a field on the mesh holds one value per node
+        (lambda: ScalarField(BallMesh(1, 1.0, 64), np.zeros((5, 13))),
+         "does not match"),
     ])
     def test_mesh_arguments_raise_value_error(self, call, name):
         with pytest.raises(ValueError, match=name):
             call()
 
     def test_integer_mesh_types_accepted(self):
-        # numpy integers pass the shared check like Python ints
-        prof = solve_radial(np.int64(1), 4.0, 0.0, 1.0, mesh=np.int32(32))
-        assert radial_residual(1, prof.values, 1.0, 4.0) == prof.residual
+        # numpy integers pass the mesh's check like Python ints
+        ball = BallMesh(np.int64(1), 1.0, np.int32(32))
+        res = solve_radial(4.0, constant_data(ball))
+        assert radial_residual(res.u, 4.0) == res.residual
 
 
 class TestNewtonFailures:
@@ -167,7 +183,7 @@ class TestNewtonFailures:
                                                        error):
         # vanishing density at the axis: the solve walks the ladder
         dens = 108.0 * np.linspace(0.0, 1.0, 65)[:-1] ** 2
-        cold = solve_radial(2, dens, 0.0, 1.0, mesh=64)
+        cold = solve_unit_ball(2, dens, mesh=64)
         stage = cmasolve.solvers._newton_stage
         calls = []
 
@@ -178,11 +194,11 @@ class TestNewtonFailures:
             return stage(backend, w, eps, *args, **kwargs)
 
         monkeypatch.setattr(cmasolve.solvers, "_newton_stage", stall_first)
-        warm = solve_radial(2, dens, 0.0, 1.0, mesh=64, init=cold.values)
+        warm = solve_radial(dens, constant_data(cold.u.grid), init=cold.u)
         # the failed warm try at eps 0, then every rung of the ladder
         assert calls == [0.0, *cmasolve.solvers.REG_LADDER]
         assert warm.residual <= SolverConfig().tol_inner
-        assert np.abs(warm.values - cold.values).max() <= 1e-6
+        assert np.abs(warm.u.values - cold.u.values).max() <= 1e-6
 
     def test_convergence_on_the_last_allowed_step_returns(self):
         # this solve needs exactly 4 Newton steps; a cap of 4 must admit
@@ -190,14 +206,13 @@ class TestNewtonFailures:
         r = np.linspace(0.0, 1.0, 65)
         dens = 32.0 * np.exp(1.0 - r[:-1] ** 2)
 
-        assert solve_radial(2, dens, 0.0, 1.0, mesh=64).newton_iters == 4
+        assert solve_unit_ball(2, dens, mesh=64).newton_iters == 4
         cfg = SolverConfig(max_newton=4)
-        prof = solve_radial(2, dens, 0.0, 1.0, mesh=64, cfg=cfg)
-        assert prof.newton_iters == 4
-        assert prof.residual < cfg.tol_inner
+        res = solve_unit_ball(2, dens, mesh=64, cfg=cfg)
+        assert res.newton_iters == 4
+        assert res.residual < cfg.tol_inner
         with pytest.raises(NewtonIterationError):
-            solve_radial(2, dens, 0.0, 1.0, mesh=64,
-                         cfg=SolverConfig(max_newton=3))
+            solve_unit_ball(2, dens, mesh=64, cfg=SolverConfig(max_newton=3))
 
 
 class TestTridiagonalSolve:
@@ -218,7 +233,7 @@ class TestTridiagonalSolve:
     def newton_correction(self, monkeypatch, bands):
         mesh = 64
         backend = cmasolve.radial._RadialNewton(
-            2, np.full(mesh, 32.0), 0.0, 1.0, mesh)
+            BallMesh(2, 1.0, mesh), np.full(mesh, 32.0), 0.0)
         w = backend.surrogate(0.0)
         rsup, _, state = backend.evaluate(w, 0.0)
         monkeypatch.setattr(cmasolve.radial, "_jacobian_bands",
@@ -244,45 +259,45 @@ class TestTridiagonalSolve:
 
 
 class TestMeshReuse:
-    """The input-independent arrays of a radial solve are built once per
-    (R, mesh), held one mesh at a time, and never written."""
+    """The input-independent arrays of a radial solve are built once, by
+    the BallMesh, shared by every solve on it, and never written."""
 
-    def solve(self, mesh):
+    def solve(self, ball):
         # vanishing density at the axis: the solve walks the ladder
-        dens = 108.0 * np.linspace(0.0, 1.0, mesh + 1)[:-1] ** 2
-        return solve_radial(2, dens, 0.0, 1.0, mesh=mesh)
+        dens = 108.0 * ball.r[:-1] ** 2
+        return solve_radial(dens, constant_data(ball))
 
-    def test_profiles_bit_equal_with_warm_or_cold_memo(self):
-        memo = cmasolve.radial._radial_mesh
-        cold = {}
-        for mesh in (64, 128):
-            memo.cache_clear()
-            cold[mesh] = self.solve(mesh)
-        # 64 after 128 rebuilds the evicted mesh; the last 64 reuses it
+    def test_profiles_bit_equal_on_one_or_a_new_mesh(self):
+        cold = {mesh: self.solve(BallMesh(2, 1.0, mesh))
+                for mesh in (64, 128)}
+        # each mesh solved again, on its first BallMesh and on new ones
         for mesh in (64, 128, 64, 64):
-            prof = self.solve(mesh)
-            assert np.array_equal(prof.r, cold[mesh].r)
-            assert np.array_equal(prof.values, cold[mesh].values)
-            assert prof.newton_iters == cold[mesh].newton_iters
-        info = memo.cache_info()
-        assert info.maxsize == 1 and info.currsize == 1
+            ball = BallMesh(2, 1.0, mesh)
+            for res in (self.solve(ball), self.solve(cold[mesh].u.grid)):
+                assert np.array_equal(res.u.grid.r, cold[mesh].u.grid.r)
+                assert np.array_equal(res.u.values, cold[mesh].u.values)
+                assert res.newton_iters == cold[mesh].newton_iters
 
     def test_mesh_arrays_are_read_only(self):
-        prof = self.solve(64)
-        grid = cmasolve.radial._radial_mesh(1.0, 64)
-        assert prof.r is grid.r
-        for arr in (grid.r, grid.dA_dn, grid.dA_dp, grid.dB_dn):
+        ball = BallMesh(2, 1.0, 64)
+        first, second = self.solve(ball), self.solve(ball)
+        assert first.u.grid is ball and second.u.grid is ball
+        for arr in (ball.r, ball.dA_dn, ball.dA_dp, ball.dB_dn):
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
+        assert ball.h == 1.0 / 64
 
     def test_numpy_radius(self):
-        # a 0-d array does not hash; the memo is keyed by float(R)
-        prof = solve_radial(1, 4.0, 0.0, np.array(1.0), mesh=64)
-        assert np.array_equal(prof.values,
-                              solve_radial(1, 4.0, 0.0, 1.0, mesh=64).values)
-        assert radial_residual(1, prof.values, np.array(1.0), 4.0) \
-            == prof.residual
+        # a 0-d array radius builds the arrays a float radius builds
+        ball = BallMesh(1, np.array(1.0), 64)
+        plain = BallMesh(1, 1.0, 64)
+        for name in ("r", "dA_dn", "dA_dp", "dB_dn"):
+            assert np.array_equal(getattr(ball, name), getattr(plain, name))
+        res = solve_radial(4.0, constant_data(ball))
+        assert np.array_equal(res.u.values,
+                              solve_radial(4.0, constant_data(plain)).u.values)
+        assert radial_residual(res.u, 4.0) == res.residual
 
     def test_one_mesh_and_one_solve_radial_call_per_picard_step(
             self, monkeypatch):
@@ -295,15 +310,16 @@ class TestMeshReuse:
         monkeypatch.setattr(cmasolve.iteration, "solve_radial", counted)
         p = ball_problem(2, 0.0, ExponentialRhs(
             1.0, w=lambda r: 32.0 * np.exp(1.0 - r ** 2)), mesh=64)
-        memo = cmasolve.radial._radial_mesh
-        memo.cache_clear()
         sol = solve_mam(p)
         assert sol.converged
         # u0, then one frozen-density solve per Picard step
         assert len(calls) == sol.outer_iters + 1
-        assert memo.cache_info().misses == 1
+        # every solve reads the problem's boundary, so its mesh arrays
+        assert all(args[1] is p.boundary for args in calls)
+        assert sol.u.grid is p.grid
 
-    def test_one_mesh_per_radial_command(self, tmp_path, capsys):
+    def test_one_mesh_per_radial_command(self, tmp_path, capsys,
+                                         monkeypatch):
         # the config's sampling, the solves and the residual share it
         path = tmp_path / "ball.json"
         path.write_text(json.dumps({
@@ -311,8 +327,14 @@ class TestMeshReuse:
             "boundary": 0.0,
             "rhs": {"family": "exponential", "kappa": 1.0,
                     "weight": "32 * exp(1 - r2)"}}))
-        memo = cmasolve.radial._radial_mesh
-        memo.cache_clear()
+        built = []
+        post_init = BallMesh.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(BallMesh, "__post_init__", counted)
         assert main(["radial", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["converged"] is True
-        assert memo.cache_info().misses == 1
+        assert len(built) == 1
