@@ -95,6 +95,28 @@ class TestSolve:
         assert a.grid == b.grid
         assert np.array_equal(a.values, b.values)
 
+    @pytest.mark.parametrize("resolution, boundary", [
+        # psh data with an off-diagonal complex Hessian, at the resolution
+        # where the det-form solve of f failed its correction solve
+        (17, "r2 + x1 * x2 + y1 * y2 - 1.5"),
+        # data that are not psh along the complex lines in the box's faces
+        (7, "x1 * x2 + y1 * y2 - 0.5"),
+    ])
+    def test_maximal_extension_of_hard_data_converges(
+            self, tmp_path, capsys, resolution, boundary):
+        # both read f through the exponential density; chains_ok is left
+        # to test_converged_solves_keep_monotone_chains
+        cfg = write_cfg(tmp_path, n=2,
+                        domain={"box": {"lo": [-0.5] * 4, "hi": [0.5] * 4}},
+                        resolution=resolution, boundary=boundary,
+                        rhs={"family": "exponential", "kappa": 1.0,
+                             "weight": "4"})
+        code, out, _ = run(capsys, "solve", cfg)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["converged"] is True
+        assert payload["residual_ok"] is True
+
     def test_non_convergence_exits_3_with_diagnostics(self, tmp_path,
                                                       capsys):
         cfg = write_cfg(tmp_path,

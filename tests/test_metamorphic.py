@@ -8,11 +8,9 @@ breaks a symmetry or an invariant shows here on data with no closed form.
 
 Bounds come from tol_inner and the scale factor lambda, never from
 measured differences.  A nondegenerate solve is accurate to about its
-residual, so its relations hold to 10 tol_inner max(1, lambda).  A
-degenerate solve (f of r2 - 1, where det H vanishes to second order) is
-accurate in value only to about sqrt(tol_inner), the slack the
-regularization ladder accepts its result with, so its scaling and shift
-relations are bounded by sqrt(tol_inner) max(1, lambda).
+residual, so its relations hold to 10 tol_inner max(1, lambda).  f is
+solved as lambda_min(H[f]) = 0, which vanishes only to first order where
+det H vanishes to second, so f of r2 - 1 is held to the same bound.
 
 The invariants at the end hold for every solve_mam that converges: on
 random quadratic boundary data the solution certifies its residual and,
@@ -85,10 +83,6 @@ def exact_slack(lam: float = 1.0) -> float:
     return 10 * CFG.tol_inner * max(1.0, lam)
 
 
-def value_slack(lam: float = 1.0) -> float:
-    return math.sqrt(CFG.tol_inner) * max(1.0, lam)
-
-
 def test_the_data_are_not_symmetric():
     b = BOUNDARIES["asymmetric"]
     for sym in SYMMETRIES.values():
@@ -97,7 +91,7 @@ def test_the_data_are_not_symmetric():
 
 @pytest.mark.parametrize("name, slack",
                          [("asymmetric", exact_slack),
-                          ("r2-1", value_slack)])
+                          ("r2-1", exact_slack)])
 def test_scaling(name, slack):
     # f(lambda b) = lambda f(b): det H[lambda u] = lambda^2 det H[u]
     diff = np.abs(f_of(name, "scale") - SCALE * f_of(name)).max()
@@ -106,7 +100,7 @@ def test_scaling(name, slack):
 
 @pytest.mark.parametrize("name, slack",
                          [("asymmetric", exact_slack),
-                          ("r2-1", value_slack)])
+                          ("r2-1", exact_slack)])
 def test_shift(name, slack):
     # f(b - c) = f(b) - c: constants have zero Hessian
     diff = np.abs(f_of(name, "shift") - (f_of(name) - SHIFT)).max()

@@ -24,6 +24,7 @@ from cmasolve.solvers import (
     REG_LADDER,
     FrozenFamily,
     NewtonIterationError,
+    NewtonStagnationError,
     SolverConfig,
     _newton_stage,
     maximal_extension,
@@ -611,3 +612,40 @@ class TestMaximalExtension:
         bdry = ScalarField.from_function(g, lambda p: p[..., 0] - 0.5)
         f = maximal_extension(bdry)
         assert np.abs(f.values - bdry.values).max() <= 1e-9
+
+    @staticmethod
+    def counted_corrections(monkeypatch, negate=False):
+        """Patch the correction solve f reaches; returns its call list."""
+        calls = []
+        solve = cmasolve.solvers.solve_hermitian_system
+
+        def patched(*args, **kwargs):
+            calls.append(1)
+            delta = solve(*args, **kwargs)
+            return -delta if negate else delta
+
+        monkeypatch.setattr(cmasolve.solvers, "solve_hermitian_system",
+                            patched)
+        return calls
+
+    def test_corrections_stay_few(self, monkeypatch):
+        # policy iteration on lambda_min converges in 5 corrections here;
+        # the det form's double root took 21 over the regularization ladder
+        calls = self.counted_corrections(monkeypatch)
+        f = maximal_extension(sq_norm_minus_one(build_grid(unit_box(2), 9)))
+        assert 1 <= len(calls) <= 6
+        assert ma_density(f).psh_defect <= SolverConfig().tol_inner / 32
+
+    def test_iteration_cap_raises(self):
+        # a SolverError, so the CLI exits 3
+        g = build_grid(unit_box(2), 9)
+        with pytest.raises(NewtonIterationError):
+            maximal_extension(sq_norm_minus_one(g), SolverConfig(max_newton=1))
+
+    def test_ascent_corrections_stall(self, monkeypatch):
+        # the line search rejects every step along a correction that
+        # raises the residual, down to MIN_STEP
+        self.counted_corrections(monkeypatch, negate=True)
+        g = build_grid(unit_box(2), 9)
+        with pytest.raises(NewtonStagnationError, match="line search"):
+            maximal_extension(sq_norm_minus_one(g))
