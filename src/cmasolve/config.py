@@ -165,7 +165,10 @@ class RunConfig:
                  f"resolution {res} is above {most} ({unit} at n = "
                  f"{self.n})")
         if ball:
-            domain = BallMesh(self.n, self.radius, res)
+            try:
+                domain = BallMesh(self.n, self.radius, res)
+            except ValueError as exc:
+                raise _rejected("domain.ball", exc) from exc
             # the weights live on the unknown mesh nodes r < R, and the
             # boundary data is the one value at r = R
             interior = radial_env(domain.r[:-1])
@@ -285,6 +288,8 @@ def _parse_study(raw) -> dict:
     if "perturbations" in study:
         study["perturbations"] = _list_of(_number, study["perturbations"],
                                           "study.perturbations")
+        _require(study["perturbations"],
+                 "study.perturbations must not be empty")
     return study
 
 
@@ -299,6 +304,7 @@ def _parse_verify(raw) -> dict:
     if "eps" in verify:
         # smoothing widths of the regularized maximum
         verify["eps"] = _list_of(_positive, verify["eps"], "verify.eps")
+        _require(verify["eps"], "verify.eps must not be empty")
     return verify
 
 

@@ -197,8 +197,8 @@ def make_sine_preconditioner(grid: Grid, s_pairs) -> "callable":
 
 
 def solve_hermitian_system(grid: Grid, coeffs, rhs: np.ndarray, scale: float,
-                           rtol: float = 1e-12, maxiter: int = 500,
-                           accept_rtol: float = 1e-4) -> np.ndarray:
+                           rtol: float = 1e-3, maxiter: int = 500,
+                           accept_rtol: float = 1e-2) -> np.ndarray:
     """Solve L v = rhs with zero Dirichlet data; returns interior values.
 
     coeffs = (a, g, br, bi) per interior node.  BiCGStab with the sine
@@ -206,6 +206,13 @@ def solve_hermitian_system(grid: Grid, coeffs, rhs: np.ndarray, scale: float,
     as is; only when it reports a miss is the true relative residual
     formed (one more operator application), and the solve raises if that
     residual is above accept_rtol.
+
+    The defaults serve inexact Newton: a correction only needs to beat
+    the line search's damping granularity, and the Newton loop measures
+    the true nonlinear residual anyway, so a 1e-3 relative solve changes
+    nothing but the Krylov iteration count (1e-12 requests hit maxiter on
+    degenerate regularization rungs and fell back to ~1e-4 quality
+    regardless).
     """
     a, g, br, bi = coeffs
     core = grid.interior

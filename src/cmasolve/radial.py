@@ -90,6 +90,13 @@ class BallMesh:
                              f"{MIN_MESH} intervals, got {mesh!r}")
         R = float(R)
         h = R / mesh
+        # the Jacobian's spacing terms, 1/h^2 the largest and 1/(h r) the
+        # smallest, must be finite and nonzero
+        if not (0.0 < h * h < math.inf and 1.0 / (h * h) < math.inf
+                and 0.0 < 1.0 / (h * R)):
+            raise ValueError(f"radius R = {R!r} is out of range at mesh "
+                             f"{mesh}: the spacing terms 1/h^2 and "
+                             f"1/(h r) must be finite and nonzero")
         r = np.linspace(0.0, R, mesh + 1)
         ri = r[1:-1]
         arrays = dict(r=r, dA_dn=1.0 / h ** 2 + 1.0 / (2.0 * h * ri),

@@ -26,17 +26,10 @@ regularization rungs, ending at the true problem).  SolverConfig
 holds only the tolerances and iteration caps a caller chooses.
 
 Where a frozen density vanishes, det H = g is a double root and Newton
-converges only linearly: each full step cuts the residual by 1/4 and
-halves the correction along a fixed direction (Decker, Keller & Kelley,
-SIAM J. Numer. Anal. 20, 1983).  When a full step has cut the residual
-by about 1/4 (TAIL_CUT) and the next correction is parallel to it and
-about half as long (TAIL_COS2, TAIL_RATIO), _newton_stage first tries one
-extrapolated step that sums the geometric tail (Griewank, SIAM Review 27,
-1985), under the same residual and eigenvalue tests as any trial.  A
-plain Newton step always follows an extrapolated iterate, so a stage
-never ends on one: the jump lands within the residual tolerance but
-leaves a psh defect the plain step removes.  The tail step and the
-ladder serve the radial solver and degenerate frozen densities.
+converges only linearly (Decker, Keller & Kelley, SIAM J. Numer. Anal.
+20, 1983).  The ladder's rungs g + eps > 0 have simple roots, and each
+warm-starts the next, so the true problem's linear tail starts close to
+its root; the radial solver walks the same ladder.
 
 The maximal extension f, maximal psh exactly when (dd^c f)^n = 0
 (Bedford & Taylor, Invent. Math. 37, 1976), avoids that double root.
@@ -109,14 +102,6 @@ DAMPING = 0.5
 MIN_STEP = 1e-4
 PSD_FLOOR = 1e-12
 REG_LADDER = (1e-2, 1e-4, 1e-6, 0.0)
-# Newton's linear tail at a double root, where det H vanishes to second
-# order (as it does where a frozen density vanishes): each full step cuts
-# the residual by 1/4 and halves the correction along a fixed direction.
-# TAIL_CUT brackets the cut 1/4 and TAIL_RATIO the ratio 1/2 of successive
-# correction lengths; TAIL_COS2 is the least squared cosine between them.
-TAIL_CUT = (0.2, 0.3)
-TAIL_RATIO = (0.45, 0.55)
-TAIL_COS2 = 1.0 - 2e-3
 
 
 @dataclass(frozen=True)
@@ -194,22 +179,6 @@ def solve_poisson(g, boundary: ScalarField,
 #                       each state is passed to it once and may be spent;
 #   surrogate(eps)      a starting iterate for density + eps.
 
-def _tail_factor(delta: np.ndarray, prev: np.ndarray) -> float | None:
-    """1 / (1 - rho) when delta continues the geometric tail of prev: the
-    same direction within TAIL_COS2 and length ratio rho within
-    TAIL_RATIO.  Then u + delta / (1 - rho) sums the tail's remaining
-    corrections.  None otherwise."""
-    dd = float(np.vdot(delta, delta))
-    pp = float(np.vdot(prev, prev))
-    dp = float(np.vdot(delta, prev))
-    if dp <= 0.0 or dp * dp < TAIL_COS2 * dd * pp:
-        return None
-    rho = float(np.sqrt(dd / pp))
-    if not TAIL_RATIO[0] <= rho <= TAIL_RATIO[1]:
-        return None
-    return 1.0 / (1.0 - rho)
-
-
 def _newton_stage(backend, u: np.ndarray, eps: float, stage_tol: float,
                   cfg: SolverConfig):
     """Damped Newton at regularization eps from u, to sup residual below
@@ -221,17 +190,6 @@ def _newton_stage(backend, u: np.ndarray, eps: float, stage_tol: float,
     guard, no worse than the iterate's own.  The first residual-decreasing
     trial that fails it is kept, and taken when no decreasing trial
     passes.
-
-    Inside a double root's linear tail (see TAIL_CUT) the step first tries
-    the extrapolated iterate u + delta / (1 - rho), which sums the tail's
-    geometric series of corrections.  It is taken when its residual
-    decreases and it passes the guard; otherwise the step backtracks from
-    alpha = 1 as usual.  An extrapolated iterate never ends the stage: it
-    meets the residual but not the psh-ness of the tail's end (lambda_min
-    -5e-11 where a plain step leaves -2e-14 on the g = 0 solve of r2 - 1
-    at res 17), so one plain step always follows it.  Only when that step
-    finds no decrease that passes the guard, or the iteration cap allows
-    none, does the extrapolated iterate stand.
     """
     # the stage_tol/norm allowance keeps the guard feasible in a
     # degenerate endgame, where iterates carry lam1 ~ -eps at roundoff
@@ -247,28 +205,15 @@ def _newton_stage(backend, u: np.ndarray, eps: float, stage_tol: float,
         guard = min(guard, -float(np.sqrt(cfg.tol_inner)))
     rsup, lam1, state = backend.evaluate(u, eps)
     iters = 0
-    # the last correction while its full step cut the residual by
-    # TAIL_CUT, and whether u is an extrapolated iterate
-    tail, jumped = None, False
-    while rsup >= stage_tol or (jumped and iters < cfg.max_newton):
+    while rsup >= stage_tol:
         if iters >= cfg.max_newton:
             raise NewtonIterationError(rsup, u)
         iters += 1
         delta = backend.correct(u, state, rsup, eps)
 
         step = fallback = None
-        full = False
-        factor = None if tail is None else _tail_factor(delta, tail)
-        if factor is not None:
-            trial = u.copy()
-            trial[backend.index] += factor * delta
-            t_rsup, t_lam1, t_state = backend.evaluate(trial, eps)
-            if t_rsup < rsup and (t_lam1 is None
-                                  or t_lam1 >= min(guard, lam1)):
-                step = (trial, t_rsup, t_lam1, t_state)
-        jumped = step is not None
         alpha = 1.0
-        while step is None and alpha >= MIN_STEP:
+        while alpha >= MIN_STEP:
             trial = u.copy()
             trial[backend.index] += alpha * delta
             t_rsup, t_lam1, t_state = backend.evaluate(trial, eps)
@@ -278,22 +223,15 @@ def _newton_stage(backend, u: np.ndarray, eps: float, stage_tol: float,
                 # steps would fail the guard too, down to MIN_STEP
                 if t_lam1 is None or t_lam1 >= min(guard, lam1):
                     step = (trial, t_rsup, t_lam1, t_state)
-                    full = alpha == 1.0
                     break
                 if fallback is None:
                     fallback = (trial, t_rsup, t_lam1, t_state)
             alpha *= DAMPING
-        if step is None and rsup < stage_tol:
-            # the plain step after a jump that met stage_tol found no
-            # decrease that passes the guard (round-off); the jump did
-            break
         # every decreasing trial made lam1 worse than the guard and the
         # iterate's own: take the first of them and let psh_defect report
         step = step or fallback
         if step is None:
             raise NewtonStagnationError(rsup, u, "line search")
-        full = full and TAIL_CUT[0] * rsup <= step[1] <= TAIL_CUT[1] * rsup
-        tail = delta if full else None
         u, rsup, lam1, state = step
     return u, rsup, iters, lam1
 
@@ -410,14 +348,8 @@ class _GridNewton:
         # the state is spent once its cofactor is formed: dropping the
         # eigenvalues keeps them out of the Krylov solve's peak memory
         eigs.clear()
-        # inexact Newton: the correction only needs to beat the damping
-        # granularity, and the outer loop measures the true nonlinear
-        # residual anyway, so a 1e-3 relative solve changes nothing but
-        # the Krylov iteration count (1e-12 requests hit maxiter on the
-        # degenerate rungs and fell back to ~1e-4 quality regardless)
         return solve_hermitian_system(self.grid, coeffs, -resid,
-                                      scale=self.norm / 4.0,
-                                      rtol=1e-3, accept_rtol=1e-2)
+                                      scale=self.norm / 4.0)
 
     def surrogate(self, eps):
         # isotropic surrogate det = dens/norm via lap u = 4n (dens/norm)^(1/n)
@@ -546,8 +478,7 @@ class _MaximalNewton:
         a[umbilic] = 1.0
         k /= length
         return solve_hermitian_system(self.grid, (a, g, re12 * k, im12 * k),
-                                      -lam1, scale=0.25, rtol=1e-3,
-                                      accept_rtol=1e-2)
+                                      -lam1, scale=0.25)
 
 
 def maximal_extension(boundary: ScalarField,

@@ -418,6 +418,20 @@ class TestConfigValidation:
          "verify.pairs must be at most 1000"),
         (("verify", "--check", "comparison"), {"verify": {"pairs": 1001}},
          "verify.pairs must be at most 1000"),
+        # the mesh spacing squared overflows, or underflows to 0
+        (("radial",), {"domain": {"ball": {"radius": 1e300}},
+                       "resolution": 64, "boundary": 0.0},
+         "radius R = 1e+300 is out of range at mesh 64"),
+        (("radial",), {"domain": {"ball": {"radius": 1e-300}},
+                       "resolution": 64, "boundary": 0.0},
+         "radius R = 1e-300 is out of range at mesh 64"),
+        # an empty list would pass with no rows or no checks
+        (("study", "stability"),
+         {"subsolution_seed": "3 * (r2 - 1)",
+          "study": {"perturbations": []}},
+         "study.perturbations must not be empty"),
+        (("verify", "--check", "demailly"), {"verify": {"eps": []}},
+         "verify.eps must not be empty"),
     ], ids=["box-res-3", "box-res-4", "study-res-4", "ball-res-31",
             "log-x1", "one-over-zero", "power-below-1", "damping",
             "negative-tol", "zero-newton-cap", "open-ladder",
@@ -437,7 +451,9 @@ class TestConfigValidation:
             "seed-density-overflow-n2", "seed-density-overflow-n2-concave",
             "seed-density-overflow-n1", "demailly-smoothed-max-overflow",
             "demailly-density-overflow",
-            "demailly-hessian-overflow", "pairs-1e300", "pairs-1001"])
+            "demailly-hessian-overflow", "pairs-1e300", "pairs-1001",
+            "ball-radius-huge", "ball-radius-tiny", "perturbations-empty",
+            "eps-empty"])
     def test_invalid_input_exits_2(self, tmp_path, capsys, command,
                                    overrides, needle):
         if isinstance(overrides, bytes):

@@ -47,7 +47,7 @@ def _boundaries():
     return {
         # no symmetry of the box or of C^2 maps these data to themselves
         "asymmetric": r2 - 1 + 0.3 * x1 - 0.2 * x2 * y1 + 0.1 * x1 ** 2 * y2,
-        # the double root, where the Newton tail is extrapolated
+        # every symmetry below maps these data, and so f, to themselves
         "r2-1": r2 - 1.0,
     }
 
