@@ -195,7 +195,6 @@ class _RadialNewton:
         self.ball, self.density, self.bval = ball, density, bval
         self.norm = math.factorial(ball.n) * 4.0 ** ball.n
         self.index = slice(None, -1)
-        self.min_density = float(density.min())
         self.mean_density = float(density.mean())
 
     def evaluate(self, w, eps):

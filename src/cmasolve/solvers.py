@@ -18,11 +18,10 @@ eps, ending at the true problem.
 The Newton loop (_newton_stage) and the ladder walk (_walk_ladder) are
 the only ones in the package: the radial solver runs them too, with a
 backend that supplies its own evaluation, correction, surrogate start and
-psh measure, and the maximal extension runs the Newton loop alone.
-Their safeguards are module constants, not settings: DAMPING (the
-backtracking factor), MIN_STEP (the shortest trial step), PSD_FLOOR (the
-least eigenvalue floor of a linearization) and REG_LADDER (the
-regularization rungs, ending at the true problem).  SolverConfig
+psh measure.  Their safeguards are module constants, not settings:
+DAMPING (the backtracking factor), MIN_STEP (the shortest trial step),
+PSD_FLOOR (the least eigenvalue floor of a linearization) and REG_LADDER
+(the regularization rungs, ending at the true problem).  SolverConfig
 holds only the tolerances and iteration caps a caller chooses.
 
 Where a frozen density vanishes, det H = g is a double root and Newton
@@ -31,20 +30,22 @@ converges only linearly (Decker, Keller & Kelley, SIAM J. Numer. Anal.
 warm-starts the next, so the true problem's linear tail starts close to
 its root; the radial solver walks the same ladder.
 
-The maximal extension f, maximal psh exactly when (dd^c f)^n = 0
-(Bedford & Taylor, Invent. Math. 37, 1976), avoids that double root.
+A density that vanishes everywhere takes no ladder.  That problem is the
+maximal extension f, maximal psh exactly when (dd^c f)^n = 0 (Bedford &
+Taylor, Invent. Math. 37, 1976), so f is solve_ma_fixed_rhs(0, boundary).
 For 2x2 Hermitian H, det H = 0 with H psd holds exactly when
-lambda_min(H) = 0, so on the same stencil f solves lambda_min(H[f]) = 0,
-the complex analogue of Oberman's convex-envelope equation (Proc. AMS
-135, 2007).  lambda_min(H[u]) is the minimum over unit xi of the linear
-maps xi* H[u] xi, so semismooth Newton on it (Qi & Sun, Math. Prog. 58,
-1993) is Howard's policy iteration (Bokanowski, Maroso & Zidani, SIAM
-J. Numer. Anal. 47, 2009): _MaximalNewton is one more backend of
-_newton_stage, started from the harmonic extension.  On r2 - 1 it takes
-5 or 6 corrections at res 9 to 25, where the det form took 21 to 23
-over the whole ladder.  Policy iteration on this stencil, which is no
+lambda_min(H) = 0, so on the same stencil a zero-density box solve runs
+lambda_min(H[f]) = 0, the complex analogue of Oberman's convex-envelope
+equation (Proc. AMS 135, 2007), with no double root.  lambda_min(H[u]) is
+the minimum over unit xi of the linear maps xi* H[u] xi, so semismooth
+Newton on it (Qi & Sun, Math. Prog. 58, 1993) is Howard's policy
+iteration (Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 47, 2009):
+_MaximalNewton, started from the harmonic extension.  On r2 - 1 it takes
+5 or 6 corrections at res 9 to 25, where the det form took 21 to 23 over
+the whole ladder.  Policy iteration on this stencil, which is no
 M-matrix, has no convergence proof, so the stage's line search,
-iteration cap and stall error stay in force.
+iteration cap and stall error stay in force.  On a ball the constant
+surrogate solves a zero density outright.
 
 FrozenFamily solves a one-parameter family of frozen-density problems on
 one boundary (natural-parameter continuation): each member starts from
@@ -171,7 +172,7 @@ def solve_poisson(g, boundary: ScalarField,
 # loop nor a backend evaluates a right-hand side.  It supplies
 #   norm, index         the Monge-Ampere constant, and where a correction
 #                       lands in the node-value array;
-#   min_density         the density minimum that selects the ladder;
+#   density             the density array, which selects the ladder;
 #   evaluate(u, eps)    (sup residual, lambda_min or None, state) of the
 #                       problem at density + eps; None skips the
 #                       eigenvalue guard and the psh test;
@@ -197,9 +198,9 @@ def _newton_stage(backend, u: np.ndarray, eps: float, stage_tol: float,
     # that keep lam1 positive over full Newton steps.  The eps = 0 rung of
     # a ladder walk (a frozen density that vanishes somewhere, on a grid
     # or a ball) gets the slack _walk_ladder accepts its result with: a
-    # tighter guard only trades full steps for half steps there.  The
-    # maximal extension's stage runs at eps = 0 too, but its residual
-    # already holds -lambda_min below stage_tol / norm
+    # tighter guard only trades full steps for half steps there.  A
+    # zero-density grid solve (f's policy iteration) runs at eps = 0 too,
+    # but its residual already holds -lambda_min below stage_tol / norm
     guard = PSD_FLOOR - eps - stage_tol / backend.norm
     if eps == 0.0:
         guard = min(guard, -float(np.sqrt(cfg.tol_inner)))
@@ -238,17 +239,18 @@ def _newton_stage(backend, u: np.ndarray, eps: float, stage_tol: float,
 
 def _walk_ladder(backend, cfg: SolverConfig, init: np.ndarray | None = None):
     """Solve backend's problem, walking the regularization ladder when its
-    density reaches down to the first rung; returns (u, rsup, iters,
-    lambda_min).
+    density reaches down to the first rung and is not identically zero;
+    returns (u, rsup, iters, lambda_min).
 
     With init, the unregularized problem is tried from it first.  If
     Newton stalls, hits its cap or loses psh-ness, the warm iterate is
-    what failed, so the ladder starts over from the surrogate.
+    what failed, so the walk starts over from the surrogate.
     """
     # degenerate accepts need psh-ness as well as a small residual; sqrt
     # scale because det is quadratic in the Hessian near flat iterates
     psh_slack = float(np.sqrt(cfg.tol_inner))
-    ladder = (REG_LADDER if backend.min_density <= REG_LADDER[0]
+    density = backend.density
+    ladder = (REG_LADDER if density.any() and density.min() <= REG_LADDER[0]
               else (0.0,))
     if init is not None:
         try:
@@ -259,15 +261,6 @@ def _walk_ladder(backend, cfg: SolverConfig, init: np.ndarray | None = None):
         else:
             if lam1 is None or lam1 >= -psh_slack:
                 return u, rsup, iters, lam1
-    elif len(ladder) > 1:
-        # a density that vanishes everywhere, on data the surrogate
-        # solves exactly (a pluriharmonic grid boundary, a constant ball
-        # boundary): accept the surrogate and skip the ladder, which would
-        # smear O(sqrt(tol)) regularization error over the iterate
-        u = backend.surrogate(0.0)
-        rsup, lam1, _ = backend.evaluate(u, 0.0)
-        if rsup <= cfg.tol_inner and (lam1 is None or lam1 >= -psh_slack):
-            return u, rsup, 0, lam1
 
     u = backend.surrogate(ladder[0])
     iters_total = 0
@@ -318,20 +311,19 @@ class _GridNewton:
     corrections and the isotropic Laplacian surrogate.  The state is
     (Hessian entries, their eigenvalues, residual)."""
 
-    def __init__(self, g: np.ndarray, boundary: ScalarField,
+    def __init__(self, density: np.ndarray, boundary: ScalarField,
                  cfg: SolverConfig):
         self.grid = boundary.grid
         self.boundary = boundary
-        self.g = g
+        self.density = density
         self.cfg = cfg
         self.norm = ma_normalization(2)
         self.index = self.grid.interior
-        self.min_density = float(g.min())
 
     def evaluate(self, u, eps):
         entries = _hessian_entries(u, self.grid.spacing)
         det, lam1, lam2 = _det_and_eigenvalues(entries)
-        resid = self.g + eps
+        resid = self.density + eps
         np.subtract(self.norm * det, resid, out=resid)
         return (float(np.abs(resid).max()), float(lam1.min()),
                 (entries, [lam1, lam2], resid))
@@ -354,9 +346,46 @@ class _GridNewton:
     def surrogate(self, eps):
         # isotropic surrogate det = dens/norm via lap u = 4n (dens/norm)^(1/n)
         # at n = 2
-        lap_rhs = 8.0 * np.power((self.g + eps) / self.norm, 0.5)
+        lap_rhs = 8.0 * np.power((self.density + eps) / self.norm, 0.5)
         return solve_poisson_system(self.grid, lap_rhs, self.boundary.values,
                                     tol=max(1e-2 * self.cfg.tol_inner, 1e-13))
+
+
+class _MaximalNewton(_GridNewton):
+    """lambda_min(H[f]) = 0, the n = 2 grid problem of a density that is
+    identically zero, by policy iteration: each correction solves
+    xi* H[delta] xi = -lambda_min along the lambda_min eigenvector xi of
+    the current iterate.  The residual folds both tests of a maximal psh
+    f, 32 |det H| and lambda_min >= 0, into one sup.  The surrogate, at
+    zero density, is the harmonic extension.  The state is (Hessian
+    entries, lambda_min)."""
+
+    def evaluate(self, u, eps):
+        entries = _hessian_entries(u, self.grid.spacing)
+        det, lam1, _ = _det_and_eigenvalues(entries)
+        rsup = self.norm * max(float(np.abs(det).max()),
+                               float(np.abs(lam1).max()))
+        return rsup, float(lam1.min()), (entries, lam1)
+
+    def correct(self, u, state, rsup, eps):
+        (h11, h22, re12, im12), lam1 = state
+        # xi is (b, lam1 - h11) where h11 >= h22 and (lam1 - h22, conj b)
+        # elsewhere, the longer of the two, with b = H12; either way
+        # conj(xi1) xi2 = conj(b) k for the real k below, so every
+        # coefficient is real.  At an umbilic node (H = lam1 I) xi = (1, 0)
+        k = lam1 - np.maximum(h11, h22)
+        off = re12 ** 2 + im12 ** 2
+        kk = k * k
+        length = off + kk
+        umbilic = length == 0.0
+        length[umbilic] = 1.0
+        first = h11 >= h22
+        a = np.where(first, off, kk) / length
+        g = np.where(first, kk, off) / length
+        a[umbilic] = 1.0
+        k /= length
+        return solve_hermitian_system(self.grid, (a, g, re12 * k, im12 * k),
+                                      -lam1, scale=0.25)
 
 
 def solve_ma_fixed_rhs(g, boundary: ScalarField,
@@ -366,7 +395,8 @@ def solve_ma_fixed_rhs(g, boundary: ScalarField,
 
     n = 1 delegates to the Poisson solver.  n = 2 runs damped Newton with
     cofactor linearization; when min(g) falls below the first rung of the
-    regularization ladder the solve walks the ladder with warm starts.
+    regularization ladder the solve walks the ladder with warm starts.  A
+    g that is identically zero is f's problem, solved by _MaximalNewton.
     init, when given, supplies the interior of a warm start.
     """
     cfg = cfg or SolverConfig()
@@ -387,8 +417,9 @@ def solve_ma_fixed_rhs(g, boundary: ScalarField,
     if init is not None:
         warm = np.array(boundary.values)
         warm[grid.interior] = init.values[grid.interior]
-    u, rsup, iters, lam1 = _walk_ladder(_GridNewton(g_arr, boundary, cfg),
-                                        cfg, warm)
+    newton = _GridNewton if g_arr.any() else _MaximalNewton
+    u, rsup, iters, lam1 = _walk_ladder(newton(g_arr, boundary, cfg), cfg,
+                                        warm)
     return MaSolveResult(ScalarField(grid, u), rsup, iters, max(0.0, -lam1))
 
 
@@ -441,62 +472,15 @@ class FrozenFamily:
         return res
 
 
-class _MaximalNewton:
-    """lambda_min(H[f]) = 0 on an n = 2 grid, by policy iteration: each
-    correction solves xi* H[delta] xi = -lambda_min along the lambda_min
-    eigenvector xi of the current iterate.  The residual folds both tests
-    of a maximal psh f, 32 |det H| and lambda_min >= 0, into one sup.  The
-    state is (Hessian entries, lambda_min)."""
-
-    def __init__(self, grid):
-        self.grid = grid
-        self.norm = ma_normalization(2)
-        self.index = grid.interior
-
-    def evaluate(self, u, eps):
-        entries = _hessian_entries(u, self.grid.spacing)
-        det, lam1, _ = _det_and_eigenvalues(entries)
-        rsup = self.norm * max(float(np.abs(det).max()),
-                               float(np.abs(lam1).max()))
-        return rsup, float(lam1.min()), (entries, lam1)
-
-    def correct(self, u, state, rsup, eps):
-        (h11, h22, re12, im12), lam1 = state
-        # xi is (b, lam1 - h11) where h11 >= h22 and (lam1 - h22, conj b)
-        # elsewhere, the longer of the two, with b = H12; either way
-        # conj(xi1) xi2 = conj(b) k for the real k below, so every
-        # coefficient is real.  At an umbilic node (H = lam1 I) xi = (1, 0)
-        k = lam1 - np.maximum(h11, h22)
-        off = re12 ** 2 + im12 ** 2
-        kk = k * k
-        length = off + kk
-        umbilic = length == 0.0
-        length[umbilic] = 1.0
-        first = h11 >= h22
-        a = np.where(first, off, kk) / length
-        g = np.where(first, kk, off) / length
-        a[umbilic] = 1.0
-        k /= length
-        return solve_hermitian_system(self.grid, (a, g, re12 * k, im12 * k),
-                                      -lam1, scale=0.25)
-
-
 def maximal_extension(boundary: ScalarField,
                       cfg: SolverConfig | None = None) -> ScalarField:
-    """The maximal psh extension: (dd^c f)^n = 0 with the given boundary.
+    """The maximal psh extension: (dd^c f)^n = 0 with the given boundary,
+    solved as solve_ma_fixed_rhs(0, boundary).
 
     n = 1 is the harmonic extension.  For n = 2, f solves lambda_min(H[f])
     = 0, the same discrete problem as det H[f] = 0 with H[f] psd, by
-    _newton_stage from the harmonic extension (see _MaximalNewton).  Like
-    solve_ma_fixed_rhs it checks none of the theorem's hypotheses;
-    ProblemSpec rejects positive boundary data.
+    policy iteration from the harmonic extension (see _MaximalNewton).
+    It checks none of the theorem's hypotheses; ProblemSpec rejects
+    positive boundary data.
     """
-    cfg = cfg or SolverConfig()
-    grid = boundary.grid
-    if grid.n == 1:
-        return solve_poisson(0.0, boundary, cfg)
-    u0 = solve_poisson_system(grid, 0.0, boundary.values,
-                              tol=max(1e-2 * cfg.tol_inner, 1e-13))
-    u, _, _, _ = _newton_stage(_MaximalNewton(grid), u0, 0.0,
-                               cfg.tol_inner, cfg)
-    return ScalarField(grid, u)
+    return solve_ma_fixed_rhs(0.0, boundary, cfg).u

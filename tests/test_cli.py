@@ -95,22 +95,28 @@ class TestSolve:
         assert a.grid == b.grid
         assert np.array_equal(a.values, b.values)
 
-    @pytest.mark.parametrize("resolution, boundary", [
+    @pytest.mark.parametrize("resolution, boundary, rhs", [
         # psh data with an off-diagonal complex Hessian, at the resolution
         # where the det-form solve of f failed its correction solve
-        (17, "r2 + x1 * x2 + y1 * y2 - 1.5"),
+        pytest.param(17, "r2 + x1 * x2 + y1 * y2 - 1.5",
+                     {"family": "exponential", "kappa": 1.0, "weight": "4"},
+                     id="17-r2 + x1 * x2 + y1 * y2 - 1.5"),
         # data that are not psh along the complex lines in the box's faces
-        (7, "x1 * x2 + y1 * y2 - 0.5"),
+        pytest.param(7, "x1 * x2 + y1 * y2 - 0.5",
+                     {"family": "exponential", "kappa": 1.0, "weight": "4"},
+                     id="7-x1 * x2 + y1 * y2 - 0.5"),
+        # the zero density, whose frozen solves are f's own problem: the
+        # det-form ladder failed its correction solve here too
+        pytest.param(17, "r2 + x1 * x2 + y1 * y2 - 1.5",
+                     {"family": "constant", "weight": 0.0},
+                     id="zero density-17-r2 + x1 * x2 + y1 * y2 - 1.5"),
     ])
     def test_maximal_extension_of_hard_data_converges(
-            self, tmp_path, capsys, resolution, boundary):
-        # both read f through the exponential density; chains_ok is left
-        # to test_converged_solves_keep_monotone_chains
+            self, tmp_path, capsys, resolution, boundary, rhs):
+        # chains_ok is left to test_converged_solves_keep_monotone_chains
         cfg = write_cfg(tmp_path, n=2,
                         domain={"box": {"lo": [-0.5] * 4, "hi": [0.5] * 4}},
-                        resolution=resolution, boundary=boundary,
-                        rhs={"family": "exponential", "kappa": 1.0,
-                             "weight": "4"})
+                        resolution=resolution, boundary=boundary, rhs=rhs)
         code, out, _ = run(capsys, "solve", cfg)
         assert code == 0
         payload = json.loads(out)

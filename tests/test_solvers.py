@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy import ndimage
 
 import cmasolve.solvers
 from cmasolve.grids import (
@@ -199,21 +198,31 @@ class TestMaFixedRhs:
             u2 = solve_ma_fixed_rhs(g2, bdry, cfg).u
             assert (u1.values - u2.values).min() >= -2 * cfg.tol_inner
 
-    def test_failed_warm_start_restarts_the_ladder(self):
-        # a prolonged coarse maximal extension is a poor warm start for the
-        # degenerate problem: Newton from it stalls, and the ladder must
-        # start over from the Laplacian surrogate rather than from it
-        coarse = build_grid(unit_box(2), 9)
-        f9 = maximal_extension(sq_norm_minus_one(coarse))
-        g = build_grid(unit_box(2), 17)
+    def test_failed_warm_start_restarts_the_ladder(self, monkeypatch):
+        # f's policy iteration converges from most warm starts, but from
+        # one four times too deep it needs 27 steps, beyond a cap of 10:
+        # the walk must start over from the harmonic surrogate, and so end
+        # where the cold solve does, bit for bit
+        g = build_grid(unit_box(2), 9)
         bdry = sq_norm_minus_one(g)
-        # corner-aligned linear zoom: multilinear prolongation 9 -> 17
-        warm = ScalarField(g, ndimage.zoom(f9.values, 17 / 9, order=1))
-        zero = np.zeros(g.interior_shape)
-        cfg = SolverConfig()
-        res = solve_ma_fixed_rhs(zero, bdry, cfg, init=warm)
+        cfg = SolverConfig(max_newton=10)
+        cold = solve_ma_fixed_rhs(0.0, bdry, cfg)
+        starts = []
+        surrogate = cmasolve.solvers._GridNewton.surrogate
+
+        def counted(self, eps):
+            starts.append(eps)
+            return surrogate(self, eps)
+
+        monkeypatch.setattr(cmasolve.solvers._GridNewton, "surrogate",
+                            counted)
+        warm = ScalarField(g, 4.0 * bdry.values)
+        res = solve_ma_fixed_rhs(np.zeros(g.interior_shape), bdry, cfg,
+                                 init=warm)
+        assert starts == [0.0]
         assert res.residual <= cfg.tol_inner
         assert res.psh_defect <= np.sqrt(cfg.tol_inner)
+        assert np.array_equal(res.u.values, cold.u.values)
 
     def test_failed_non_degenerate_warm_start_restarts(self):
         # a positive constant density walks a one-rung ladder; Newton from
@@ -537,6 +546,26 @@ class TestMaximalExtension:
         f = maximal_extension(sq_norm_minus_one(build_grid(unit_box(2), 9)))
         assert 1 <= len(calls) <= 6
         assert ma_density(f).psh_defect <= SolverConfig().tol_inner / 32
+
+    @pytest.mark.parametrize("name", ["r2-1", "asymmetric", "off-diagonal"])
+    def test_zero_density_solve_is_f(self, monkeypatch, name):
+        # f is the frozen solve at density 0, with no ladder: its Newton
+        # steps are its corrections, and the result is f bit for bit
+        g = build_grid(unit_box(2), 9)
+        x1, y1, x2, y2 = np.moveaxis(g.points(), -1, 0)
+        r2 = x1 ** 2 + y1 ** 2 + x2 ** 2 + y2 ** 2
+        bdry = ScalarField(g, {
+            "r2-1": r2 - 1.0,
+            "asymmetric": (r2 - 1 + 0.3 * x1 - 0.2 * x2 * y1
+                           + 0.1 * x1 ** 2 * y2),
+            "off-diagonal": r2 + x1 * x2 + y1 * y2 - 1.5,
+        }[name])
+        calls = self.counted_corrections(monkeypatch)
+        res = solve_ma_fixed_rhs(0.0, bdry)
+        assert 1 <= res.newton_iters <= 6
+        assert res.newton_iters == len(calls)
+        assert res.residual < SolverConfig().tol_inner
+        assert np.array_equal(res.u.values, maximal_extension(bdry).values)
 
     def test_iteration_cap_raises(self):
         # a SolverError, so the CLI exits 3
