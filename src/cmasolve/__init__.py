@@ -14,10 +14,8 @@ the numerics thread pools before numpy loads.
 
 _EXPORTS = {
     # grids
-    "Box": "grids", "DensityField": "grids",
-    "Grid": "grids", "GridError": "grids", "HermitianField": "grids",
-    "ScalarField": "grids", "build_grid": "grids",
-    "complex_hessian": "grids", "ma_density": "grids",
+    "Box": "grids", "Grid": "grids", "GridError": "grids",
+    "ScalarField": "grids", "build_grid": "grids", "ma_density": "grids",
     "ma_normalization": "grids", "unit_box": "grids",
     # errors
     "HypothesisViolation": "errors", "SolverError": "errors",

@@ -25,9 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisViolation, SolverError
-from .grids import (DensityField, ScalarField, _clamped_density,
-                    _density_or_inf, _det_and_eigenvalues, _hessian_entries,
-                    _psh_defect, ma_density)
+from .grids import (ScalarField, _clamped_density, _det_and_eigenvalues,
+                    _hessian_entries, _psh_defect, ma_density)
 from .iteration import ProblemSpec, prepare, solve_mam
 from .solvers import FrozenFamily, SolverConfig
 
@@ -131,9 +130,9 @@ def comparison_check(u: ScalarField, v: ScalarField,
 
     dens_u, _ = ma_density(u)
     dens_v, _ = ma_density(v)
-    margin = float((dens_u.values[sel] - dens_v.values[sel]).sum()) * cell
+    margin = float((dens_u[sel] - dens_v[sel]).sum()) * cell
 
-    deficit = np.where(sel, dens_u.values - dens_v.values, np.inf)
+    deficit = np.where(sel, dens_u - dens_v, np.inf)
     worst = np.unravel_index(int(np.argmin(deficit)), deficit.shape)
     return CheckReport.from_margin("comparison", margin,
                                    _node_coords(grid, worst), tol)
@@ -204,7 +203,7 @@ def demailly_max_check(u1: ScalarField, u2: ScalarField,
     tol = 10.0 * h2 * scale
 
     m = _smooth_max(u1.values, u2.values, eps_smooth)
-    dm, _ = _density_or_inf(ScalarField(grid, m))
+    dm, _ = ma_density(ScalarField(grid, m))
     if not np.all(np.isfinite(dm)):
         raise _overflow(f"the maximum smoothed at {eps_smooth:g}")
     diff_int = u1.interior_values() - u2.interior_values()
@@ -298,7 +297,7 @@ def stability_experiment(p: ProblemSpec, perturbations) -> StabilityTable:
     h_base = p.bound(np.zeros(grid.interior_shape))
     # an overflowing cap is +inf there and caps nothing; the slack comes
     # from the finite part
-    cap, _ = _density_or_inf(p.v0)
+    cap, _ = ma_density(p.v0)
     slack = 1e-9 * (1.0 + float(cap.max(initial=0.0,
                                         where=np.isfinite(cap))))
     shape = _sin_shape(grid)
@@ -324,12 +323,12 @@ def stability_experiment(p: ProblemSpec, perturbations) -> StabilityTable:
         perturbed(delta)
 
     family = FrozenFamily(p.boundary, cfg)
-    base = family.solve(0.0, DensityField(grid, h_base))
+    base = family.solve(0.0, h_base)
     cell = grid.cell_volume
     rows = []
     for delta in perturbations:
         hj = perturbed(delta)
-        sol = family.solve(delta, DensityField(grid, hj))
+        sol = family.solve(delta, hj)
         err = float(np.abs(sol.u.values - base.u.values).max())
         dist = float(np.abs(hj - h_base).sum()) * cell
         rows.append(StabilityRow(delta, dist, err))

@@ -2,9 +2,10 @@
 
 Coordinates are the real and imaginary parts of z in C^n, ordered
 (x1, y1, ..., xn, yn), so a grid over a box in C^n is a 2n-dimensional
-tensor product of uniform 1-D meshes.  Fields are stored as C-ordered
-ndarrays over the full node set (scalar data) or over the interior node
-block (Hessians, densities).
+tensor product of uniform 1-D meshes.  A ScalarField holds C-ordered
+values at every node; Hessian entries and densities are plain arrays over
+the interior node block, and a density is checked where it is consumed
+(solvers._frozen_density, rhs._spatial_factor).
 
 The normalization is dd^c = 2i ddbar, under which
 
@@ -27,7 +28,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from math import factorial
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -148,12 +149,6 @@ def build_grid(domain: Box, resolution: int | Sequence[int]) -> Grid:
     return Grid(domain, resolution)
 
 
-def _as_locked(values: np.ndarray, dtype) -> np.ndarray:
-    out = np.array(values, dtype=dtype, order="C", copy=True)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
 class ScalarField:
     """Real values at every node of a grid (or of a radial.BallMesh).
@@ -163,7 +158,8 @@ class ScalarField:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = _as_locked(self.values, np.float64)
+        vals = np.array(self.values, dtype=np.float64, order="C", copy=True)
+        vals.setflags(write=False)
         if vals.shape != self.grid.shape:
             raise GridError(
                 f"field shape {vals.shape} does not match grid {self.grid.shape}")
@@ -179,47 +175,6 @@ class ScalarField:
 
     def interior_values(self) -> np.ndarray:
         return self.values[self.grid.interior]
-
-
-@dataclass(frozen=True)
-class HermitianField:
-    """An n x n complex Hessian matrix at every interior node."""
-
-    grid: Grid
-    values: np.ndarray  # shape (*interior_shape, n, n), complex128
-
-    def __post_init__(self):
-        vals = _as_locked(self.values, np.complex128)
-        n = self.grid.n
-        expected = self.grid.interior_shape + (n, n)
-        if vals.shape != expected:
-            raise GridError(f"hermitian field shape {vals.shape} != {expected}")
-        if not np.all(np.isfinite(vals)):
-            raise GridError("hermitian field contains non-finite values")
-        object.__setattr__(self, "values", vals)
-
-
-@dataclass(frozen=True)
-class DensityField:
-    """Nonnegative measure density at interior nodes."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = _as_locked(self.values, np.float64)
-        if vals.shape != self.grid.interior_shape:
-            raise GridError(
-                f"density shape {vals.shape} != interior {self.grid.interior_shape}")
-        if not np.all(np.isfinite(vals)):
-            raise GridError("density contains non-finite values")
-        if vals.size and vals.min() < 0:
-            raise GridError("density must be nonnegative")
-        object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def constant(cls, grid: Grid, value: float) -> "DensityField":
-        return cls(grid, np.full(grid.interior_shape, float(value)))
 
 
 def _shift(values: np.ndarray, offsets: dict[int, int]) -> np.ndarray:
@@ -276,51 +231,20 @@ def _det_and_eigenvalues(entries) -> tuple:
     return det, mean - disc, mean + disc
 
 
-def complex_hessian(u: ScalarField) -> HermitianField:
-    """Discrete complex Hessian H[u] at every interior node, n in {1, 2}.
-
-    The lower triangle is the conjugate mirror of the upper one, so
-    Hermitian symmetry holds exactly rather than to rounding.
-    """
-    grid = u.grid
-    entries = _hessian_entries(u.values, grid.spacing)
-    H = np.zeros(grid.interior_shape + (grid.n, grid.n), dtype=np.complex128)
-    H[..., 0, 0] = entries[0]
-    if grid.n == 2:
-        H[..., 1, 1] = entries[1]
-        H[..., 0, 1] = entries[2] + 1j * entries[3]
-        H[..., 1, 0] = np.conj(H[..., 0, 1])
-    return HermitianField(grid, H)
-
-
 def ma_normalization(n: int) -> float:
     """The constant 4^n n! relating det H to the Monge-Ampere density."""
     return float(4 ** n) * factorial(n)
 
 
-class MaDensity(NamedTuple):
-    density: DensityField
-    psh_defect: float
+def ma_density(u: ScalarField) -> tuple[np.ndarray, float]:
+    """(density, psh defect) of u: the Monge-Ampere density 4^n n! det H[u]
+    at the interior nodes, clamped below at zero, and max over nodes of
+    max(0, -lambda_min(H)).
 
-
-def ma_density(u: ScalarField) -> MaDensity:
-    """Monge-Ampere density 4^n n! det H[u], clamped below at zero.
-
-    Negative determinant values are clamped so the result is a usable
-    measure density, and the departure from plurisubharmonicity is
-    surfaced as psh_defect = max over nodes of max(0, -lambda_min(H)).
-    """
-    dens, defect = _density_or_inf(u)
-    return MaDensity(DensityField(u.grid, dens), defect)
-
-
-def _density_or_inf(u: ScalarField) -> tuple:
-    """ma_density as (array, psh defect) with a value that overflows (inf,
-    or the NaN of inf - inf) set to +inf instead of rejected; a NaN
-    eigenvalue makes the psh defect inf.
-
-    Where a density need only dominate data, as a subsolution's or a
-    control cap's does, a density too large for floating point does.
+    A density value that overflows (inf, or the NaN of inf - inf) is +inf,
+    and a NaN eigenvalue makes the psh defect inf: where a density need
+    only dominate data, as a subsolution's or a control cap's does, a
+    density too large for floating point does.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         det, lam, _ = _det_and_eigenvalues(_hessian_entries(u.values,

@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import HypothesisViolation
-from .grids import Box, Grid, ScalarField, _density_or_inf, ma_density
+from .grids import Box, Grid, ScalarField, ma_density
 from .radial import BallMesh, radial_residual, solve_radial
 from .rhs import BoundRhs, bind_on_grid, bind_on_mesh
 from .solvers import (MaSolveResult, SolverConfig, maximal_extension,
@@ -92,7 +92,7 @@ class _BoxBackend:
         """(sup residual, psh defect) of the iterate u."""
         dens, defect = ma_density(u)
         g = bound(u.values[u.grid.interior])
-        return float(np.abs(dens.values - g).max()), defect
+        return float(np.abs(dens - g).max()), defect
 
     def norms(self, err: np.ndarray) -> tuple[float, float]:
         """(h, L2 norm over the interior) of a nodal error."""
@@ -118,7 +118,10 @@ class _BallBackend:
         return solve_radial(dens, self.boundary, self.cfg, init=init)
 
     def f(self) -> ScalarField:
-        return self.boundary
+        # only the value at R is boundary data; the interior values of the
+        # boundary field are not f's
+        return ScalarField(self.ball, np.full(self.ball.shape,
+                                              self.boundary.values[-1]))
 
     def final(self, u: ScalarField, bound: BoundRhs, last: OuterStep):
         # the last frozen solve returned u, so its psh measure is u's
@@ -433,7 +436,7 @@ def subsolution_check(u: ScalarField, p: ProblemSpec) -> SubsolutionReport:
     if u.grid != grid:
         raise ValueError("field lives on a different grid")
     g_at_u = p.bound(u.values[grid.interior])
-    dens, defect = _density_or_inf(u)
+    dens, defect = ma_density(u)
     margin = float((dens - g_at_u).min())
     upper_gap = float((u.values - p.f.values).max())
     h = max(grid.spacing)

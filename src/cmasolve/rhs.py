@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import HypothesisViolation
 from .expressions import Expression, grid_env, parse_expression, radial_env
-from .grids import DensityField, Grid
+from .grids import Grid
 
 __all__ = [
     "ConstantRhs",
@@ -36,11 +36,9 @@ T_SAMPLES = 64
 def _spatial_factor(w, shape, coords=None):
     """Resolve a spatial weight to an array of the given shape.
 
-    Accepts scalars, arrays of matching shape, DensityField (interior
-    values), or callables of the coordinate array (radial meshes pass r).
+    Accepts scalars, arrays of matching shape, or callables of the
+    coordinate array (radial meshes pass r).
     """
-    if isinstance(w, DensityField):
-        w = w.values
     if callable(w):
         if coords is None:
             raise TypeError("callable weights need coordinates to sample")

@@ -62,7 +62,6 @@ import numpy as np
 
 from .errors import SolverError
 from .grids import (
-    DensityField,
     ScalarField,
     _det_and_eigenvalues,
     _hessian_entries,
@@ -77,7 +76,10 @@ from .linsolve import (
 
 class NewtonStagnationError(SolverError):
     """Newton could not decrease the residual: the line search fell below
-    the minimum step, or the linearization gave no usable step."""
+    the minimum step, or the linearization gave no usable step.  iters
+    counts the Newton steps the failing stage took."""
+
+    iters = 0
 
     def __init__(self, residual: float, iterate: np.ndarray,
                  reason: str | None = None):
@@ -89,7 +91,10 @@ class NewtonStagnationError(SolverError):
 
 
 class NewtonIterationError(SolverError):
-    """Iteration cap reached with residual above tolerance."""
+    """Iteration cap reached with residual above tolerance; iters counts
+    the Newton steps the failing stage took."""
+
+    iters = 0
 
     def __init__(self, residual: float, iterate: np.ndarray):
         super().__init__(
@@ -131,11 +136,9 @@ class MaSolveResult(NamedTuple):
 def _frozen_density(g, shape: tuple) -> np.ndarray:
     """A frozen density as a finite, nonnegative array of the given shape.
 
-    g is a number, an array of that shape or a DensityField; both the grid
-    and the radial backend take their density through here.
+    g is a number or an array of that shape; both the grid and the radial
+    backend take their density through here.
     """
-    if isinstance(g, DensityField):
-        g = g.values
     arr = np.asarray(g, dtype=np.float64)
     if arr.ndim == 0:
         arr = np.full(shape, float(arr))
@@ -158,8 +161,6 @@ def solve_poisson(g, boundary: ScalarField,
     bit-exactly.
     """
     cfg = cfg or SolverConfig()
-    if isinstance(g, DensityField):
-        g = g.values
     vals = solve_poisson_system(boundary.grid, np.asarray(g, dtype=float),
                                 boundary.values, tol=cfg.tol_inner)
     return ScalarField(boundary.grid, vals)
@@ -190,50 +191,50 @@ def _newton_stage(backend, u: np.ndarray, eps: float, stage_tol: float,
     lambda_min is at least the guard or, from an iterate already below the
     guard, no worse than the iterate's own.  The first residual-decreasing
     trial that fails it is kept, and taken when no decreasing trial
-    passes.
+    passes.  A stall or the iteration cap raises with the error's iters
+    set to the steps this stage took, the failing one included.
     """
     # the stage_tol/norm allowance keeps the guard feasible in a
     # degenerate endgame, where iterates carry lam1 ~ -eps at roundoff
     # scale; without it backtracking prefers crawling near-zero steps
-    # that keep lam1 positive over full Newton steps.  The eps = 0 rung of
-    # a ladder walk (a frozen density that vanishes somewhere, on a grid
-    # or a ball) gets the slack _walk_ladder accepts its result with: a
-    # tighter guard only trades full steps for half steps there.  A
-    # zero-density grid solve (f's policy iteration) runs at eps = 0 too,
-    # but its residual already holds -lambda_min below stage_tol / norm
+    # that keep lam1 positive over full Newton steps.  At eps = 0 the
+    # guard is as tight as the residual of a zero-density grid solve (f's
+    # policy iteration) holds -lambda_min, about stage_tol / norm
     guard = PSD_FLOOR - eps - stage_tol / backend.norm
-    if eps == 0.0:
-        guard = min(guard, -float(np.sqrt(cfg.tol_inner)))
     rsup, lam1, state = backend.evaluate(u, eps)
     iters = 0
-    while rsup >= stage_tol:
-        if iters >= cfg.max_newton:
-            raise NewtonIterationError(rsup, u)
-        iters += 1
-        delta = backend.correct(u, state, rsup, eps)
+    try:
+        while rsup >= stage_tol:
+            if iters >= cfg.max_newton:
+                raise NewtonIterationError(rsup, u)
+            iters += 1
+            delta = backend.correct(u, state, rsup, eps)
 
-        step = fallback = None
-        alpha = 1.0
-        while alpha >= MIN_STEP:
-            trial = u.copy()
-            trial[backend.index] += alpha * delta
-            t_rsup, t_lam1, t_state = backend.evaluate(trial, eps)
-            if t_rsup <= (1.0 - 1e-4 * alpha) * rsup:
-                # never ask a trial to be more psh than its starting point:
-                # from the surrogate (lam1 far below the guard) shorter
-                # steps would fail the guard too, down to MIN_STEP
-                if t_lam1 is None or t_lam1 >= min(guard, lam1):
-                    step = (trial, t_rsup, t_lam1, t_state)
-                    break
-                if fallback is None:
-                    fallback = (trial, t_rsup, t_lam1, t_state)
-            alpha *= DAMPING
-        # every decreasing trial made lam1 worse than the guard and the
-        # iterate's own: take the first of them and let psh_defect report
-        step = step or fallback
-        if step is None:
-            raise NewtonStagnationError(rsup, u, "line search")
-        u, rsup, lam1, state = step
+            step = fallback = None
+            alpha = 1.0
+            while alpha >= MIN_STEP:
+                trial = u.copy()
+                trial[backend.index] += alpha * delta
+                t_rsup, t_lam1, t_state = backend.evaluate(trial, eps)
+                if t_rsup <= (1.0 - 1e-4 * alpha) * rsup:
+                    # never ask a trial to be more psh than its starting
+                    # point: from the surrogate (lam1 far below the guard)
+                    # shorter steps would fail the guard too, to MIN_STEP
+                    if t_lam1 is None or t_lam1 >= min(guard, lam1):
+                        step = (trial, t_rsup, t_lam1, t_state)
+                        break
+                    if fallback is None:
+                        fallback = (trial, t_rsup, t_lam1, t_state)
+                alpha *= DAMPING
+            # every decreasing trial made lam1 worse than the guard and the
+            # iterate's own: take the first of them, psh_defect reports it
+            step = step or fallback
+            if step is None:
+                raise NewtonStagnationError(rsup, u, "line search")
+            u, rsup, lam1, state = step
+    except (NewtonStagnationError, NewtonIterationError) as err:
+        err.iters = iters
+        raise
     return u, rsup, iters, lam1
 
 
@@ -244,7 +245,8 @@ def _walk_ladder(backend, cfg: SolverConfig, init: np.ndarray | None = None):
 
     With init, the unregularized problem is tried from it first.  If
     Newton stalls, hits its cap or loses psh-ness, the warm iterate is
-    what failed, so the walk starts over from the surrogate.
+    what failed, so the walk starts over from the surrogate; the steps of
+    the failed try count in the returned iters.
     """
     # degenerate accepts need psh-ness as well as a small residual; sqrt
     # scale because det is quadratic in the Hessian near flat iterates
@@ -252,18 +254,19 @@ def _walk_ladder(backend, cfg: SolverConfig, init: np.ndarray | None = None):
     density = backend.density
     ladder = (REG_LADDER if density.any() and density.min() <= REG_LADDER[0]
               else (0.0,))
+    iters_total = 0
     if init is not None:
         try:
             u, rsup, iters, lam1 = _newton_stage(backend, init, 0.0,
                                                  cfg.tol_inner, cfg)
-        except (NewtonStagnationError, NewtonIterationError):
-            pass
+        except (NewtonStagnationError, NewtonIterationError) as err:
+            iters_total = err.iters
         else:
             if lam1 is None or lam1 >= -psh_slack:
                 return u, rsup, iters, lam1
+            iters_total = iters
 
     u = backend.surrogate(ladder[0])
-    iters_total = 0
     for eps in ladder:
         stage_tol = cfg.tol_inner if eps == 0.0 else max(cfg.tol_inner,
                                                          1e-2 * eps)

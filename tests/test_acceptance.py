@@ -18,7 +18,7 @@ from cmasolve.checks import (comparison_check, convergence_study,
 from cmasolve.cli import main as cli_main
 from cmasolve.errors import HypothesisViolation
 from cmasolve.expressions import evaluate_on_grid, parse_expression
-from cmasolve.grids import DensityField, ScalarField, build_grid, unit_box
+from cmasolve.grids import ScalarField, build_grid, unit_box
 from cmasolve.iteration import (ProblemSpec, balayage_step, solve_mam,
                                 subsolution_check)
 from cmasolve.radial import BallMesh
@@ -67,7 +67,7 @@ def mms_problem(res: int):
     x1 = grid.points()[grid.interior][..., 0]
     dens = 32.0 * (1.0 + 0.025 * np.exp(x1))
     p = ProblemSpec(boundary=ScalarField(grid, exact),
-                    rhs=ConstantRhs(DensityField(grid, dens)))
+                    rhs=ConstantRhs(dens))
     return p, exact
 
 

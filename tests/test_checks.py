@@ -21,8 +21,7 @@ from cmasolve.checks import (CheckReport, comparison_check,
                              stability_experiment, uniqueness_check)
 from cmasolve.config import load_config
 from cmasolve.errors import HypothesisViolation, SolverError
-from cmasolve.grids import (DensityField, ScalarField, build_grid,
-                            ma_density, unit_box)
+from cmasolve.grids import ScalarField, build_grid, ma_density, unit_box
 from cmasolve.iteration import ProblemSpec, prepare
 from cmasolve.radial import BallMesh
 from cmasolve.rhs import ConstantRhs, ExponentialRhs, ExpressionRhs
@@ -43,8 +42,8 @@ def cheng_yau_problem(res=7):
     bdry = sq_minus_one(grid)
     pts = grid.points()[grid.interior]
     weight = 32.0 * np.exp(1.0 - (pts ** 2).sum(axis=-1))
-    return ProblemSpec(boundary=bdry, rhs=ExponentialRhs(1.0,
-                       DensityField(grid, weight)), v0=bdry)
+    return ProblemSpec(boundary=bdry, rhs=ExponentialRhs(1.0, weight),
+                       v0=bdry)
 
 
 class TestCheckReport:
@@ -87,7 +86,7 @@ class TestComparison:
         u = sq_minus_one(grid)
         du, _ = ma_density(u)
         dv, _ = ma_density(ScalarField(grid, c * u.values))
-        assert np.allclose(dv.values, c ** 2 * du.values, rtol=1e-12)
+        assert np.allclose(dv, c ** 2 * du, rtol=1e-12)
 
     def test_grid_mismatch_rejected(self):
         u = sq_minus_one(build_grid(unit_box(2), 7))
@@ -396,7 +395,7 @@ def exp_mms_problem(res):
     x1 = pts[grid.interior][..., 0]
     dens = 32.0 * (1.0 + 0.025 * np.exp(x1))
     bdry = ScalarField(grid, np.array(exact))
-    p = ProblemSpec(boundary=bdry, rhs=ConstantRhs(DensityField(grid, dens)))
+    p = ProblemSpec(boundary=bdry, rhs=ConstantRhs(dens))
     return p, exact
 
 

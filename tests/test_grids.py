@@ -14,14 +14,12 @@ from hypothesis import strategies as st
 
 from cmasolve.grids import (
     Box,
-    DensityField,
     Grid,
     GridError,
     ScalarField,
     _det_and_eigenvalues,
     _hessian_entries,
     build_grid,
-    complex_hessian,
     ma_density,
     ma_normalization,
     mixed_difference,
@@ -34,6 +32,21 @@ from cmasolve.grids import (
 )
 
 COEFF = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, width=32)
+
+
+def hessian_matrix(u):
+    """The n x n complex Hessian matrix at every interior node, the lower
+    triangle the conjugate mirror of the upper one, from the real entries
+    _hessian_entries gives the solvers."""
+    grid = u.grid
+    entries = _hessian_entries(u.values, grid.spacing)
+    H = np.zeros(grid.interior_shape + (grid.n, grid.n), dtype=np.complex128)
+    H[..., 0, 0] = entries[0]
+    if grid.n == 2:
+        H[..., 1, 1] = entries[1]
+        H[..., 0, 1] = entries[2] + 1j * entries[3]
+        H[..., 1, 0] = np.conj(H[..., 0, 1])
+    return H
 
 
 def symbolic_hessian(u_expr, n, syms):
@@ -96,15 +109,13 @@ class TestGridConstruction:
         bad[2, 2] = np.nan
         with pytest.raises(GridError, match="non-finite"):
             ScalarField(g, bad)
-        with pytest.raises(GridError, match="nonnegative"):
-            DensityField(g, np.full(g.interior_shape, -1.0))
 
 
 class TestComplexHessian:
     def test_squared_norm_gives_identity(self):
         g = build_grid(unit_box(2), 7)
         u = ScalarField.from_function(g, lambda p: (p ** 2).sum(axis=-1))
-        H = complex_hessian(u).values
+        H = hessian_matrix(u)
         eye = np.broadcast_to(np.eye(2), H.shape)
         assert np.abs(H - eye).max() <= 1e-12
 
@@ -112,7 +123,7 @@ class TestComplexHessian:
         # Re(z1^2) = x1^2 - y1^2 has identically zero complex Hessian.
         g = build_grid(unit_box(2), 7)
         u = ScalarField.from_function(g, lambda p: p[..., 0] ** 2 - p[..., 1] ** 2)
-        H = complex_hessian(u).values
+        H = hessian_matrix(u)
         assert np.abs(H).max() <= 1e-10
 
     def test_pluriharmonic_cross_terms(self):
@@ -120,7 +131,7 @@ class TestComplexHessian:
         g = build_grid(unit_box(2), 7)
         for fn in (lambda p: p[..., 0] * p[..., 2] - p[..., 1] * p[..., 3],
                    lambda p: 2 * p[..., 0] * p[..., 1]):
-            H = complex_hessian(ScalarField.from_function(g, fn)).values
+            H = hessian_matrix(ScalarField.from_function(g, fn))
             assert np.abs(H).max() <= 1e-10
 
     def test_product_of_squared_moduli_against_sympy(self):
@@ -139,7 +150,7 @@ class TestComplexHessian:
         u = ScalarField.from_function(
             g, lambda p: (p[..., 0] ** 2 + p[..., 1] ** 2)
             * (p[..., 2] ** 2 + p[..., 3] ** 2))
-        H = complex_hessian(u).values
+        H = hessian_matrix(u)
         for (j, k), fn in fns.items():
             expected = np.asarray(fn(pts[..., 0], pts[..., 1],
                                      pts[..., 2], pts[..., 3]),
@@ -163,7 +174,7 @@ class TestComplexHessian:
         mon_vals = [pts[..., a] * pts[..., b]
                     for a in range(4) for b in range(a, 4)]
         vals = sum(c * m for c, m in zip(coeffs, mon_vals))
-        H = complex_hessian(ScalarField(g, np.asarray(vals))).values
+        H = hessian_matrix(ScalarField(g, np.asarray(vals)))
         scale = max(1.0, max(abs(c) for c in coeffs))
         for j in range(2):
             for k in range(2):
@@ -171,11 +182,19 @@ class TestComplexHessian:
                 assert np.abs(H[..., j, k] - expected).max() <= 1e-12 * scale
 
     def test_hermitian_mirror_bit_exact(self):
+        # the entries describe a Hermitian matrix exactly, and the closed
+        # form the solvers take its eigenvalues by is that matrix's
         g = build_grid(unit_box(2), 6)
         rng = np.random.default_rng(7)
         u = ScalarField(g, rng.standard_normal(g.shape))
-        H = complex_hessian(u).values
+        H = hessian_matrix(u)
         assert np.array_equal(H, np.conj(np.swapaxes(H, -1, -2)))
+        _, lam1, lam2 = _det_and_eigenvalues(
+            _hessian_entries(u.values, g.spacing))
+        eig = np.linalg.eigvalsh(H)
+        scale = np.abs(eig).max()
+        assert np.abs(lam1 - eig[..., 0]).max() <= 1e-14 * scale
+        assert np.abs(lam2 - eig[..., 1]).max() <= 1e-14 * scale
 
 
 def complex_matrix_hessian(u):
@@ -224,13 +243,13 @@ class TestHessianKernel:
         rng = np.random.default_rng(11)
         u = ScalarField(g, rng.standard_normal(g.shape))
         ref = complex_matrix_hessian(u)
-        H = complex_hessian(u).values
+        H = hessian_matrix(u)
         assert np.abs(H - ref).max() <= 1e-14 * np.abs(ref).max()
 
         ref_det, ref_lam, ref_top = matrix_det_and_eigenvalues(ref)
         ref_dens = np.maximum(ma_normalization(g.n) * ref_det, 0.0)
         dens, defect = ma_density(u)
-        assert (np.abs(dens.values - ref_dens).max()
+        assert (np.abs(dens - ref_dens).max()
                 <= 1e-14 * np.abs(ref_dens).max())
         ref_defect = max(0.0, -float(ref_lam.min()))
         assert abs(defect - ref_defect) <= 1e-14 * np.abs(ref_lam).max()
@@ -248,7 +267,7 @@ class TestHessianKernel:
         g = build_grid(unit_box(3), 5)
         u = ScalarField(g, np.zeros(g.shape))
         with pytest.raises(GridError, match="n in"):
-            complex_hessian(u)
+            _hessian_entries(u.values, g.spacing)
         with pytest.raises(GridError, match="n in"):
             ma_density(u)
 
@@ -258,14 +277,14 @@ class TestMaDensity:
         g = build_grid(unit_box(2), 7)
         u = ScalarField.from_function(g, lambda p: (p ** 2).sum(axis=-1) - 1.0)
         dens, defect = ma_density(u)
-        assert np.abs(dens.values - 32.0).max() <= 1e-10
+        assert np.abs(dens - 32.0).max() <= 1e-10
         assert defect <= 1e-12
 
     def test_constant_density_n1(self):
         g = build_grid(unit_box(1), 9)
         u = ScalarField.from_function(g, lambda p: (p ** 2).sum(axis=-1))
         dens, defect = ma_density(u)
-        assert np.abs(dens.values - 4.0).max() <= 1e-12
+        assert np.abs(dens - 4.0).max() <= 1e-12
         assert defect <= 1e-12
 
     def test_degenerate_product_density_zero(self):
@@ -274,7 +293,7 @@ class TestMaDensity:
             g, lambda p: (p[..., 0] ** 2 + p[..., 1] ** 2)
             * (p[..., 2] ** 2 + p[..., 3] ** 2))
         dens, defect = ma_density(u)
-        assert np.abs(dens.values).max() <= 1e-12
+        assert np.abs(dens).max() <= 1e-12
         assert defect <= 1e-12
 
     def test_n1_reduction_matches_five_point_laplacian(self):
@@ -289,14 +308,25 @@ class TestMaDensity:
         lap = ((vals[2:, 1:-1] - 2 * vals[1:-1, 1:-1] + vals[:-2, 1:-1])
                + (vals[1:-1, 2:] - 2 * vals[1:-1, 1:-1] + vals[1:-1, :-2])) / h ** 2
         dens, _ = ma_density(u)
-        assert np.abs(dens.values - lap).max() <= 1e-9
+        assert np.abs(dens - lap).max() <= 1e-9
 
     def test_psh_defect_reported(self):
         g = build_grid(unit_box(1), 9)
         u = ScalarField.from_function(g, lambda p: -(p ** 2).sum(axis=-1))
         dens, defect = ma_density(u)
-        assert np.abs(dens.values).max() == 0.0  # clamped
+        assert np.abs(dens).max() == 0.0  # clamped
         assert defect == pytest.approx(1.0, rel=1e-10)
+
+    def test_overflow_reads_inf(self):
+        # a density too large for floating point is +inf, not an error, and
+        # a Hessian that overflows (inf - inf in its eigenvalues) has psh
+        # defect inf: subsolution_check and the stability cap rely on both
+        g = build_grid(unit_box(2), 7)
+        r2 = (g.points() ** 2).sum(axis=-1)
+        dens, defect = ma_density(ScalarField(g, 1e160 * r2))
+        assert np.all(dens == np.inf) and defect == 0.0
+        dens, defect = ma_density(ScalarField(g, 1e307 * r2))
+        assert np.all(dens == np.inf) and defect == np.inf
 
     @pytest.mark.parametrize("n,levels", [(1, (9, 17, 33)), (2, (7, 13, 25))])
     def test_consistency_order_h2(self, n, levels):
@@ -312,7 +342,7 @@ class TestMaDensity:
                 exact = np.exp(x1) + 4.0
             else:
                 exact = 32.0 * (1.0 + np.exp(x1) / 4.0)
-            errors.append(np.abs(dens.values - exact).max())
+            errors.append(np.abs(dens - exact).max())
         rates = [np.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
         assert all(1.7 <= r <= 2.3 for r in rates), rates
 

@@ -8,7 +8,7 @@ import pytest
 
 from cmasolve.config import load_config
 from cmasolve.errors import HypothesisViolation
-from cmasolve.grids import DensityField, ScalarField, build_grid, ma_density, unit_box
+from cmasolve.grids import ScalarField, build_grid, ma_density, unit_box
 from cmasolve.iteration import (
     ProblemSpec,
     Solution,
@@ -32,7 +32,7 @@ def cheng_yau_weight(grid):
     # w(z) = 32 e^{1-|z|^2} makes u* = |z|^2 - 1 the fixed point of
     # F(t,z) = e^t w(z): at u*, e^{u*} w = 32 = density of u*
     pts = grid.points()[grid.interior]
-    return DensityField(grid, 32.0 * np.exp(1.0 - (pts ** 2).sum(axis=-1)))
+    return 32.0 * np.exp(1.0 - (pts ** 2).sum(axis=-1))
 
 
 def apply_T(u, p):
@@ -46,7 +46,7 @@ def cheng_yau_problem(res=9, with_seed=True, n=2):
     bdry = sq_minus_one(grid)
     scale = 4.0 ** n * {1: 1.0, 2: 2.0}[n]
     pts = grid.points()[grid.interior]
-    w = DensityField(grid, scale * np.exp(1.0 - (pts ** 2).sum(axis=-1)))
+    w = scale * np.exp(1.0 - (pts ** 2).sum(axis=-1))
     v0 = bdry if with_seed else None
     return ProblemSpec(boundary=bdry, rhs=ExponentialRhs(1.0, w), v0=v0)
 
@@ -187,9 +187,22 @@ class TestRadialBackend:
         prep = prepare(p)
         assert prep.phi0 is None
         assert prep.t_hi == 0.0
-        assert prep.f is p.boundary
+        assert np.array_equal(prep.f.values, np.full(65, -0.25))
         u0 = solve_radial(p.bound(np.full(64, -0.25)), p.boundary).u
         assert np.array_equal(prep.u0.values, u0.values)
+
+    def test_ball_f_ignores_interior_boundary_values(self):
+        # only the value at R is boundary data, as in the radial solve: a
+        # boundary field r2 - 1 must give f = 0, and so the solve of the
+        # constant data 0, not start from the exact solution r2 - 1
+        ball = BallMesh(2, 1.0, 64)
+        p = ProblemSpec(
+            boundary=ScalarField(ball, ball.r ** 2 - 1.0),
+            rhs=ExponentialRhs(1.0, w=lambda r: 32.0 * np.exp(1.0 - r ** 2)))
+        assert np.array_equal(p.f.values, np.zeros(65))
+        sol, ref = solve_mam(p), solve_mam(cheng_yau_ball())
+        assert sol.outer_iters == ref.outer_iters > 1
+        assert np.array_equal(sol.u.values, ref.u.values)
 
     def test_init_on_a_ball_goes_through_the_splice(self):
         p = cheng_yau_ball()
@@ -208,7 +221,7 @@ def frozen_problem(domain):
     frozen solve on a box or on a ball."""
     if domain == "box":
         grid = build_grid(unit_box(2), 7)
-        return (solve_ma_fixed_rhs, cheng_yau_weight(grid).values,
+        return (solve_ma_fixed_rhs, cheng_yau_weight(grid),
                 sq_minus_one(grid))
     ball = BallMesh(2, 1.0, 64)
     return (solve_radial, 32.0 * np.exp(1.0 - ball.r[:-1] ** 2),

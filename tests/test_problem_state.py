@@ -16,7 +16,7 @@ import cmasolve.solvers
 from cmasolve.checks import convergence_study
 from cmasolve.cli import main
 from cmasolve.config import load_config
-from cmasolve.grids import DensityField, ScalarField, build_grid, unit_box
+from cmasolve.grids import ScalarField, build_grid, unit_box
 from cmasolve.iteration import (ProblemSpec, balayage_step, prepare,
                                 solve_mam, subsolution_check)
 from cmasolve.rhs import ConstantRhs, ExponentialRhs, bind_on_grid
@@ -48,8 +48,7 @@ def cheng_yau(res):
     grid = build_grid(unit_box(2), res)
     bdry = ScalarField.from_function(
         grid, lambda p: (p ** 2).sum(axis=-1) - 1.0)
-    w = DensityField(grid, 32.0 * np.exp(
-        1.0 - (box_points(grid) ** 2).sum(axis=-1)))
+    w = 32.0 * np.exp(1.0 - (box_points(grid) ** 2).sum(axis=-1))
     return ProblemSpec(boundary=bdry, rhs=ExponentialRhs(1.0, w), v0=bdry)
 
 
@@ -60,7 +59,7 @@ def mms(res):
         lambda p: (p ** 2).sum(axis=-1) - 1.25 + 0.1 * np.exp(p[..., 0]))
     dens = 32.0 * (1.0 + 0.025 * np.exp(box_points(grid)[..., 0]))
     return ProblemSpec(boundary=exact,
-                       rhs=ConstantRhs(DensityField(grid, dens)))
+                       rhs=ConstantRhs(dens))
 
 
 def eager(p):

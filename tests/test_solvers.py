@@ -5,7 +5,6 @@ import pytest
 
 import cmasolve.solvers
 from cmasolve.grids import (
-    DensityField,
     ScalarField,
     build_grid,
     ma_density,
@@ -58,7 +57,7 @@ class TestSolverConfig:
 class TestPoisson:
     def test_constant_density_quadratic(self):
         g = build_grid(unit_box(1), 17)
-        u = solve_poisson(DensityField.constant(g, 4.0), sq_norm_minus_one(g))
+        u = solve_poisson(4.0, sq_norm_minus_one(g))
         exact = sq_norm_minus_one(g).values
         assert np.abs(u.values - exact).max() <= 1e-9
 
@@ -72,7 +71,7 @@ class TestPoisson:
         g = build_grid(unit_box(1), 9)
         rng = np.random.default_rng(0)
         bdry = ScalarField(g, rng.standard_normal(g.shape))
-        u = solve_poisson(DensityField.constant(g, 1.0), bdry)
+        u = solve_poisson(1.0, bdry)
         mask = ~g.interior_mask()
         assert np.array_equal(u.values[mask], bdry.values[mask])
 
@@ -136,15 +135,13 @@ class TestPoisson:
 class TestMaFixedRhs:
     def test_n1_delegates_to_poisson(self):
         g = build_grid(unit_box(1), 17)
-        res = solve_ma_fixed_rhs(DensityField.constant(g, 4.0),
-                                 sq_norm_minus_one(g))
+        res = solve_ma_fixed_rhs(4.0, sq_norm_minus_one(g))
         assert np.abs(res.u.values - sq_norm_minus_one(g).values).max() <= 1e-9
         assert res.residual <= 1e-10
 
     def test_n2_constant_density_quadratic(self):
         g = build_grid(unit_box(2), 9)
-        res = solve_ma_fixed_rhs(DensityField.constant(g, 32.0),
-                                 sq_norm_minus_one(g))
+        res = solve_ma_fixed_rhs(32.0, sq_norm_minus_one(g))
         assert np.abs(res.u.values - sq_norm_minus_one(g).values).max() <= 1e-8
         assert res.newton_iters <= 5
         assert res.residual <= 1e-10
@@ -162,7 +159,7 @@ class TestMaFixedRhs:
 
         bdry = ScalarField.from_function(g, exact)
         gval = 32.0 * (1.0 - eps ** 2 / 4.0)
-        res = solve_ma_fixed_rhs(DensityField.constant(g, gval), bdry)
+        res = solve_ma_fixed_rhs(gval, bdry)
         assert np.abs(res.u.values - bdry.values).max() <= 1e-8
 
     def test_n2_pluriharmonic_zero_density(self):
@@ -202,7 +199,8 @@ class TestMaFixedRhs:
         # f's policy iteration converges from most warm starts, but from
         # one four times too deep it needs 27 steps, beyond a cap of 10:
         # the walk must start over from the harmonic surrogate, and so end
-        # where the cold solve does, bit for bit
+        # where the cold solve does, bit for bit.  The 10 steps of the
+        # failed try count with the 5 of the restart
         g = build_grid(unit_box(2), 9)
         bdry = sq_norm_minus_one(g)
         cfg = SolverConfig(max_newton=10)
@@ -223,6 +221,8 @@ class TestMaFixedRhs:
         assert res.residual <= cfg.tol_inner
         assert res.psh_defect <= np.sqrt(cfg.tol_inner)
         assert np.array_equal(res.u.values, cold.u.values)
+        assert cold.newton_iters == 5
+        assert res.newton_iters == 15
 
     def test_failed_non_degenerate_warm_start_restarts(self):
         # a positive constant density walks a one-rung ladder; Newton from
@@ -237,8 +237,7 @@ class TestMaFixedRhs:
         bdry = ScalarField.from_function(g, quad)
         warm = ScalarField(g, 3.0 * bdry.values)
         cfg = SolverConfig()
-        res = solve_ma_fixed_rhs(DensityField.constant(g, 38.4), bdry, cfg,
-                                 init=warm)
+        res = solve_ma_fixed_rhs(38.4, bdry, cfg, init=warm)
         assert res.residual <= cfg.tol_inner
         assert np.abs(res.u.values - bdry.values).max() <= 1e-8
 
@@ -246,7 +245,7 @@ class TestMaFixedRhs:
         # this solve needs exactly 3 Newton steps; a cap of 3 admits it
         g = build_grid(unit_box(2), 9)
         bdry = sq_norm_minus_one(g)
-        dens = DensityField.constant(g, 40.0)
+        dens = 40.0
         assert solve_ma_fixed_rhs(dens, bdry).newton_iters == 3
         cfg = SolverConfig(max_newton=3)
         res = solve_ma_fixed_rhs(dens, bdry, cfg)
@@ -397,6 +396,10 @@ class ScriptedBackend:
         return self.correction(u)
 
 
+# the eigenvalue guard of an eps = 0 stage at tol_inner on ScriptedBackend
+GUARD = PSD_FLOOR - SolverConfig().tol_inner / ScriptedBackend.norm
+
+
 class TestEigenvalueGuard:
     """The line search of _newton_stage and its eigenvalue guard."""
 
@@ -433,11 +436,13 @@ class TestEigenvalueGuard:
         assert len(evaluated) == 15
         assert min(evaluated[1:]) >= MIN_STEP
 
-    @pytest.mark.parametrize("lam_full, taken", [(-4e-10, 1.0), (-9e-6, 1.0),
-                                                  (-2e-5, 0.5)])
+    @pytest.mark.parametrize("lam_full, taken", [
+        pytest.param(GUARD, 1.0, id="at-the-guard"),
+        pytest.param(np.nextafter(GUARD, -1.0), 0.5, id="below-the-guard"),
+        (-2e-5, 0.5)])
     def test_last_rung_guard_is_the_acceptance_slack(self, lam_full, taken):
-        # on the eps = 0 rung a full step is refused only below
-        # -sqrt(tol_inner), the slack the ladder accepts its result with
+        # on the eps = 0 rung a full step is refused below PSD_FLOOR -
+        # stage_tol / norm, the guard of every other rung at eps = 0
         def script(x):
             if x == 0.0:
                 return 1.0, 1e-3
@@ -493,7 +498,7 @@ class TestMaximalExtension:
         assert (f.values - bdry.values).min() >= -1e-8
         dens, defect = ma_density(f)
         assert defect <= 1e-6
-        assert np.abs(dens.values).max() <= 1e-6 * 32
+        assert np.abs(dens).max() <= 1e-6 * 32
 
     def test_degenerate_endgame_meets_tolerance_and_psh(self):
         g = build_grid(unit_box(2), 9)
@@ -545,7 +550,7 @@ class TestMaximalExtension:
         calls = self.counted_corrections(monkeypatch)
         f = maximal_extension(sq_norm_minus_one(build_grid(unit_box(2), 9)))
         assert 1 <= len(calls) <= 6
-        assert ma_density(f).psh_defect <= SolverConfig().tol_inner / 32
+        assert ma_density(f)[1] <= SolverConfig().tol_inner / 32
 
     @pytest.mark.parametrize("name", ["r2-1", "asymmetric", "off-diagonal"])
     def test_zero_density_solve_is_f(self, monkeypatch, name):
