@@ -7,7 +7,8 @@ margin and the pointwise maximum is replaced by a log-sum-exp smoothing,
 because raw indicators on kinks make centered second differences
 meaningless at crossing nodes.  stability_experiment, uniqueness_check
 and convergence_study are empirical harnesses that re-run the solvers
-under controlled variations.
+under controlled variations; they return records (StudyRow,
+StabilityRow) and write no files, the CLI renders them.
 
 stability_experiment solves its perturbed densities as one family in
 delta (solvers.FrozenFamily), each started from the solved perturbations
@@ -398,8 +399,7 @@ class StudyRow:
     note: str = ""
 
 
-def convergence_study(problem_for, resolutions,
-                      csv_path=None) -> tuple[StudyRow, ...]:
+def convergence_study(problem_for, resolutions) -> tuple[StudyRow, ...]:
     """Refinement study against a manufactured exact solution.
 
     problem_for(resolution) returns (spec, exact nodal values), on a box
@@ -431,14 +431,4 @@ def convergence_study(problem_for, resolutions,
         row = StudyRow(int(res), h, e_sup, e_l2, order, note)
         rows.append(row)
         prev = row
-
-    if csv_path is not None:
-        with open(csv_path, "w", encoding="ascii") as fh:
-            fh.write("resolution,h,err_sup,err_l2,order\n")
-            for row in rows:
-                cell = (row.note if row.note
-                        else "" if row.order is None
-                        else f"{row.order:.3f}")
-                fh.write(f"{row.resolution},{row.h!r},{row.err_sup!r},"
-                         f"{row.err_l2!r},{cell}\n")
     return tuple(rows)

@@ -2,11 +2,15 @@
 
 Four subcommands: solve (on a box) and radial (on a ball) run one
 problem and print one JSON summary; verify runs the requested property
-checks; study runs the convergence or stability harness and writes its
-CSV table.  Exit codes: 0 success, 1 a check failed, 2 the configuration
-(or one of its hypotheses) was rejected, 3 the solver failed.  Summaries
-carry no timing fields, so identical configs and rng_seed give identical
-output.
+checks; study runs the convergence or stability harness.  Exit codes:
+0 success, 1 a check failed, 2 the configuration (or one of its
+hypotheses) was rejected, 3 the solver failed.  Summaries carry no
+timing fields, so identical configs and rng_seed give identical output.
+
+The library returns records (checks.StudyRow, checks.StabilityRow,
+iteration.SubsolutionReport) and writes no tables: this module renders
+them as JSON rows keyed by their field names, and it writes both study
+tables as CSV.
 
 Stdout is strict JSON (RFC 8259): a non-finite number is printed as the
 string "Infinity", "-Infinity" or "NaN", which float() reads back.
@@ -19,6 +23,7 @@ with the same parser.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -85,6 +90,18 @@ def _dump_fields(field, outputs: dict):
         write_field_csv(field, outputs["field_csv"])
     if outputs.get("field_bin"):
         write_field_bin(field, outputs["field_bin"])
+
+
+def _write_study_csv(path, columns, rows):
+    """One study table: a header of columns, then a line per row dict; a
+    number is written as its repr, which float() reads back bit-exactly,
+    and a string as it is."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            cells = (row[column] for column in columns)
+            fh.write(",".join(cell if isinstance(cell, str) else repr(cell)
+                              for cell in cells) + "\n")
 
 
 def _write_profile_csv(field, path):
@@ -179,15 +196,8 @@ def _verify_subsolution(cfg, p):
     if p.v0 is None:
         raise ConfigError("the subsolution check needs subsolution_seed")
     rep = subsolution_check(p.v0, p)
-    return [{
-        "name": "subsolution",
-        "passed": rep.passed,
-        "margin": rep.margin,
-        "upper_gap": rep.upper_gap,
-        "psh_defect": rep.psh_defect,
-        "tol": rep.tol,
-        "locus": None,
-    }]
+    return [{"name": "subsolution", "passed": rep.passed, "locus": None,
+             **dataclasses.asdict(rep)}]
 
 
 def _verify_demailly(cfg, p):
@@ -257,11 +267,10 @@ def _cmd_verify(cfg, checks: list[str]) -> int:
 
 
 def _cmd_study(cfg, kind: str) -> int:
+    from .checks import convergence_study, stability_experiment
     from .config import ConfigError
 
     if kind == "convergence":
-        from .checks import convergence_study
-
         resolutions = cfg.study.get("resolutions")
         if not resolutions:
             raise ConfigError("convergence studies need study.resolutions")
@@ -270,46 +279,29 @@ def _cmd_study(cfg, kind: str) -> int:
             problem = cfg.build_problem(resolution=res)
             return problem, cfg.exact_values(problem)
 
+        rows = [dataclasses.asdict(row)
+                for row in convergence_study(builder, resolutions)]
         csv_path = cfg.outputs.get("study_csv", "convergence.csv")
-        rows = convergence_study(builder, resolutions, csv_path=csv_path)
-        _emit({
-            "command": "study",
-            "kind": "convergence",
-            "csv": str(csv_path),
-            "rows": [{
-                "resolution": row.resolution,
-                "h": row.h,
-                "err_sup": row.err_sup,
-                "err_l2": row.err_l2,
-                "order": row.order,
-                "note": row.note,
-            } for row in rows],
-        })
+        # an order cell is the order to three decimals or, on a row
+        # without one, the note: "exact", or empty on the first row
+        _write_study_csv(csv_path, ("resolution", "h", "err_sup", "err_l2",
+                                    "order"),
+                         [dict(row, order=row["note"] if row["order"] is None
+                               else f"{row['order']:.3f}") for row in rows])
+        _emit({"command": "study", "kind": "convergence",
+               "csv": str(csv_path), "rows": rows})
         return EXIT_OK
-
-    from .checks import stability_experiment
 
     _require_domain(cfg, "box", "stability studies run on box domains")
     perturbations = cfg.study.get("perturbations",
                                   [2.0 ** -j for j in range(1, 7)])
     table = stability_experiment(cfg.build_problem(), perturbations)
+    rows = [dataclasses.asdict(row) for row in table.rows]
     csv_path = cfg.outputs.get("study_csv", "stability.csv")
-    with open(csv_path, "w", encoding="ascii") as fh:
-        fh.write("delta,dist_l1,err_sup\n")
-        for row in table.rows:
-            fh.write(f"{row.delta!r},{row.dist_l1!r},{row.err_sup!r}\n")
-    _emit({
-        "command": "study",
-        "kind": "stability",
-        "csv": str(csv_path),
-        "passed": table.report.passed,
-        "margin": table.report.margin,
-        "rows": [{
-            "delta": row.delta,
-            "dist_l1": row.dist_l1,
-            "err_sup": row.err_sup,
-        } for row in table.rows],
-    })
+    _write_study_csv(csv_path, ("delta", "dist_l1", "err_sup"), rows)
+    _emit({"command": "study", "kind": "stability", "csv": str(csv_path),
+           "passed": table.report.passed, "margin": table.report.margin,
+           "rows": rows})
     return EXIT_OK if table.report.passed else EXIT_CHECK_FAILED
 
 

@@ -283,6 +283,12 @@ def _parse_study(raw) -> dict:
     if "resolutions" in study:
         study["resolutions"] = _list_of(_integer, study["resolutions"],
                                         "study.resolutions")
+        # an order between two equal meshes is 0 / 0
+        seen = set()
+        for k, res in enumerate(study["resolutions"]):
+            _require(res not in seen, f"study.resolutions[{k}] repeats "
+                     f"resolution {res}")
+            seen.add(res)
     if "exact" in study:
         _string(study["exact"], "study.exact")
     if "perturbations" in study:

@@ -196,23 +196,27 @@ def make_sine_preconditioner(grid: Grid, s_pairs) -> "callable":
     return apply
 
 
-def solve_hermitian_system(grid: Grid, coeffs, rhs: np.ndarray, scale: float,
-                           rtol: float = 1e-3, maxiter: int = 500,
-                           accept_rtol: float = 1e-2) -> np.ndarray:
+# the Newton correction solves are inexact: a correction only needs to
+# beat the line search's damping granularity, and the Newton loop measures
+# the true nonlinear residual anyway, so a 1e-3 relative solve changes
+# nothing but the Krylov iteration count (1e-12 requests hit the cap on
+# degenerate regularization rungs and fell back to ~1e-4 quality
+# regardless)
+CORRECTION_RTOL = 1e-3
+CORRECTION_MAXITER = 500
+CORRECTION_ACCEPT_RTOL = 1e-2
+
+
+def solve_hermitian_system(grid: Grid, coeffs, rhs: np.ndarray,
+                           scale: float) -> np.ndarray:
     """Solve L v = rhs with zero Dirichlet data; returns interior values.
 
     coeffs = (a, g, br, bi) per interior node.  BiCGStab with the sine
-    preconditioner.  A solve that BiCGStab reports converged is returned
-    as is; only when it reports a miss is the true relative residual
-    formed (one more operator application), and the solve raises if that
-    residual is above accept_rtol.
-
-    The defaults serve inexact Newton: a correction only needs to beat
-    the line search's damping granularity, and the Newton loop measures
-    the true nonlinear residual anyway, so a 1e-3 relative solve changes
-    nothing but the Krylov iteration count (1e-12 requests hit maxiter on
-    degenerate regularization rungs and fell back to ~1e-4 quality
-    regardless).
+    preconditioner, to CORRECTION_RTOL within CORRECTION_MAXITER steps.
+    A solve that BiCGStab reports converged is returned as is; only when
+    it reports a miss is the true relative residual formed (one more
+    operator application), and the solve raises if that residual is
+    above CORRECTION_ACCEPT_RTOL.
     """
     a, g, br, bi = coeffs
     core = grid.interior
@@ -249,10 +253,11 @@ def solve_hermitian_system(grid: Grid, coeffs, rhs: np.ndarray, scale: float,
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros(interior)
-    x, info = bicgstab(A, b, rtol=rtol, atol=0.0, maxiter=maxiter, M=M)
+    x, info = bicgstab(A, b, rtol=CORRECTION_RTOL, atol=0.0,
+                       maxiter=CORRECTION_MAXITER, M=M)
     if info != 0:
         achieved = float(np.linalg.norm(b - matvec(x)) / bnorm)
-        if achieved > accept_rtol:
+        if achieved > CORRECTION_ACCEPT_RTOL:
             raise LinearSolveError("newton correction solve did not "
                                    "converge", achieved)
     return x.reshape(interior)

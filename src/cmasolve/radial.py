@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .grids import ScalarField
+from .grids import ScalarField, ma_normalization
 from .solvers import (PSD_FLOOR, MaSolveResult, NewtonStagnationError,
                       SolverConfig, _frozen_density, _walk_ladder)
 
@@ -193,8 +193,8 @@ class _RadialNewton:
 
     def __init__(self, ball: BallMesh, density, bval):
         self.ball, self.density, self.bval = ball, density, bval
-        self.norm = math.factorial(ball.n) * 4.0 ** ball.n
-        self.index = slice(None, -1)
+        self.norm = ma_normalization(ball.n)
+        self.index = ball.interior
         self.mean_density = float(density.mean())
 
     def evaluate(self, w, eps):

@@ -430,10 +430,3 @@ class TestConvergenceStudy:
             assert row.order is not None
             assert 1.7 <= row.order <= 2.3
 
-    def test_csv_emission(self, tmp_path):
-        path = tmp_path / "study.csv"
-        convergence_study(radial_cubic_problem, [64, 128], csv_path=path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "resolution,h,err_sup,err_l2,order"
-        assert len(lines) == 3
-        assert lines[2].endswith(tuple("0123456789"))

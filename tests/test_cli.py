@@ -75,6 +75,7 @@ class TestSolve:
         payload = json.loads(out)
         assert payload["n"] == 2
         assert payload["converged"] is True
+        assert payload["chains_ok"] is True
         assert payload["outer_iters"] <= 25
 
     def test_deterministic_output(self, tmp_path, capsys):
@@ -295,6 +296,9 @@ class TestConfigValidation:
         (("study", "convergence"),
          {"study": {"resolutions": [9, "17"], "exact": "r2 - 1"}},
          "study.resolutions[1] must be an integer"),
+        (("study", "convergence"),
+         {"study": {"resolutions": [9, 9], "exact": "r2 - 1"}},
+         "study.resolutions[1] repeats resolution 9"),
         (("verify", "--check", "comparison"), {"verify": {"pairs": "four"}},
          "verify.pairs must be an integer"),
         (("verify", "--check", "demailly"), {"verify": {"eps": ["small"]}},
@@ -443,6 +447,7 @@ class TestConfigValidation:
             "negative-tol", "zero-newton-cap", "open-ladder",
             "n-string", "res-fraction", "seed-string", "corner-string",
             "corner-missing", "resolutions-number", "resolutions-string",
+            "resolutions-repeated",
             "pairs-string", "eps-string", "eps-zero",
             "perturbation-string", "output-number", "nan-tol",
             "fractional-newton-cap", "stability-t-dependent",
@@ -889,6 +894,11 @@ class TestStudy:
         assert code == 0
         rows = json.loads(out)["rows"]
         assert rows[-1]["order"] == pytest.approx(2.0, abs=0.3)
+        lines = csv_path.read_text().splitlines()
+        assert lines[0] == "resolution,h,err_sup,err_l2,order"
+        assert len(lines) == 4
+        # the order to three decimals, as in the JSON row
+        assert lines[-1].split(",")[-1] == f"{rows[-1]['order']:.3f}"
 
     def test_convergence_needs_resolutions(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, study={"exact": "r2 - 1"})

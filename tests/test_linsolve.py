@@ -165,24 +165,30 @@ class TestHermitianSolve:
 
         monkeypatch.setattr(linsolve, "hermitian_form_apply", counting_apply)
         monkeypatch.setattr(linsolve, "bicgstab", tracked_bicgstab)
-        solve_hermitian_system(grid, coeffs, rhs, self.scale, rtol=1e-8)
+        monkeypatch.setattr(linsolve, "CORRECTION_RTOL", 1e-8)
+        solve_hermitian_system(grid, coeffs, rhs, self.scale)
         assert infos == [0]
         assert calls["inside"] > 0
         assert calls["outside"] == 0
 
     @pytest.mark.parametrize("rtol, accept_rtol", [(1e-3, 1e-2),
                                                    (1e-8, 1e-4)])
-    def test_true_residual_within_accept_rtol(self, rtol, accept_rtol):
+    def test_true_residual_within_accept_rtol(self, monkeypatch, rtol,
+                                              accept_rtol):
         grid, coeffs, rhs = self.system()
-        x = solve_hermitian_system(grid, coeffs, rhs, self.scale, rtol=rtol,
-                                   accept_rtol=accept_rtol)
+        monkeypatch.setattr(linsolve, "CORRECTION_RTOL", rtol)
+        monkeypatch.setattr(linsolve, "CORRECTION_ACCEPT_RTOL", accept_rtol)
+        x = solve_hermitian_system(grid, coeffs, rhs, self.scale)
         assert x.shape == grid.interior_shape
         assert self.relative_residual(grid, coeffs, rhs, x) <= accept_rtol
 
-    def test_iteration_cap_raises_with_the_achieved_residual(self):
+    def test_iteration_cap_raises_with_the_achieved_residual(
+            self, monkeypatch):
         grid, coeffs, rhs = self.system()
+        monkeypatch.setattr(linsolve, "CORRECTION_RTOL", 1e-14)
+        monkeypatch.setattr(linsolve, "CORRECTION_MAXITER", 1)
+        monkeypatch.setattr(linsolve, "CORRECTION_ACCEPT_RTOL", 1e-14)
         with pytest.raises(LinearSolveError, match="did not converge") as exc:
-            solve_hermitian_system(grid, coeffs, rhs, self.scale,
-                                   rtol=1e-14, maxiter=1, accept_rtol=1e-14)
+            solve_hermitian_system(grid, coeffs, rhs, self.scale)
         assert 1e-14 < exc.value.residual < 1.0
         assert f"{exc.value.residual:.3e}" in str(exc.value)

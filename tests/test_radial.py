@@ -13,7 +13,7 @@ import cmasolve.iteration
 import cmasolve.radial
 import cmasolve.solvers
 from cmasolve.cli import main
-from cmasolve.errors import HypothesisViolation, SolverError
+from cmasolve.errors import HypothesisViolation
 from cmasolve.grids import ScalarField
 from cmasolve.iteration import ProblemSpec, solve_mam
 from cmasolve.radial import (MONOTONE_TOL, BallMesh, radial_residual,
@@ -163,19 +163,43 @@ class TestHypotheses:
 
 
 class TestNewtonFailures:
-    def test_stall_raises_a_solver_error(self):
-        # the residual stalls at round-off above the absolute tol_inner
+    @staticmethod
+    def reverse_corrections(monkeypatch):
+        # every Newton step points uphill, so no trial of the line search
+        # lowers the residual
+        correct = cmasolve.radial._RadialNewton.correct
+        monkeypatch.setattr(cmasolve.radial._RadialNewton, "correct",
+                            lambda self, *args: -correct(self, *args))
+
+    def test_stall_raises_a_solver_error(self, monkeypatch):
+        self.reverse_corrections(monkeypatch)
         p = ball_problem(2, 0.0, ExponentialRhs(
-            1.0, w=lambda r: 32.0 * np.exp(1.0 - r ** 2)), mesh=256)
-        try:
-            sol = solve_mam(p)
-        except SolverError as exc:
-            assert isinstance(exc, (NewtonStagnationError,
-                                    NewtonIterationError))
-            assert exc.residual > 0.0
-            assert exc.iterate.shape == p.grid.shape
-        else:
-            assert sol.converged
+            1.0, w=lambda r: 32.0 * np.exp(1.0 - r ** 2)), mesh=64)
+        with pytest.raises(NewtonStagnationError,
+                           match="line search") as exc:
+            solve_mam(p)
+        # the first step of u0's solve (density frozen at t = 0) fails,
+        # and the error carries the start it could not leave
+        assert exc.value.iters == 1
+        assert exc.value.iterate.shape == p.grid.shape
+        dens = 32.0 * np.exp(1.0 - p.grid.r[:-1] ** 2)
+        assert exc.value.residual == pytest.approx(32.4, rel=1e-2)
+        assert exc.value.residual == radial_residual(
+            ScalarField(p.grid, exc.value.iterate), dens)
+
+    def test_stall_exits_3_through_the_cli(self, tmp_path, capsys,
+                                           monkeypatch):
+        self.reverse_corrections(monkeypatch)
+        path = tmp_path / "ball.json"
+        path.write_text(json.dumps({
+            "n": 2, "domain": {"ball": {"radius": 1.0}}, "resolution": 64,
+            "boundary": 0.0,
+            "rhs": {"family": "exponential", "kappa": 1.0,
+                    "weight": "32 * exp(1 - r2)"}}))
+        assert main(["radial", str(path)]) == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["converged"] is False
+        assert "newton stagnated" in payload["error"]
 
     @pytest.mark.parametrize("error", [NewtonStagnationError,
                                        NewtonIterationError])
