@@ -407,8 +407,13 @@ def convergence_study(problem_for, resolutions) -> tuple[StudyRow, ...]:
     in the norms of its domain, and the observed order between adjacent
     resolutions is log(e_coarse/e_fine) / log(h_coarse/h_fine).  Rows
     whose errors sit at rounding level are marked exact and excluded
-    from order estimates.
+    from order estimates.  A repeated resolution, whose order would be
+    0 / 0, raises ValueError before any solve.
     """
+    resolutions = list(resolutions)
+    for k, res in enumerate(resolutions):
+        if res in resolutions[:k]:
+            raise ValueError(f"resolutions[{k}] repeats resolution {res}")
     rows: list[StudyRow] = []
     prev: StudyRow | None = None
     for res in resolutions:

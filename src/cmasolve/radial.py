@@ -10,11 +10,13 @@ Like solve_ma_fixed_rhs, solve_radial takes a frozen density: a number or
 an array over the mesh nodes r < R.  A solution-dependent right-hand side
 is frozen at each iterate by the outer loop (iteration._picard), so F's
 hypotheses are checked only where it is bound (rhs.BoundRhs).  The
-discrete system is solved by the grid solver's damped Newton loop and
-regularization ladder (solvers._walk_ladder) with a tridiagonal Jacobian,
-each correction one call of LAPACK's tridiagonal solver gtsv: radial
-iterates take no eigenvalue guard and no psh test, and the ladder starts
-from the quadratic profile of the mean density.
+discrete system is solved by the grid solver's damped Newton loop
+(solvers._newton_solve) with a tridiagonal Jacobian, each correction one
+call of LAPACK's tridiagonal solver gtsv: radial iterates take no
+eigenvalue guard and no psh test.  Where the density dips to 1e-2 but is
+not zero everywhere, the cold solve walks the rungs density + eps of
+REG_LADDER: without them, Newton on a double root stalls at round-off
+(the cubic profiles at n = 3 and 4).
 
 A ball problem's domain is a BallMesh: an iteration.ProblemSpec over it
 runs the outer loop a box problem runs, with solve_radial as its
@@ -39,10 +41,13 @@ from scipy.linalg.lapack import dgtsv
 
 from .grids import ScalarField, ma_normalization
 from .solvers import (PSD_FLOOR, MaSolveResult, NewtonStagnationError,
-                      SolverConfig, _frozen_density, _walk_ladder)
+                      SolverConfig, _frozen_density, _newton_solve,
+                      _newton_stage)
 
 __all__ = ["BallMesh", "radial_residual", "solve_radial"]
 
+# the regularization rungs of a cold solve, ending at the true problem
+REG_LADDER = (1e-2, 1e-4, 1e-6, 0.0)
 # fewest mesh intervals a BallMesh accepts
 MIN_MESH = 32
 # how far below zero the slope of a profile may dip while the profile
@@ -186,28 +191,28 @@ def _solve_tridiag(lower, diag, upper, rhs_vec):
 
 
 class _RadialNewton:
-    """The radial system at density + eps on a BallMesh: tridiagonal
-    Jacobian corrections, and the quadratic profile of the mean density
-    as surrogate.  Radial iterates take no eigenvalue guard and no psh
-    test.  The state is (residual, A, B)."""
+    """The radial system at density + eps on a BallMesh, eps the cold
+    solve's current rung (else 0): tridiagonal Jacobian corrections, and
+    the quadratic profile of the mean density as surrogate.  The state is
+    (residual, A, B)."""
 
     def __init__(self, ball: BallMesh, density, bval):
         self.ball, self.density, self.bval = ball, density, bval
         self.norm = ma_normalization(ball.n)
         self.index = ball.interior
         self.mean_density = float(density.mean())
+        self.eps = 0.0
 
-    def evaluate(self, w, eps):
+    def evaluate(self, w):
         op, A, B = _residual_parts(w, self.ball)
-        F = op - (self.density + eps)
+        F = op - (self.density + self.eps)
         return float(np.abs(F).max()), None, (F, A, B)
 
-    def correct(self, w, state, rsup, eps):
+    def correct(self, w, state, rsup):
         F, A, B = state
-        floor = PSD_FLOOR
-        if eps > 0:
-            # at a regularized solution B sits near (eps/norm)^{1/n}-scale
-            floor = max(floor, 0.25 * (eps / self.norm) ** (1.0 / self.ball.n))
+        # at a regularized solution B sits near (eps/norm)^{1/n}-scale
+        floor = max(PSD_FLOOR,
+                    0.25 * (self.eps / self.norm) ** (1.0 / self.ball.n))
         bands = _jacobian_bands(self.ball, A, B, floor)
         try:
             step = _solve_tridiag(*bands, -F)
@@ -221,12 +226,25 @@ class _RadialNewton:
                                         "radial Newton step is not finite")
         return step
 
-    def surrogate(self, eps):
+    def surrogate(self):
         ball = self.ball
-        c = ((self.mean_density + eps) / self.norm) ** (1.0 / ball.n)
+        c = ((self.mean_density + self.eps) / self.norm) ** (1.0 / ball.n)
         w = self.bval + c * (ball.r ** 2 - ball.R ** 2)
         w[-1] = self.bval
         return w
+
+    def cold(self, cfg: SolverConfig):
+        # the ladder when the density reaches down to its first rung and
+        # is not identically zero, each rung warm-starting the next
+        ladder = (REG_LADDER if self.density.any()
+                  and self.density.min() <= REG_LADDER[0] else (0.0,))
+        self.eps = ladder[0]
+        w, iters = self.surrogate(), 0
+        for self.eps in ladder:
+            stage_tol = max(cfg.tol_inner, 1e-2 * self.eps)
+            w, rsup, k, lam1 = _newton_stage(self, w, stage_tol, cfg)
+            iters += k
+        return w, rsup, iters, lam1
 
 
 def solve_radial(density, boundary: ScalarField,
@@ -252,7 +270,7 @@ def solve_radial(density, boundary: ScalarField,
         warm = np.array(boundary.values)
         warm[ball.interior] = init.values[ball.interior]
     backend = _RadialNewton(ball, density, float(boundary.values[-1]))
-    w, rsup, iters, _ = _walk_ladder(backend, cfg, warm)
+    w, rsup, iters, _ = _newton_solve(backend, cfg, warm)
     vprime_min = float(np.gradient(w, ball.h).min())
     return MaSolveResult(ScalarField(ball, w), rsup, iters,
                          max(0.0, -vprime_min))

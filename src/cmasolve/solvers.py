@@ -2,55 +2,38 @@
 frozen (solution-independent) density.
 
 For n = 1 the equation 4 det H[u] = g is the linear Poisson problem
-lap(u) = g.  For n = 2 the residual
+lap(u) = g.  For n = 2 the residual R(u) = 32 det H[u] - g is driven to
+zero by damped Newton from the warm start, else from the Laplacian
+surrogate, with no regularization: the determinant is linearized through
+the cofactor of H (d det = tr(cof(H) dH)), each correction solves a
+Hermitian-form system with zero boundary data, and a backtracking line
+search enforces both residual decrease and an eigenvalue guard keeping
+the iterate plurisubharmonic up to the residual.
 
-    R(u) = 32 det H[u] - g
+Where g = 0, det H = g is a double root, on which Newton converges only
+linearly (Decker, Keller & Kelley, SIAM J. Numer. Anal. 20, 1983).  For
+2x2 Hermitian H, det H = 0 with H psd holds exactly when lambda_min(H) =
+0, the complex analogue of Oberman's convex-envelope equation (Proc. AMS
+135, 2007), with no double root; so those rows solve it instead.
+lambda_min(H[u]) is the minimum over unit xi of xi* H[u] xi, so
+semismooth Newton on it (Qi & Sun, Math. Prog. 58, 1993) is Howard's
+policy iteration (Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 47,
+2009), which corrects a row along xi xi*.  A density that is zero
+everywhere is the maximal extension f, maximal psh exactly when (dd^c
+f)^n = 0 (Bedford & Taylor, Invent. Math. 37, 1976), so f is
+solve_ma_fixed_rhs(0, boundary).  On this stencil, no M-matrix, policy
+iteration has no convergence proof: the line search, cap and stall stay.
 
-is driven to zero by a damped Newton iteration: the determinant is
-linearized through the cofactor matrix of H (d det = tr(cof(H) dH)), each
-correction solves a variable-coefficient Hermitian-form system with zero
-boundary data, and a backtracking line search enforces both residual
-decrease and an eigenvalue guard keeping the iterate plurisubharmonic up
-to the current regularization.  Degenerate densities (min g near zero) are
-handled by a warm-started regularization ladder g + eps for decreasing
-eps, ending at the true problem.
-
-The Newton loop (_newton_stage) and the ladder walk (_walk_ladder) are
-the only ones in the package: the radial solver runs them too, with a
-backend that supplies its own evaluation, correction, surrogate start and
-psh measure.  Their safeguards are module constants, not settings:
-DAMPING (the backtracking factor), MIN_STEP (the shortest trial step),
-PSD_FLOOR (the least eigenvalue floor of a linearization) and REG_LADDER
-(the regularization rungs, ending at the true problem).  SolverConfig
+The Newton loop (_newton_stage) and its warm-or-cold driver
+(_newton_solve) are the only ones in the package; the radial solver runs
+them with a backend of its own.  Their safeguards are module constants:
+DAMPING (the backtracking factor), MIN_STEP (the shortest trial step) and
+PSD_FLOOR (the least eigenvalue floor of a linearization).  SolverConfig
 holds only the tolerances and iteration caps a caller chooses.
-
-Where a frozen density vanishes, det H = g is a double root and Newton
-converges only linearly (Decker, Keller & Kelley, SIAM J. Numer. Anal.
-20, 1983).  The ladder's rungs g + eps > 0 have simple roots, and each
-warm-starts the next, so the true problem's linear tail starts close to
-its root; the radial solver walks the same ladder.
-
-A density that vanishes everywhere takes no ladder.  That problem is the
-maximal extension f, maximal psh exactly when (dd^c f)^n = 0 (Bedford &
-Taylor, Invent. Math. 37, 1976), so f is solve_ma_fixed_rhs(0, boundary).
-For 2x2 Hermitian H, det H = 0 with H psd holds exactly when
-lambda_min(H) = 0, so on the same stencil a zero-density box solve runs
-lambda_min(H[f]) = 0, the complex analogue of Oberman's convex-envelope
-equation (Proc. AMS 135, 2007), with no double root.  lambda_min(H[u]) is
-the minimum over unit xi of the linear maps xi* H[u] xi, so semismooth
-Newton on it (Qi & Sun, Math. Prog. 58, 1993) is Howard's policy
-iteration (Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 47, 2009):
-_MaximalNewton, started from the harmonic extension.  On r2 - 1 it takes
-5 or 6 corrections at res 9 to 25, where the det form took 21 to 23 over
-the whole ladder.  Policy iteration on this stencil, which is no
-M-matrix, has no convergence proof, so the stage's line search,
-iteration cap and stall error stay in force.  On a ball the constant
-surrogate solves a zero density outright.
 
 FrozenFamily solves a one-parameter family of frozen-density problems on
 one boundary (natural-parameter continuation): each member starts from
-the members already solved, and a poor start falls back on the ladder's
-surrogate restart.
+the members already solved, and a poor start falls back on a cold solve.
 """
 
 from __future__ import annotations
@@ -107,7 +90,6 @@ class NewtonIterationError(SolverError):
 DAMPING = 0.5
 MIN_STEP = 1e-4
 PSD_FLOOR = 1e-12
-REG_LADDER = (1e-2, 1e-4, 1e-6, 0.0)
 
 
 @dataclass(frozen=True)
@@ -166,25 +148,24 @@ def solve_poisson(g, boundary: ScalarField,
     return ScalarField(boundary.grid, vals)
 
 
-# -- one Newton loop and regularization-ladder walk ---------------------------
+# -- one Newton loop, from a warm start or cold -------------------------------
 #
 # A backend discretizes one frozen-density problem: its density is an
 # array over the unknowns, checked once by _frozen_density, so neither the
 # loop nor a backend evaluates a right-hand side.  It supplies
 #   norm, index         the Monge-Ampere constant, and where a correction
 #                       lands in the node-value array;
-#   density             the density array, which selects the ladder;
-#   evaluate(u, eps)    (sup residual, lambda_min or None, state) of the
-#                       problem at density + eps; None skips the
-#                       eigenvalue guard and the psh test;
-#   correct(u, state, rsup, eps)   the Newton correction at the unknowns;
-#                       each state is passed to it once and may be spent;
-#   surrogate(eps)      a starting iterate for density + eps.
+#   evaluate(u)         (sup residual, lambda_min or None, state) at u;
+#                       None skips the eigenvalue guard and the psh test;
+#   correct(u, state, rsup)   the Newton correction at the unknowns; each
+#                       state is passed to it once and may be spent;
+#   cold(cfg)           a solve from the backend's own start, returning
+#                       what _newton_stage returns.
 
-def _newton_stage(backend, u: np.ndarray, eps: float, stage_tol: float,
+def _newton_stage(backend, u: np.ndarray, stage_tol: float,
                   cfg: SolverConfig):
-    """Damped Newton at regularization eps from u, to sup residual below
-    stage_tol; returns (u, rsup, iters, lambda_min).
+    """Damped Newton from u, to sup residual below stage_tol; returns (u,
+    rsup, iters, lambda_min).
 
     Each step backtracks on the sup residual with the Armijo test
     (1 - 1e-4 alpha).  With an eigenvalue guard, a trial passes when its
@@ -195,27 +176,26 @@ def _newton_stage(backend, u: np.ndarray, eps: float, stage_tol: float,
     set to the steps this stage took, the failing one included.
     """
     # the stage_tol/norm allowance keeps the guard feasible in a
-    # degenerate endgame, where iterates carry lam1 ~ -eps at roundoff
-    # scale; without it backtracking prefers crawling near-zero steps
-    # that keep lam1 positive over full Newton steps.  At eps = 0 the
-    # guard is as tight as the residual of a zero-density grid solve (f's
-    # policy iteration) holds -lambda_min, about stage_tol / norm
-    guard = PSD_FLOOR - eps - stage_tol / backend.norm
-    rsup, lam1, state = backend.evaluate(u, eps)
+    # degenerate endgame: the residual of a row in lambda_min form (f's
+    # policy iteration) holds -lambda_min only to about stage_tol / norm,
+    # and without the allowance backtracking prefers crawling near-zero
+    # steps that keep lam1 positive over full Newton steps
+    guard = PSD_FLOOR - stage_tol / backend.norm
+    rsup, lam1, state = backend.evaluate(u)
     iters = 0
     try:
         while rsup >= stage_tol:
             if iters >= cfg.max_newton:
                 raise NewtonIterationError(rsup, u)
             iters += 1
-            delta = backend.correct(u, state, rsup, eps)
+            delta = backend.correct(u, state, rsup)
 
             step = fallback = None
             alpha = 1.0
             while alpha >= MIN_STEP:
                 trial = u.copy()
                 trial[backend.index] += alpha * delta
-                t_rsup, t_lam1, t_state = backend.evaluate(trial, eps)
+                t_rsup, t_lam1, t_state = backend.evaluate(trial)
                 if t_rsup <= (1.0 - 1e-4 * alpha) * rsup:
                     # never ask a trial to be more psh than its starting
                     # point: from the surrogate (lam1 far below the guard)
@@ -238,41 +218,30 @@ def _newton_stage(backend, u: np.ndarray, eps: float, stage_tol: float,
     return u, rsup, iters, lam1
 
 
-def _walk_ladder(backend, cfg: SolverConfig, init: np.ndarray | None = None):
-    """Solve backend's problem, walking the regularization ladder when its
-    density reaches down to the first rung and is not identically zero;
-    returns (u, rsup, iters, lambda_min).
+def _newton_solve(backend, cfg: SolverConfig, init: np.ndarray | None = None):
+    """Solve backend's problem; returns (u, rsup, iters, lambda_min).
 
-    With init, the unregularized problem is tried from it first.  If
-    Newton stalls, hits its cap or loses psh-ness, the warm iterate is
-    what failed, so the walk starts over from the surrogate; the steps of
-    the failed try count in the returned iters.
+    With init, Newton runs from it first.  If it stalls, hits its cap or
+    loses psh-ness, the warm iterate is what failed, so the solve starts
+    over with the backend's cold solve; the steps of the failed try count
+    in the returned iters.
     """
     # degenerate accepts need psh-ness as well as a small residual; sqrt
     # scale because det is quadratic in the Hessian near flat iterates
     psh_slack = float(np.sqrt(cfg.tol_inner))
-    density = backend.density
-    ladder = (REG_LADDER if density.any() and density.min() <= REG_LADDER[0]
-              else (0.0,))
-    iters_total = 0
+    failed = 0
     if init is not None:
         try:
-            u, rsup, iters, lam1 = _newton_stage(backend, init, 0.0,
+            u, rsup, iters, lam1 = _newton_stage(backend, init,
                                                  cfg.tol_inner, cfg)
         except (NewtonStagnationError, NewtonIterationError) as err:
-            iters_total = err.iters
+            failed = err.iters
         else:
             if lam1 is None or lam1 >= -psh_slack:
                 return u, rsup, iters, lam1
-            iters_total = iters
-
-    u = backend.surrogate(ladder[0])
-    for eps in ladder:
-        stage_tol = cfg.tol_inner if eps == 0.0 else max(cfg.tol_inner,
-                                                         1e-2 * eps)
-        u, rsup, iters, lam1 = _newton_stage(backend, u, eps, stage_tol, cfg)
-        iters_total += iters
-    return u, rsup, iters_total, lam1
+            failed = iters
+    u, rsup, iters, lam1 = backend.cold(cfg)
+    return u, rsup, failed + iters, lam1
 
 
 # -- the n = 2 grid backend ---------------------------------------------------
@@ -309,86 +278,94 @@ def _floored_cofactor(entries, lam1, lam2, floor: float) -> tuple:
     return a11, a22, ar, ai
 
 
-class _GridNewton:
-    """32 det H[u] = g + eps on an n = 2 grid: floored-cofactor
-    corrections and the isotropic Laplacian surrogate.  The state is
-    (Hessian entries, their eigenvalues, residual)."""
+def _policy_coefficients(entries, lam1) -> tuple:
+    """Coefficients of xi xi*, xi H's lambda_min eigenvector per node: (b,
+    lam1 - h11) where h11 >= h22, else (lam1 - h22, conj b), with b = H12.
+    Either way conj(xi1) xi2 = conj(b) k for the real k below, so every
+    coefficient is real.  At an umbilic node (H = lam1 I) xi = (1, 0)."""
+    h11, h22, re12, im12 = entries
+    k = lam1 - np.maximum(h11, h22)
+    off = re12 ** 2 + im12 ** 2
+    kk = k * k
+    length = off + kk
+    umbilic = length == 0.0
+    length[umbilic] = 1.0
+    first = h11 >= h22
+    a = np.where(first, off, kk) / length
+    g = np.where(first, kk, off) / length
+    a[umbilic] = 1.0
+    k /= length
+    return a, g, re12 * k, im12 * k
 
-    def __init__(self, density: np.ndarray, boundary: ScalarField,
-                 cfg: SolverConfig):
+
+class _GridNewton:
+    """32 det H[u] = g on an n = 2 grid, from the Laplacian surrogate.
+
+    A row where g > 0 has residual 32 det H - g and a floored-cofactor
+    correction; a row where g = 0 solves lambda_min(H) = 0 by policy
+    iteration, with residual 32 max(|det H|, |lambda_min|) and correction
+    xi* H[delta] xi = -lambda_min.  One correction solve takes both, the
+    det rows scaled by 1/32.  Zero rows are found once: a positive density
+    keeps no mask, and a zero one (f) forms no cofactor.  The state is
+    (entries, eigenvalues, residual or None)."""
+
+    def __init__(self, density: np.ndarray, boundary: ScalarField):
         self.grid = boundary.grid
         self.boundary = boundary
         self.density = density
-        self.cfg = cfg
         self.norm = ma_normalization(2)
         self.index = self.grid.interior
+        zero = density == 0.0
+        # False: no zero row; True: every row zero; else the rows' mask
+        self.zero = bool(zero.all()) or (zero if zero.any() else False)
 
-    def evaluate(self, u, eps):
+    def evaluate(self, u):
         entries = _hessian_entries(u, self.grid.spacing)
         det, lam1, lam2 = _det_and_eigenvalues(entries)
-        resid = self.density + eps
-        np.subtract(self.norm * det, resid, out=resid)
-        return (float(np.abs(resid).max()), float(lam1.min()),
-                (entries, [lam1, lam2], resid))
+        zero = self.zero
+        if zero is True:
+            rsup = self.norm * max(float(np.abs(det).max()),
+                                   float(np.abs(lam1).max()))
+            return rsup, float(lam1.min()), (entries, [lam1], None)
+        resid = np.subtract(self.norm * det, self.density)
+        rsup = float(np.abs(resid).max())
+        if zero is not False:
+            # a zero row's resid is already 32 det H
+            rsup = max(rsup, self.norm * float(np.abs(lam1[zero]).max()))
+        return rsup, float(lam1.min()), (entries, [lam1, lam2], resid)
 
-    def correct(self, u, state, rsup, eps):
+    def correct(self, u, state, rsup):
         entries, eigs, resid = state
-        # residual-proportional eigenvalue floor: near degenerate limits
-        # the cofactor loses rank and unfloored steps degrade to the
-        # Krylov solver's accept threshold; tying the floor to the
-        # current defect keeps the linearization uniformly invertible
-        # while vanishing at the solution
-        floor = max(PSD_FLOOR, (eps + rsup) / self.norm)
-        coeffs = _floored_cofactor(entries, *eigs, floor)
-        # the state is spent once its cofactor is formed: dropping the
-        # eigenvalues keeps them out of the Krylov solve's peak memory
+        zero = self.zero
+        if zero is True:
+            coeffs, resid = _policy_coefficients(entries, eigs[0]), -eigs[0]
+        else:
+            # residual-proportional eigenvalue floor: near degenerate
+            # limits the cofactor loses rank and unfloored steps degrade
+            # to the Krylov solver's accept threshold; tying the floor to
+            # the current defect keeps the linearization uniformly
+            # invertible while vanishing at the solution
+            floor = max(PSD_FLOOR, rsup / self.norm)
+            coeffs = _floored_cofactor(entries, *eigs, floor)
+            resid /= -self.norm
+            if zero is not False:
+                coeffs = tuple(np.where(zero, p, c) for p, c in zip(
+                    _policy_coefficients(entries, eigs[0]), coeffs))
+                resid = np.where(zero, -eigs[0], resid)
+        # the state is spent once the coefficients are formed: dropping
+        # the eigenvalues keeps them out of the Krylov solve's peak memory
         eigs.clear()
-        return solve_hermitian_system(self.grid, coeffs, -resid,
-                                      scale=self.norm / 4.0)
+        return solve_hermitian_system(self.grid, coeffs, resid, scale=0.25)
 
-    def surrogate(self, eps):
+    def surrogate(self, cfg: SolverConfig):
         # isotropic surrogate det = dens/norm via lap u = 4n (dens/norm)^(1/n)
-        # at n = 2
-        lap_rhs = 8.0 * np.power((self.density + eps) / self.norm, 0.5)
+        # at n = 2; the harmonic extension at zero density
+        lap_rhs = 8.0 * np.power(self.density / self.norm, 0.5)
         return solve_poisson_system(self.grid, lap_rhs, self.boundary.values,
-                                    tol=max(1e-2 * self.cfg.tol_inner, 1e-13))
+                                    tol=max(1e-2 * cfg.tol_inner, 1e-13))
 
-
-class _MaximalNewton(_GridNewton):
-    """lambda_min(H[f]) = 0, the n = 2 grid problem of a density that is
-    identically zero, by policy iteration: each correction solves
-    xi* H[delta] xi = -lambda_min along the lambda_min eigenvector xi of
-    the current iterate.  The residual folds both tests of a maximal psh
-    f, 32 |det H| and lambda_min >= 0, into one sup.  The surrogate, at
-    zero density, is the harmonic extension.  The state is (Hessian
-    entries, lambda_min)."""
-
-    def evaluate(self, u, eps):
-        entries = _hessian_entries(u, self.grid.spacing)
-        det, lam1, _ = _det_and_eigenvalues(entries)
-        rsup = self.norm * max(float(np.abs(det).max()),
-                               float(np.abs(lam1).max()))
-        return rsup, float(lam1.min()), (entries, lam1)
-
-    def correct(self, u, state, rsup, eps):
-        (h11, h22, re12, im12), lam1 = state
-        # xi is (b, lam1 - h11) where h11 >= h22 and (lam1 - h22, conj b)
-        # elsewhere, the longer of the two, with b = H12; either way
-        # conj(xi1) xi2 = conj(b) k for the real k below, so every
-        # coefficient is real.  At an umbilic node (H = lam1 I) xi = (1, 0)
-        k = lam1 - np.maximum(h11, h22)
-        off = re12 ** 2 + im12 ** 2
-        kk = k * k
-        length = off + kk
-        umbilic = length == 0.0
-        length[umbilic] = 1.0
-        first = h11 >= h22
-        a = np.where(first, off, kk) / length
-        g = np.where(first, kk, off) / length
-        a[umbilic] = 1.0
-        k /= length
-        return solve_hermitian_system(self.grid, (a, g, re12 * k, im12 * k),
-                                      -lam1, scale=0.25)
+    def cold(self, cfg: SolverConfig):
+        return _newton_stage(self, self.surrogate(cfg), cfg.tol_inner, cfg)
 
 
 def solve_ma_fixed_rhs(g, boundary: ScalarField,
@@ -396,11 +373,12 @@ def solve_ma_fixed_rhs(g, boundary: ScalarField,
                        init: ScalarField | None = None) -> MaSolveResult:
     """Solve 4^n n! det H[u] = g with Dirichlet data, frozen density g.
 
-    n = 1 delegates to the Poisson solver.  n = 2 runs damped Newton with
-    cofactor linearization; when min(g) falls below the first rung of the
-    regularization ladder the solve walks the ladder with warm starts.  A
-    g that is identically zero is f's problem, solved by _MaximalNewton.
-    init, when given, supplies the interior of a warm start.
+    n = 1 delegates to the Poisson solver.  n = 2 runs damped Newton
+    (_GridNewton): cofactor linearization where g > 0 and policy
+    iteration on lambda_min(H[u]) = 0 where g = 0, so a g that is
+    identically zero is f's problem.  init, when given, supplies the
+    interior of a warm start; Newton from the Laplacian surrogate is the
+    fallback.
     """
     cfg = cfg or SolverConfig()
     grid = boundary.grid
@@ -420,9 +398,8 @@ def solve_ma_fixed_rhs(g, boundary: ScalarField,
     if init is not None:
         warm = np.array(boundary.values)
         warm[grid.interior] = init.values[grid.interior]
-    newton = _GridNewton if g_arr.any() else _MaximalNewton
-    u, rsup, iters, lam1 = _walk_ladder(newton(g_arr, boundary, cfg), cfg,
-                                        warm)
+    u, rsup, iters, lam1 = _newton_solve(_GridNewton(g_arr, boundary), cfg,
+                                         warm)
     return MaSolveResult(ScalarField(grid, u), rsup, iters, max(0.0, -lam1))
 
 
@@ -435,7 +412,7 @@ class FrozenFamily:
     start is the linear interpolation between the two solved members
     that bracket t, else the nearest solved member; the first member
     starts cold.  A poor prediction costs no more than a cold start:
-    _walk_ladder restarts from the surrogate when Newton from it stalls,
+    _newton_solve restarts from the surrogate when Newton from it stalls,
     hits its cap or loses psh-ness.  At most three members are kept; a
     fourth drops the one farthest in parameter from the newest.
     """
@@ -482,7 +459,7 @@ def maximal_extension(boundary: ScalarField,
 
     n = 1 is the harmonic extension.  For n = 2, f solves lambda_min(H[f])
     = 0, the same discrete problem as det H[f] = 0 with H[f] psd, by
-    policy iteration from the harmonic extension (see _MaximalNewton).
+    policy iteration from the harmonic extension (see _GridNewton).
     It checks none of the theorem's hypotheses; ProblemSpec rejects
     positive boundary data.
     """

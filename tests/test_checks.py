@@ -419,6 +419,17 @@ class TestConvergenceStudy:
         assert all(row.note == "exact" for row in rows)
         assert all(row.order is None for row in rows)
 
+    @pytest.mark.parametrize("resolutions, k", [([9, 9], 1),
+                                                ([9, 17, 9], 2)])
+    def test_repeated_resolution_raises_before_any_solve(self, resolutions,
+                                                         k):
+        # the order between two equal meshes would be 0 / 0
+        calls = []
+        with pytest.raises(ValueError,
+                           match=rf"resolutions\[{k}\] repeats resolution 9"):
+            convergence_study(calls.append, resolutions)
+        assert calls == []
+
     def test_exp_mms_second_order(self):
         rows = convergence_study(exp_mms_problem, [7, 13])
         assert rows[1].order is not None

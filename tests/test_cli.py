@@ -124,6 +124,34 @@ class TestSolve:
         assert payload["converged"] is True
         assert payload["residual_ok"] is True
 
+    @pytest.mark.parametrize("resolution, boundary, rhs, mu", [
+        pytest.param(17, "r2 - 1", {"family": "constant", "weight": 32.0},
+                     "4 * x1 * x1", id="mu-vanishing-on-x1=0"),
+        pytest.param(17, "r2 + x1 * x2 + y1 * y2 - 1.5",
+                     {"family": "power_plus", "p": 1.0, "c": 0.5,
+                      "weight": 64.0}, 1.0, id="F-vanishing-below-u=-c"),
+        pytest.param(15, "r2 + x1 * x2 + y1 * y2 - 1.5",
+                     {"family": "exponential", "kappa": 1.0,
+                      "weight": 32.0}, "max(r2 - 0.3, 0)",
+                     id="mu-vanishing-on-a-ball"),
+    ])
+    def test_density_vanishing_on_part_of_the_box_converges(
+            self, tmp_path, capsys, resolution, boundary, rhs, mu):
+        # the theorem's degenerate regime: F dmu vanishes on part of the
+        # box, so its frozen solves mix det rows with lambda_min rows.  A
+        # regularization ladder over the det form broke down in its
+        # correction solves on these (exit 3).  chains_ok is left to
+        # test_converged_solves_keep_monotone_chains
+        cfg = write_cfg(tmp_path, n=2,
+                        domain={"box": {"lo": [-0.5] * 4, "hi": [0.5] * 4}},
+                        resolution=resolution, boundary=boundary, rhs=rhs,
+                        mu_density=mu)
+        code, out, _ = run(capsys, "solve", cfg)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["converged"] is True
+        assert payload["residual_ok"] is True
+
     def test_non_convergence_exits_3_with_diagnostics(self, tmp_path,
                                                       capsys):
         cfg = write_cfg(tmp_path,
@@ -816,7 +844,7 @@ class TestVerify:
 
     def test_uniqueness_on_anisotropic_data(self, tmp_path, capsys):
         # the warm starts of the uniqueness branches fail on this data and
-        # must fall back to the ladder's surrogate start
+        # must fall back to a cold solve from the Laplacian surrogate
         quad = "0.6 * x1^2 + 1.8 * y1^2 + 1.3 * x2^2 + 0.7 * y2^2 - 2"
         cfg = write_cfg(
             tmp_path, n=2,

@@ -205,22 +205,24 @@ class TestNewtonFailures:
                                        NewtonIterationError])
     def test_warm_start_stall_falls_back_to_the_ladder(self, monkeypatch,
                                                        error):
-        # vanishing density at the axis: the solve walks the ladder
+        # vanishing density at the axis: the cold solve walks the ladder
         dens = 108.0 * np.linspace(0.0, 1.0, 65)[:-1] ** 2
         cold = solve_unit_ball(2, dens, mesh=64)
         stage = cmasolve.solvers._newton_stage
         calls = []
 
-        def stall_first(backend, w, eps, *args, **kwargs):
-            calls.append(eps)
+        def stall_first(backend, w, *args, **kwargs):
+            calls.append(backend.eps)
             if len(calls) == 1:
                 raise error(1.0, np.array(w))
-            return stage(backend, w, eps, *args, **kwargs)
+            return stage(backend, w, *args, **kwargs)
 
         monkeypatch.setattr(cmasolve.solvers, "_newton_stage", stall_first)
+        monkeypatch.setattr(cmasolve.radial, "_newton_stage", stall_first)
         warm = solve_radial(dens, constant_data(cold.u.grid), init=cold.u)
-        # the failed warm try at eps 0, then every rung of the ladder
-        assert calls == [0.0, *cmasolve.solvers.REG_LADDER]
+        # the failed warm try at eps 0, then every rung of the cold
+        # solve's ladder
+        assert calls == [0.0, *cmasolve.radial.REG_LADDER]
         assert warm.residual <= SolverConfig().tol_inner
         assert np.abs(warm.u.values - cold.u.values).max() <= 1e-6
 
@@ -258,11 +260,11 @@ class TestTridiagonalSolve:
         mesh = 64
         backend = cmasolve.radial._RadialNewton(
             BallMesh(2, 1.0, mesh), np.full(mesh, 32.0), 0.0)
-        w = backend.surrogate(0.0)
-        rsup, _, state = backend.evaluate(w, 0.0)
+        w = backend.surrogate()
+        rsup, _, state = backend.evaluate(w)
         monkeypatch.setattr(cmasolve.radial, "_jacobian_bands",
                             lambda *args: bands(mesh))
-        return backend.correct(w, state, rsup, 0.0)
+        return backend.correct(w, state, rsup)
 
     def test_singular_bands_stagnate(self, monkeypatch):
         with pytest.raises(NewtonStagnationError,
@@ -287,7 +289,7 @@ class TestMeshReuse:
     the BallMesh, shared by every solve on it, and never written."""
 
     def solve(self, ball):
-        # vanishing density at the axis: the solve walks the ladder
+        # vanishing density at the axis: the cold solve walks the ladder
         dens = 108.0 * ball.r[:-1] ** 2
         return solve_radial(dens, constant_data(ball))
 

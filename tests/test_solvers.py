@@ -15,11 +15,11 @@ from cmasolve.linsolve import (
     laplacian_apply,
     solve_poisson_system,
 )
+from cmasolve.radial import REG_LADDER
 from cmasolve.solvers import (
     DAMPING,
     MIN_STEP,
     PSD_FLOOR,
-    REG_LADDER,
     FrozenFamily,
     NewtonIterationError,
     NewtonStagnationError,
@@ -38,8 +38,9 @@ def sq_norm_minus_one(grid):
 class TestSolverConfig:
     def test_defaults_valid(self):
         SolverConfig()
-        # the fixed safeguards: a nonincreasing, nonnegative ladder that
-        # ends at the true problem, and backtracking inside (0, 1)
+        # the fixed safeguards: a nonincreasing, nonnegative ladder (the
+        # ball's cold solve) that ends at the true problem, and
+        # backtracking inside (0, 1)
         assert REG_LADDER[-1] == 0.0 and min(REG_LADDER) >= 0.0
         assert all(a >= b for a, b in zip(REG_LADDER, REG_LADDER[1:]))
         assert 0 < DAMPING < 1 and 0 < MIN_STEP < 1 and PSD_FLOOR > 0
@@ -198,7 +199,7 @@ class TestMaFixedRhs:
     def test_failed_warm_start_restarts_the_ladder(self, monkeypatch):
         # f's policy iteration converges from most warm starts, but from
         # one four times too deep it needs 27 steps, beyond a cap of 10:
-        # the walk must start over from the harmonic surrogate, and so end
+        # the solve must start over from the harmonic surrogate, and so end
         # where the cold solve does, bit for bit.  The 10 steps of the
         # failed try count with the 5 of the restart
         g = build_grid(unit_box(2), 9)
@@ -208,16 +209,16 @@ class TestMaFixedRhs:
         starts = []
         surrogate = cmasolve.solvers._GridNewton.surrogate
 
-        def counted(self, eps):
-            starts.append(eps)
-            return surrogate(self, eps)
+        def counted(self, cfg):
+            starts.append(cfg)
+            return surrogate(self, cfg)
 
         monkeypatch.setattr(cmasolve.solvers._GridNewton, "surrogate",
                             counted)
         warm = ScalarField(g, 4.0 * bdry.values)
         res = solve_ma_fixed_rhs(np.zeros(g.interior_shape), bdry, cfg,
                                  init=warm)
-        assert starts == [0.0]
+        assert starts == [cfg]
         assert res.residual <= cfg.tol_inner
         assert res.psh_defect <= np.sqrt(cfg.tol_inner)
         assert np.array_equal(res.u.values, cold.u.values)
@@ -225,9 +226,8 @@ class TestMaFixedRhs:
         assert res.newton_iters == 15
 
     def test_failed_non_degenerate_warm_start_restarts(self):
-        # a positive constant density walks a one-rung ladder; Newton from
-        # a warm start three times too steep hits its cap, and the solve
-        # must start over from the Laplacian surrogate
+        # Newton from a warm start three times too steep hits its cap,
+        # and the solve must start over from the Laplacian surrogate
         g = build_grid(unit_box(2), 9)
         coef = np.array([0.6, 1.8, 1.3, 0.7])
 
@@ -254,17 +254,21 @@ class TestMaFixedRhs:
         with pytest.raises(NewtonIterationError):
             solve_ma_fixed_rhs(dens, bdry, SolverConfig(max_newton=2))
 
-    def test_density_vanishing_on_part_of_the_grid(self):
-        # g = 0 on the ball r2 <= 0.1 only: a double root there, reached
-        # over the regularization ladder (from the surrogate alone Newton
-        # stalls near residual 5e-7), must end psh to round-off
-        g = build_grid(unit_box(2), 11)
+    @pytest.mark.parametrize("resolution", [11, 17])
+    def test_density_vanishing_on_part_of_the_grid(self, resolution):
+        # g = 0 on the ball r2 <= 0.1 only: the det form has a double root
+        # there (Newton on it alone stalls near residual 7e-5 at res 17),
+        # so those rows solve lambda_min(H) = 0 instead.  Newton from the
+        # surrogate must end psh to round-off in a few steps; a
+        # regularization ladder over the det form took 29 and 33
+        g = build_grid(unit_box(2), resolution)
         r2 = (g.points()[g.interior] ** 2).sum(axis=-1)
         dens = 32.0 * np.maximum(r2 - 0.1, 0.0)
         cfg = SolverConfig()
         res = solve_ma_fixed_rhs(dens, sq_norm_minus_one(g), cfg)
         assert res.residual < cfg.tol_inner
         assert res.psh_defect <= 1e-12
+        assert res.newton_iters <= 12
 
     def test_negative_density_rejected(self):
         g = build_grid(unit_box(2), 7)
@@ -358,14 +362,14 @@ class TestFrozenFamily:
         starts = []
         surrogate = cmasolve.solvers._GridNewton.surrogate
 
-        def counted(self, eps):
-            starts.append(eps)
-            return surrogate(self, eps)
+        def counted(self, cfg):
+            starts.append(cfg)
+            return surrogate(self, cfg)
 
         monkeypatch.setattr(cmasolve.solvers._GridNewton, "surrogate",
                             counted)
         res = FrozenFamily(bdry, cfg).solve(40.0, 40.0)
-        assert starts == [0.0]
+        assert starts == [cfg]
         assert res.residual <= cfg.tol_inner
         assert res.psh_defect <= np.sqrt(cfg.tol_inner)
         assert np.abs(res.u.values - cold.u.values).max() \
@@ -386,17 +390,17 @@ class ScriptedBackend:
         self.correction = correction or (lambda u: np.ones(1))
         self.evaluated = []
 
-    def evaluate(self, u, eps):
+    def evaluate(self, u):
         x = float(u[0]) if u.size == 1 else tuple(u.tolist())
         self.evaluated.append(x)
         rsup, lam1 = self.script(x)
         return rsup, lam1, None
 
-    def correct(self, u, state, rsup, eps):
+    def correct(self, u, state, rsup):
         return self.correction(u)
 
 
-# the eigenvalue guard of an eps = 0 stage at tol_inner on ScriptedBackend
+# the eigenvalue guard of a stage at tol_inner on ScriptedBackend
 GUARD = PSD_FLOOR - SolverConfig().tol_inner / ScriptedBackend.norm
 
 
@@ -405,20 +409,20 @@ class TestEigenvalueGuard:
 
     cfg = SolverConfig()
 
-    def stage(self, script, eps, correction=None, start=0.0):
+    def stage(self, script, tol=None, correction=None, start=0.0):
         backend = ScriptedBackend(script, correction)
-        tol = self.cfg.tol_inner if eps == 0.0 else 1e-2 * eps
-        u, rsup, iters, lam1 = _newton_stage(backend, np.full(1, start), eps,
-                                             tol, self.cfg)
+        u, rsup, iters, lam1 = _newton_stage(backend, np.full(1, start),
+                                             tol or self.cfg.tol_inner,
+                                             self.cfg)
         return float(u[0]), lam1, iters, backend.evaluated
 
     def test_start_outside_the_guard_takes_a_step_no_less_psh(self):
-        # the surrogate start of the first rung sits far below the guard;
-        # the full step leaves lambda_min below it too, but no worse
+        # a surrogate start sits far below the guard; the full step
+        # leaves lambda_min below it too, but no worse
         def script(x):
             return (1.0, -1.75) if x == 0.0 else (0.0, -1.08)
 
-        x, lam1, iters, evaluated = self.stage(script, 1e-2)
+        x, lam1, iters, evaluated = self.stage(script, 1e-4)
         assert (x, lam1, iters) == (1.0, -1.08, 1)
         assert evaluated == [0.0, 1.0]
 
@@ -430,7 +434,7 @@ class TestEigenvalueGuard:
                 return 1.0, -0.5
             return (2.0, -0.6) if x == 1.0 else (0.0, -0.5 - x)
 
-        x, lam1, iters, evaluated = self.stage(script, 1e-2)
+        x, lam1, iters, evaluated = self.stage(script, 1e-4)
         assert (x, lam1, iters) == (0.5, -1.0, 1)
         # backtracking ran down to MIN_STEP looking for a psh trial
         assert len(evaluated) == 15
@@ -441,14 +445,13 @@ class TestEigenvalueGuard:
         pytest.param(np.nextafter(GUARD, -1.0), 0.5, id="below-the-guard"),
         (-2e-5, 0.5)])
     def test_last_rung_guard_is_the_acceptance_slack(self, lam_full, taken):
-        # on the eps = 0 rung a full step is refused below PSD_FLOOR -
-        # stage_tol / norm, the guard of every other rung at eps = 0
+        # a full step is refused below PSD_FLOOR - stage_tol / norm
         def script(x):
             if x == 0.0:
                 return 1.0, 1e-3
             return 0.0, (lam_full if x == 1.0 else 1e-3)
 
-        x, _, iters, evaluated = self.stage(script, 0.0)
+        x, _, iters, evaluated = self.stage(script)
         assert (x, iters) == (taken, 1)
         assert evaluated == ([0.0, 1.0] if taken == 1.0 else [0.0, 1.0, 0.5])
 
@@ -457,7 +460,7 @@ class TestEigenvalueGuard:
         # linear convergence x -> rate x on the residual |x|: every full
         # step decreases the residual and passes the guard, so each Newton
         # step evaluates its full step alone, down to tol_inner
-        _, _, iters, evaluated = self.stage(lambda x: (abs(x), 0.0), 0.0,
+        _, _, iters, evaluated = self.stage(lambda x: (abs(x), 0.0), None,
                                             lambda u: -(1.0 - rate) * u, 1.0)
         assert np.allclose(evaluated,
                            [rate ** k for k in range(len(evaluated))],
@@ -472,7 +475,7 @@ class TestEigenvalueGuard:
         def script(x):
             return x * x, (-1.0 if x == 0.0 else 0.0)
 
-        x, _, _, evaluated = self.stage(script, 0.0, lambda u: -u, 1.0)
+        x, _, _, evaluated = self.stage(script, None, lambda u: -u, 1.0)
         assert evaluated[:5] == [1.0, 0.0, 0.5, 0.0, 0.25]
         assert min(evaluated) >= 0.0 and x > 0.0
 
@@ -546,7 +549,7 @@ class TestMaximalExtension:
 
     def test_corrections_stay_few(self, monkeypatch):
         # policy iteration on lambda_min converges in 5 corrections here;
-        # the det form's double root took 21 over the regularization ladder
+        # the det form's double root took 21 over a regularization ladder
         calls = self.counted_corrections(monkeypatch)
         f = maximal_extension(sq_norm_minus_one(build_grid(unit_box(2), 9)))
         assert 1 <= len(calls) <= 6
