@@ -286,17 +286,18 @@ def write_field_csv(field: ScalarField, path) -> None:
     grid = field.grid
     coords = [[repr(float(c)) for c in axis] for axis in grid.axes]
     # storage order is lexicographic in the axes, the order product yields;
-    # values and flags are listed one slab of the first axis at a time, so
-    # no Python list of the whole field is held
+    # rows are formatted and written one slab of the first axis at a time,
+    # so no Python list of the whole field is held.  Each slab takes its
+    # own count of the shared prefixes: an unbounded zip would draw, and
+    # drop, one more at the end of every slab
     prefixes = map(",".join, itertools.product(*coords))
-    values = itertools.chain.from_iterable(
-        slab.ravel().tolist() for slab in field.values)
-    flags = itertools.chain.from_iterable(
-        slab.ravel().tolist() for slab in grid.interior_mask())
     with open(path, "w") as fh:
         fh.write(_csv_header(grid.n) + "\n")
-        fh.writelines(f"{prefix},{value!r},{flag:d}\n"
-                      for prefix, value, flag in zip(prefixes, values, flags))
+        for slab, inner in zip(field.values, grid.interior_mask()):
+            rows = zip(itertools.islice(prefixes, slab.size),
+                       map(repr, slab.ravel().tolist()),
+                       map("01".__getitem__, inner.ravel().tolist()))
+            fh.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def read_field_csv(path, grid: Grid | None = None) -> ScalarField:

@@ -9,7 +9,10 @@ Poisson solvers of Buzbee, Golub & Nielson (SIAM J. Numer. Anal. 7, 1970).
 The transform is applied as one dense matrix product per axis: at the
 interior sizes of the n = 2 grids (tens of nodes per axis) that beats an
 FFT-based DST on one thread; on the larger n = 1 grids it is slightly
-slower, and one transform serves both.  The Newton correction systems
+slower, and one transform serves both.  Each axis is one matmul on a
+reshaped C-order view, so no axis is transposed or copied, and the DST-I
+matrices and eigenvalue vectors are built once per size and shared,
+read-only, by every preconditioner.  The Newton correction systems
 for n = 2 carry variable coefficients and mixed second derivatives, so
 those are solved with BiCGStab preconditioned by the same sine-basis
 inverse of a constant-coefficient surrogate; their operator is applied by
@@ -17,6 +20,9 @@ one fused stencil kernel that accumulates in place.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, bicgstab
@@ -147,13 +153,22 @@ def hermitian_form_apply(full: np.ndarray, spacing, a, g, br, bi,
     return out
 
 
+# a process meets a handful of interior sizes and spacings; the bound only
+# keeps a long-lived process sweeping resolutions from holding them all
+@functools.lru_cache(maxsize=64)
 def _sine_eigenvalues(m: int, h: float) -> np.ndarray:
+    """Eigenvalues of the m-node Dirichlet second difference at spacing h;
+    cached per (m, h) and read-only."""
     k = np.arange(1, m + 1)
-    return (2.0 * np.cos(k * np.pi / (m + 1)) - 2.0) / h ** 2
+    lam = (2.0 * np.cos(k * np.pi / (m + 1)) - 2.0) / h ** 2
+    lam.setflags(write=False)
+    return lam
 
 
+@functools.lru_cache(maxsize=64)
 def _sine_matrix(m: int) -> np.ndarray:
-    """Orthonormal DST-I matrix: symmetric and its own inverse.
+    """Orthonormal DST-I matrix: symmetric and its own inverse; cached per
+    size and read-only.
 
     The phase j k pi / (m + 1) is reduced modulo 2 pi in integers first:
     sin of the unreduced phase (up to about m pi) carries an absolute error
@@ -161,7 +176,9 @@ def _sine_matrix(m: int) -> np.ndarray:
     """
     k = np.arange(1, m + 1)
     phase = np.outer(k, k) % (2 * (m + 1))
-    return np.sqrt(2.0 / (m + 1)) * np.sin(phase * (np.pi / (m + 1)))
+    mat = np.sqrt(2.0 / (m + 1)) * np.sin(phase * (np.pi / (m + 1)))
+    mat.setflags(write=False)
+    return mat
 
 
 def make_sine_preconditioner(grid: Grid, s_pairs) -> "callable":
@@ -172,8 +189,9 @@ def make_sine_preconditioner(grid: Grid, s_pairs) -> "callable":
     Laplacian (solve_poisson_system); otherwise it is a spectral
     preconditioner for the Hermitian-form operator with the mixed terms
     dropped and coefficients averaged.  The sine basis is applied as one
-    dense product per axis: tensordot over axis 0 moves the transformed
-    axis last, so after one product per axis the axes are back in order.
+    matmul per axis on a C-order view of shape (pre, m, post): the
+    symmetric matrix multiplies the last axis from the right and any other
+    from the left, so the axes never move.
     """
     interior = grid.interior_shape
     denom = np.zeros(interior)
@@ -181,12 +199,15 @@ def make_sine_preconditioner(grid: Grid, s_pairs) -> "callable":
         lam = s_pairs[a // 2] * _sine_eigenvalues(m, grid.spacing[a])
         denom = denom + lam.reshape((1,) * a + (m,) + (1,) * (len(interior) - a - 1))
     inv_denom = 1.0 / denom
-    mats = [_sine_matrix(m) for m in interior]
+    views = [(_sine_matrix(m), (math.prod(interior[:a]), m,
+                                math.prod(interior[a + 1:])))
+             for a, m in enumerate(interior)]
 
     def transform(r: np.ndarray) -> np.ndarray:
-        for mat in mats:
-            r = np.tensordot(r, mat, axes=([0], [0]))
-        return r
+        for mat, (pre, m, post) in views[:-1]:
+            r = mat @ r.reshape(pre, m, post)
+        mat, (pre, m, _) = views[-1]
+        return (r.reshape(pre, m) @ mat).reshape(interior)
 
     def apply(r: np.ndarray) -> np.ndarray:
         rhat = transform(r)

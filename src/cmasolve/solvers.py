@@ -4,7 +4,8 @@ frozen (solution-independent) density.
 For n = 1 the equation 4 det H[u] = g is the linear Poisson problem
 lap(u) = g.  For n = 2 the residual R(u) = 32 det H[u] - g is driven to
 zero by damped Newton from the warm start, else from the Laplacian
-surrogate, with no regularization: the determinant is linearized through
+surrogate, and once more from a psh start when that fails (restart), with
+no regularization: the determinant is linearized through
 the cofactor of H (d det = tr(cof(H) dH)), each correction solves a
 Hermitian-form system with zero boundary data, and a backtracking line
 search enforces both residual decrease and an eigenvalue guard keeping
@@ -299,7 +300,8 @@ def _policy_coefficients(entries, lam1) -> tuple:
 
 
 class _GridNewton:
-    """32 det H[u] = g on an n = 2 grid, from the Laplacian surrogate.
+    """32 det H[u] = g on an n = 2 grid, from the Laplacian surrogate, and
+    after a failure there once from a psh start (restart).
 
     A row where g > 0 has residual 32 det H - g and a floored-cofactor
     correction; a row where g = 0 solves lambda_min(H) = 0 by policy
@@ -318,6 +320,9 @@ class _GridNewton:
         zero = density == 0.0
         # False: no zero row; True: every row zero; else the rows' mask
         self.zero = bool(zero.all()) or (zero if zero.any() else False)
+        # the eigenvalue of an isotropic H whose density is max g: the
+        # cofactor floor never exceeds it, so the floor scales with H
+        self.cap = float(np.sqrt(density.max(initial=0.0) / self.norm))
 
     def evaluate(self, u):
         entries = _hessian_entries(u, self.grid.spacing)
@@ -344,8 +349,11 @@ class _GridNewton:
             # limits the cofactor loses rank and unfloored steps degrade
             # to the Krylov solver's accept threshold; tying the floor to
             # the current defect keeps the linearization uniformly
-            # invertible while vanishing at the solution
-            floor = max(PSD_FLOOR, rsup / self.norm)
+            # invertible while vanishing at the solution.  rsup is in det
+            # units, so far from the solution it is capped at the density's
+            # own eigenvalue scale: a floor above every eigenvalue of H
+            # turns the step into a short Laplacian one
+            floor = max(PSD_FLOOR, min(rsup / self.norm, self.cap))
             coeffs = _floored_cofactor(entries, *eigs, floor)
             resid /= -self.norm
             if zero is not False:
@@ -357,15 +365,45 @@ class _GridNewton:
         eigs.clear()
         return solve_hermitian_system(self.grid, coeffs, resid, scale=0.25)
 
-    def surrogate(self, cfg: SolverConfig):
-        # isotropic surrogate det = dens/norm via lap u = 4n (dens/norm)^(1/n)
-        # at n = 2; the harmonic extension at zero density
+    def _bumped(self, ring: np.ndarray, cfg: SolverConfig):
+        # lap u = 4n (dens/norm)^(1/n) at n = 2, the isotropic surrogate
+        # of det = dens/norm, with `ring` as the Dirichlet data
         lap_rhs = 8.0 * np.power(self.density / self.norm, 0.5)
-        return solve_poisson_system(self.grid, lap_rhs, self.boundary.values,
+        return solve_poisson_system(self.grid, lap_rhs, ring,
                                     tol=max(1e-2 * cfg.tol_inner, 1e-13))
 
+    def surrogate(self, cfg: SolverConfig):
+        # the harmonic extension at zero density
+        return self._bumped(self.boundary.values, cfg)
+
+    def restart(self, cfg: SolverConfig):
+        """A psh start for a second cold try, and the Newton steps it cost.
+
+        At zero density the flat start: min b inside, the data on the
+        ring, a subsolution of f's problem.  Otherwise f + w, with w the
+        surrogate's bump (lap w = 8 sqrt(g / 32), zero on the ring): f is
+        psh with the right boundary values, and its solve's steps count.
+        """
+        b = self.boundary.values
+        if self.zero is True:
+            start = np.array(b)
+            start[self.index] = b[~self.grid.interior_mask()].min()
+            return start, 0
+        f, _, iters, _ = _GridNewton(np.zeros_like(self.density),
+                                     self.boundary).cold(cfg)
+        return f + self._bumped(np.zeros_like(b), cfg), iters
+
     def cold(self, cfg: SolverConfig):
-        return _newton_stage(self, self.surrogate(cfg), cfg.tol_inner, cfg)
+        # the surrogate first; after a stall or the cap, once more from
+        # a psh start, with the failed steps counted in
+        try:
+            return _newton_stage(self, self.surrogate(cfg), cfg.tol_inner,
+                                 cfg)
+        except (NewtonStagnationError, NewtonIterationError) as err:
+            failed = err.iters
+        start, spent = self.restart(cfg)
+        u, rsup, iters, lam1 = _newton_stage(self, start, cfg.tol_inner, cfg)
+        return u, rsup, failed + spent + iters, lam1
 
 
 def solve_ma_fixed_rhs(g, boundary: ScalarField,

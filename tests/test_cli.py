@@ -53,6 +53,29 @@ def strict_loads(text):
     return json.loads(text, parse_constant=_reject_constant)
 
 
+_DRAW_7 = (
+    "-0.5088954655136448 * x1 * x1 + 0.5370339977925087 * x1 * y1"
+    " + -0.576650514784979 * x1 * x2 + 0.6625496693289223 * x1 * y2"
+    " + -0.8745641548584635 * y1 * y1 + 0.6509756267871116 * y1 * x2"
+    " + -0.6709854670517974 * y1 * y2 + -0.2497060070067163 * x2 * x2"
+    " + -0.3665236668860714 * x2 * y2 + 0.3826740705554825 * y2 * y2"
+    " + -1.2321421827384422")
+_DRAW_19 = (
+    "0.1411291959049965 * x1 * x1 + -0.6828899320265747 * x1 * y1"
+    " + 0.9040585374523695 * x1 * x2 + -0.6912927349051914 * x1 * y2"
+    " + 0.0206064994773707 * y1 * y1 + -0.7119942499614846 * y1 * x2"
+    " + 0.43474345221246935 * y1 * y2 + -0.4473739718096945 * x2 * x2"
+    " + -0.7317320497564335 * x2 * y2 + -0.9080256386589687 * y2 * y2"
+    " + -1.2377466931535646")
+_F_STALL = (
+    "-3.7433492110547704 * x1 * x1 + 2.459382248330356 * x1 * y1"
+    " + 2.294358087515988 * x1 * x2 + 3.3224661489224676 * x1 * y2"
+    " + 1.3624531739078165 * y1 * y1 + 1.542897858681786 * y1 * x2"
+    " + -2.6900667643746567 * y1 * y2 + -3.8088894881695063 * x2 * x2"
+    " + -3.4754947806526406 * x2 * y2 + 3.7156907212828587 * y2 * y2"
+    " + -2.3609728643548413")
+
+
 class TestSolve:
     def test_happy_path_emits_json(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, subsolution_seed="r2 - 1")
@@ -111,6 +134,19 @@ class TestSolve:
         pytest.param(17, "r2 + x1 * x2 + y1 * y2 - 1.5",
                      {"family": "constant", "weight": 0.0},
                      id="zero density-17-r2 + x1 * x2 + y1 * y2 - 1.5"),
+        # random nonpositive quadratic boundaries (seed-1 draws 7 and 19 of
+        # ten monomial coefficients in [-1, 1] and a constant in [-1.5, 0]),
+        # on which u0's frozen solve stalled from the surrogate: the first
+        # converges with the cofactor floor capped at the density's scale,
+        # the second restarts once from f + w
+        pytest.param(6, _DRAW_7, {"family": "exponential", "kappa": 1.0,
+                                  "weight": "4"}, id="quadratic-draw-7"),
+        pytest.param(7, _DRAW_19, {"family": "exponential", "kappa": 1.0,
+                                   "weight": "4"}, id="quadratic-draw-19"),
+        # f's policy iteration stalled from the harmonic extension here
+        # (coefficients in [-4, 4]); it restarts from the flat start
+        pytest.param(8, _F_STALL, {"family": "constant", "weight": 0.0},
+                     id="zero density-8-flat restart"),
     ])
     def test_maximal_extension_of_hard_data_converges(
             self, tmp_path, capsys, resolution, boundary, rhs):

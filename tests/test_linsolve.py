@@ -15,6 +15,7 @@ from cmasolve.grids import (
 from cmasolve import linsolve
 from cmasolve.linsolve import (
     LinearSolveError,
+    _sine_eigenvalues,
     _sine_matrix,
     hermitian_form_apply,
     laplacian_apply,
@@ -110,6 +111,35 @@ class TestSineBasis:
         op += s2 * (second_difference(v, 2, h[2])
                     + second_difference(v, 3, h[3]))
         assert np.abs(inverse(op) - v[grid.interior]).max() <= 1e-12
+
+    def test_cached_tables_are_read_only(self):
+        # one table per size serves every preconditioner: writing into it
+        # would change them all
+        h = build_grid(unit_box(2), 9).spacing[0]
+        assert _sine_matrix(7) is _sine_matrix(7)
+        assert _sine_eigenvalues(7, h) is _sine_eigenvalues(7, h)
+        for table in (_sine_matrix(7), _sine_eigenvalues(7, h)):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                table *= 2.0
+
+    def test_preconditioners_on_one_grid_share_no_state(self):
+        # two preconditioners built from the shared tables act as if each
+        # had been built from fresh ones
+        grid = build_grid(ANISOTROPIC, (9, 7, 11, 8))
+        r = np.random.default_rng(10).standard_normal(grid.interior_shape)
+        pairs = ((3.0, 0.25), (0.5, 2.0))
+        fresh = []
+        for s_pairs in pairs:
+            _sine_matrix.cache_clear()
+            _sine_eigenvalues.cache_clear()
+            fresh.append(make_sine_preconditioner(grid, s_pairs)(r))
+        shared = [make_sine_preconditioner(grid, s_pairs)
+                  for s_pairs in pairs]
+        for _ in range(2):
+            for inverse, expected in zip(shared, fresh):
+                assert np.array_equal(inverse(r), expected)
 
     def test_input_is_not_modified(self):
         grid = build_grid(unit_box(2), 9)

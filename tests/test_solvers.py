@@ -1,5 +1,7 @@
 """Poisson and fixed-density Monge-Ampere solves."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,21 @@ from cmasolve.solvers import (
     solve_ma_fixed_rhs,
     solve_poisson,
 )
+
+
+# coefficients of the degree-2 monomials in (x1, y1, x2, y2), in the order
+# of combinations_with_replacement, the constant, and the resolution of two
+# nonpositive boundaries on which Newton from the surrogate stalls
+RESTART_DATA = {
+    "flat": ((-3.7433492110547704, 2.459382248330356, 2.294358087515988,
+              3.3224661489224676, 1.3624531739078165, 1.542897858681786,
+              -2.6900667643746567, -3.8088894881695063, -3.4754947806526406,
+              3.7156907212828587), -2.3609728643548413, 8),
+    "f + w": ((0.1411291959049965, -0.6828899320265747, 0.9040585374523695,
+               -0.6912927349051914, 0.0206064994773707, -0.7119942499614846,
+               0.43474345221246935, -0.4473739718096945, -0.7317320497564335,
+               -0.9080256386589687), -1.2377466931535646, 7),
+}
 
 
 def sq_norm_minus_one(grid):
@@ -269,6 +286,57 @@ class TestMaFixedRhs:
         assert res.residual < cfg.tol_inner
         assert res.psh_defect <= 1e-12
         assert res.newton_iters <= 12
+
+    @pytest.mark.parametrize("scale", [0.2, 1.0, 5.0, 20.0])
+    def test_eigenvalue_floor_is_scale_free(self, scale):
+        # u = s (r2 - 1) solves 32 det H = 32 s^2 from a start five times
+        # too steep.  The cofactor floor is capped at s, the eigenvalue of
+        # the solution's H: a floor of rsup / 32 alone (det units) sat far
+        # above H's eigenvalues, and took 28 steps at s = 0.2 and the cap
+        # of 50 from s = 1 on
+        g = build_grid(unit_box(2), 9)
+        bdry = ScalarField(g, scale * sq_norm_minus_one(g).values)
+        warm = ScalarField(g, 5.0 * bdry.values)
+        cfg = SolverConfig()
+        res = solve_ma_fixed_rhs(32.0 * scale ** 2, bdry, cfg, init=warm)
+        assert res.newton_iters <= 12
+        assert res.residual < cfg.tol_inner
+        assert np.abs(res.u.values - bdry.values).max() <= 1e-8 * scale
+
+    @pytest.mark.parametrize("start", ["flat", "f + w"])
+    def test_failed_cold_solve_restarts_from_a_psh_start(self, monkeypatch,
+                                                         start):
+        # Newton from the surrogate stalls on these quadratic boundaries:
+        # f's policy iteration at zero density, and u0's frozen solve for
+        # the density 4 exp(f).  The solve restarts once, from the flat
+        # start or from f + w, and converges; every step of the failed
+        # try and of f's solve counts, so Newton steps stay equal to
+        # correction solves
+        coef, const, res = RESTART_DATA[start]
+        g = build_grid(unit_box(2), res)
+        monomials = itertools.combinations_with_replacement(
+            np.moveaxis(g.points(), -1, 0), 2)
+        bdry = ScalarField(g, const + sum(
+            c * a * b for c, (a, b) in zip(coef, monomials)))
+        dens = 0.0
+        if start == "f + w":
+            dens = 4.0 * np.exp(maximal_extension(bdry).values[g.interior])
+        restarts = []
+        restart = cmasolve.solvers._GridNewton.restart
+
+        def recorded(self, cfg):
+            restarts.append(self.zero is True)
+            return restart(self, cfg)
+
+        monkeypatch.setattr(cmasolve.solvers._GridNewton, "restart",
+                            recorded)
+        calls = TestMaximalExtension.counted_corrections(monkeypatch)
+        cfg = SolverConfig()
+        res = solve_ma_fixed_rhs(dens, bdry, cfg)
+        assert restarts == [start == "flat"]
+        assert res.newton_iters == len(calls)
+        assert res.residual < cfg.tol_inner
+        assert res.psh_defect <= np.sqrt(cfg.tol_inner)
 
     def test_negative_density_rejected(self):
         g = build_grid(unit_box(2), 7)
