@@ -11,9 +11,9 @@ under controlled variations; they return records (StudyRow,
 StabilityRow) and write no files, the CLI renders them.
 
 stability_experiment solves its perturbed densities as one family in
-delta (solvers.FrozenFamily), each started from the solved perturbations
-nearest to it; uniqueness_check keeps its independent starts, which are
-its point.
+delta (solvers.FrozenFamily), each started from the polynomial in delta
+through the perturbations solved before it; uniqueness_check keeps its
+independent starts, which are its point.
 """
 
 from __future__ import annotations
@@ -277,8 +277,9 @@ def stability_experiment(p: ProblemSpec, perturbations) -> StabilityTable:
     halve, and the last error is within 10 tol_inner + d_last.
 
     The base solve is the member delta = 0 of a FrozenFamily, and each
-    perturbed solve starts from the members solved before it.  Every
-    request is checked against the cap before the first solve.
+    perturbed solve starts from the polynomial in delta through the
+    members solved before it.  Every request is checked against the cap
+    before the first solve.
     """
     cfg = p.config
     grid = p.grid

@@ -176,7 +176,7 @@ def _verify_comparison(cfg, p):
     grid = p.grid
     norm_scale = 4.0 ** grid.n
     # every density is a constant c on one boundary: each solve starts
-    # from the solved members nearest in c
+    # from the polynomial in c through the solved members kept (at most 3)
     family = FrozenFamily(p.boundary, p.config)
     rows = []
     for _ in range(pairs):

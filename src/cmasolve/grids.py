@@ -20,6 +20,16 @@ second differences via
 using centered stencils: the classical 3-point formula on the diagonal and
 the nested 4-point cross formula for mixed terms.  Both are exact on
 quadratics, which makes every polynomial of degree <= 2 a useful oracle.
+
+second_difference and mixed_difference give those stencils one at a
+time.  _hessian_entries, which Newton's residual, ma_density and the
+checks all read, fuses them into one kernel that accumulates in place, as
+linsolve.hermitian_form_apply does: each diagonal pair of second
+differences shares one centre term, the four mixed terms come from two
+first differences, along axes 0 and 1, each entering two of them, and the
+factor 1/4 and the spacings fold into scalar weights.  Beyond its four
+outputs it holds one scratch array and the first-difference buffer, and
+it agrees with the composed stencils to rounding.
 """
 
 from __future__ import annotations
@@ -200,22 +210,65 @@ def mixed_difference(values: np.ndarray, ax_a: int, ax_b: int,
             + _shift(values, {ax_a: -1, ax_b: -1})) / (4.0 * h_a * h_b)
 
 
+def _cross_views(d: np.ndarray, axis: int):
+    """The two views whose difference centres `d` along `axis` (2 or 3).
+
+    `d` is a first difference along axis 0 or 1, already cut to the
+    interior of axes 0 and 1 and spanning axes 2 and 3 in full; both views
+    are cut to the interior block."""
+    plus = [slice(None), slice(None), slice(1, -1), slice(1, -1)]
+    minus = list(plus)
+    plus[axis], minus[axis] = slice(2, None), slice(None, -2)
+    return d[tuple(plus)], d[tuple(minus)]
+
+
 def _hessian_entries(vals: np.ndarray, h) -> tuple:
     """Real entries of H on the interior block: (H11,) for n = 1 and
-    (H11, H22, Re H12, Im H12) for n = 2; grids carry no other n."""
+    (H11, H22, Re H12, Im H12) for n = 2; grids carry no other n.
+
+    The fused kernel of the module docstring: second_difference and
+    mixed_difference composed by the formula there, to rounding.
+    """
     if vals.ndim not in (2, 4):
         raise GridError("complex Hessians are implemented for n in {1, 2}")
-    h11 = 0.25 * (second_difference(vals, 0, h[0])
-                  + second_difference(vals, 1, h[1]))
+    core = _shift(vals, {})
+    tmp = np.empty(core.shape)
+    entries = []
+    for a, b in ((0, 1), (2, 3))[:vals.ndim // 2]:
+        # 0.25 (u_aa + u_bb) = c [(u_+a + u_-a) + r (u_+b + u_-b)
+        # - 2 (1 + r) u] with c = 1 / (4 h_a^2) and r = h_a^2 / h_b^2: one
+        # centre term for the pair
+        r = (h[a] * h[a]) / (h[b] * h[b])
+        out = np.add(_shift(vals, {a: 1}), _shift(vals, {a: -1}))
+        np.add(_shift(vals, {b: 1}), _shift(vals, {b: -1}), out=tmp)
+        tmp *= r
+        out += tmp
+        np.multiply(core, 2.0 * (1.0 + r), out=tmp)
+        out -= tmp
+        out *= 0.25 / (h[a] * h[a])
+        entries.append(out)
     if vals.ndim == 2:
-        return (h11,)
-    h22 = 0.25 * (second_difference(vals, 2, h[2])
-                  + second_difference(vals, 3, h[3]))
-    re12 = 0.25 * (mixed_difference(vals, 0, 2, h[0], h[2])
-                   + mixed_difference(vals, 1, 3, h[1], h[3]))
-    im12 = 0.25 * (mixed_difference(vals, 0, 3, h[0], h[3])
-                   - mixed_difference(vals, 1, 2, h[1], h[2]))
-    return h11, h22, re12, im12
+        return tuple(entries)
+    # Re H12 = (u_02 + u_13) / 4 and Im H12 = (u_03 - u_12) / 4.  Each mixed
+    # term is a centred difference of a first difference over 4 h_j h_k;
+    # the axis-0 terms go in first, relative to the weight of their axis-1
+    # partner, so the axis-1 first difference reuses the buffer and is
+    # added in place.  The scratch array ends as Im H12
+    re12 = np.empty(core.shape)
+    d = np.subtract(vals[2:, 1:-1], vals[:-2, 1:-1])
+    for part, p, q in ((re12, 2, 3), (tmp, 3, 2)):
+        np.subtract(*_cross_views(d, p), out=part)
+        part *= (h[1] * h[q]) / (h[0] * h[p])
+    np.subtract(vals[1:-1, 2:], vals[1:-1, :-2], out=d)
+    plus, minus = _cross_views(d, 3)
+    re12 += plus
+    re12 -= minus
+    re12 *= 0.25 / (4.0 * h[1] * h[3])
+    plus, minus = _cross_views(d, 2)
+    tmp -= plus
+    tmp += minus
+    tmp *= 0.25 / (4.0 * h[1] * h[2])
+    return entries[0], entries[1], re12, tmp
 
 
 def _det_and_eigenvalues(entries) -> tuple:
@@ -224,11 +277,24 @@ def _det_and_eigenvalues(entries) -> tuple:
     if len(entries) == 1:
         return entries[0], entries[0], entries[0]
     h11, h22, re12, im12 = entries
-    off = re12 ** 2 + im12 ** 2
-    det = h11 * h22 - off
-    disc = np.sqrt(0.25 * (h11 - h22) ** 2 + off)
-    mean = 0.5 * (h11 + h22)
-    return det, mean - disc, mean + disc
+    # in place, in the operation order of det = h11 h22 - |H12|^2 and
+    # mean -+ sqrt(0.25 (h11 - h22)^2 + |H12|^2), so every bit, overflow
+    # included, is that of the formula; off's buffer ends as lambda_max
+    off = np.multiply(re12, re12)
+    disc = np.multiply(im12, im12)
+    off += disc
+    det = np.multiply(h11, h22)
+    det -= off
+    np.subtract(h11, h22, out=disc)
+    disc *= disc
+    disc *= 0.25
+    disc += off
+    np.sqrt(disc, out=disc)
+    np.add(h11, h22, out=off)
+    off *= 0.5
+    lam1 = np.subtract(off, disc)
+    off += disc
+    return det, lam1, off
 
 
 def ma_normalization(n: int) -> float:

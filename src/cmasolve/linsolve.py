@@ -28,7 +28,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, bicgstab
 
 from .errors import SolverError
-from .grids import Grid, _shift, second_difference
+from .grids import Grid, _cross_views, _shift, second_difference
 
 
 class LinearSolveError(SolverError):
@@ -92,18 +92,6 @@ def solve_poisson_system(grid: Grid, rhs: np.ndarray, boundary: np.ndarray,
 # where (a, g, br + i bi) are the entries of a Hermitian psd coefficient
 # matrix per interior node (the cofactor of the current complex Hessian)
 # and scale = 4^n n! / 4.
-
-def _cross_views(d: np.ndarray, axis: int):
-    """The two views whose difference centres `d` along `axis` (2 or 3).
-
-    `d` is a first difference along axis 0 or 1, already cut to the
-    interior of axes 0 and 1 and spanning axes 2 and 3 in full; both views
-    are cut to the interior block."""
-    plus = [slice(None), slice(None), slice(1, -1), slice(1, -1)]
-    minus = list(plus)
-    plus[axis], minus[axis] = slice(2, None), slice(None, -2)
-    return d[tuple(plus)], d[tuple(minus)]
-
 
 def hermitian_form_apply(full: np.ndarray, spacing, a, g, br, bi,
                          scale: float) -> np.ndarray:

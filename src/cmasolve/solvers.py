@@ -34,11 +34,14 @@ holds only the tolerances and iteration caps a caller chooses.
 
 FrozenFamily solves a one-parameter family of frozen-density problems on
 one boundary (natural-parameter continuation): each member starts from
-the members already solved, and a poor start falls back on a cold solve.
+the polynomial in the parameter through the members already solved (at
+most three, so at most quadratic), and a poor start falls back on a cold
+solve.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -447,12 +450,13 @@ class FrozenFamily:
     continuation).
 
     solve(t, g) solves with density g, the member at parameter t.  Its
-    start is the linear interpolation between the two solved members
-    that bracket t, else the nearest solved member; the first member
-    starts cold.  A poor prediction costs no more than a cold start:
-    _newton_solve restarts from the surrogate when Newton from it stalls,
-    hits its cap or loses psh-ness.  At most three members are kept; a
-    fourth drops the one farthest in parameter from the newest.
+    start is the polynomial in t through the solved members (at most
+    quadratic), which extrapolates beyond their range; a solved t starts
+    from its own member and the first member starts cold.  A poor
+    prediction costs no more than a cold start: _newton_solve restarts
+    from the surrogate when Newton from it stalls, hits its cap or loses
+    psh-ness.  At most three members are kept; a fourth drops the one
+    farthest in parameter from the newest.
     """
 
     KEEP = 3
@@ -464,20 +468,21 @@ class FrozenFamily:
         self.members: list[tuple[float, ScalarField]] = []
 
     def predict(self, t: float) -> ScalarField | None:
-        """The start of the member at t, or None when none is solved."""
+        """The start of the member at t, or None when none is solved: the
+        Lagrange polynomial in t through the solved members, exact on
+        members at most quadratic in t."""
         if not self.members:
             return None
-        below = [m for m in self.members if m[0] <= t]
-        above = [m for m in self.members if m[0] >= t]
-        if below and above:
-            t_lo, u_lo = max(below, key=lambda m: m[0])
-            t_hi, u_hi = min(above, key=lambda m: m[0])
-            if t_hi == t_lo:
-                return u_lo
-            w = (t - t_lo) / (t_hi - t_lo)
-            return ScalarField(self.boundary.grid,
-                               (1.0 - w) * u_lo.values + w * u_hi.values)
-        return min(self.members, key=lambda m: abs(m[0] - t))[1]
+        solved = dict(self.members)
+        if t in solved:
+            return solved[t]
+        if len(solved) == 1:
+            return self.members[0][1]
+        start = np.zeros(self.boundary.grid.shape)
+        for t_i, u_i in self.members:
+            start += math.prod((t - t_j) / (t_i - t_j)
+                               for t_j in solved if t_j != t_i) * u_i.values
+        return ScalarField(self.boundary.grid, start)
 
     def solve(self, t: float, g) -> MaSolveResult:
         t = float(t)

@@ -170,20 +170,21 @@ class TestDemaillyMax:
         assert rep.locus is None
 
     def test_forms_one_hessian_per_field(self, monkeypatch):
-        # u1, u2 and their smoothed maximum: 3 Hessians of 8 stencils each
-        # at n = 2, the inputs' psh pre-checks reading their density's
+        # u1, u2 and their smoothed maximum: 3 Hessians, the inputs' psh
+        # pre-checks reading their density's; the checks call the kernel
+        # directly and ma_density through grids
         calls = []
-        for name in ("second_difference", "mixed_difference"):
-            stencil = getattr(grids, name)
+        kernel = grids._hessian_entries
 
-            def counted(*args, _stencil=stencil, **kwargs):
-                calls.append(1)
-                return _stencil(*args, **kwargs)
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
 
-            monkeypatch.setattr(grids, name, counted)
+        for module in (grids, checks):
+            monkeypatch.setattr(module, "_hessian_entries", counted)
         u1, u2 = self.crossing_pair(res=9)
         assert demailly_max_check(u1, u2, 0.05).passed
-        assert len(calls) == 24
+        assert len(calls) == 3
 
     def test_non_psh_input_rejected(self):
         grid = build_grid(unit_box(2), 7)

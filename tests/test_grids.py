@@ -263,6 +263,40 @@ class TestHessianKernel:
         assert (np.abs(lam2 - ref_top).max()
                 <= 1e-14 * np.abs(ref_top).max())
 
+    @staticmethod
+    def random_box_grid(n, data):
+        """An anisotropic box with a resolution of its own per axis."""
+        lo = data.draw(st.lists(st.floats(-1.0, 0.0), min_size=2 * n,
+                                max_size=2 * n))
+        width = data.draw(st.lists(st.floats(0.2, 2.0), min_size=2 * n,
+                                   max_size=2 * n))
+        res = data.draw(st.lists(st.integers(5, 9), min_size=2 * n,
+                                 max_size=2 * n))
+        box = Box(lo=tuple(lo), hi=tuple(a + w for a, w in zip(lo, width)))
+        return build_grid(box, tuple(res))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([1, 2]), st.integers(0, 2 ** 32 - 1), st.data())
+    def test_fused_kernel_is_the_composed_stencils(self, n, seed, data):
+        g = self.random_box_grid(n, data)
+        u = ScalarField(g, np.random.default_rng(seed).standard_normal(
+            g.shape))
+        ref = complex_matrix_hessian(u)
+        assert np.abs(hessian_matrix(u) - ref).max() \
+            <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.data())
+    def test_fused_kernel_overflow_reads_inf(self, seed, data):
+        # 1e300 (|x|^2 + noise): det H and (h11 - h22)^2 overflow at every
+        # node, and no floating-point warning escapes ma_density
+        g = self.random_box_grid(2, data)
+        noise = np.random.default_rng(seed).standard_normal(g.shape)
+        r2 = (g.points() ** 2).sum(axis=-1)
+        dens, defect = ma_density(ScalarField(g, 1e300 * (r2 + 1e-6 * noise)))
+        assert np.all(dens == np.inf) and defect == np.inf
+
     def test_n3_grid_rejected(self):
         g = build_grid(unit_box(3), 5)
         u = ScalarField(g, np.zeros(g.shape))

@@ -385,13 +385,28 @@ class TestFrozenFamily:
         assert np.abs(family.predict(3.0).values - cold.values).max() \
             <= 10 * cfg.tol_inner
 
-    def test_outside_the_bracket_the_nearest_member(self):
+    @pytest.mark.parametrize("t", [-0.4, 0.7, 1.5, 5.0])
+    def test_start_is_exact_on_quadratic_members(self, t):
+        # u(t) = a + t b + t^2 c through three members: the start is u(t)
+        # inside their range and outside it
+        family, a, b = self.affine_members([])
+        g = family.boundary.grid
+        c = np.sin(2.0 * g.points()).sum(axis=-1)
+        family.members = [(s, ScalarField(g, a + s * b + s * s * c))
+                          for s in (0.0, 1.0, 2.0)]
+        start = family.predict(t).values
+        expected = a + t * b + t * t * c
+        assert np.abs(start - expected).max() <= 1e-13 * (
+            1.0 + np.abs(expected).max())
+
+    def test_solved_or_only_member_is_the_start(self):
         family, _, _ = self.affine_members([0.0, 1.0, 2.0])
         members = dict(family.members)
-        assert family.predict(-0.4) is members[0.0]
-        assert family.predict(5.0) is members[2.0]
         for t in (0.0, 1.0, 2.0):
             assert family.predict(t) is members[t]
+        family.members = family.members[1:2]
+        assert family.predict(-3.0) is members[1.0]
+        assert family.predict(4.0) is members[1.0]
 
     def test_first_member_starts_cold(self, monkeypatch):
         g = build_grid(unit_box(1), 9)
