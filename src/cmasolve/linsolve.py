@@ -16,7 +16,12 @@ read-only, by every preconditioner.  The Newton correction systems
 for n = 2 carry variable coefficients and mixed second derivatives, so
 those are solved with BiCGStab preconditioned by the same sine-basis
 inverse of a constant-coefficient surrogate; their operator is applied by
-one fused stencil kernel that accumulates in place.
+one fused stencil kernel that accumulates in place.  The BiCGStab is the
+module's own: scipy.sparse.linalg.bicgstab's recurrences, breakdown tests
+and operation order, so its iterates are scipy's bit for bit, but it holds
+only the vectors its recurrences need, reads the right-hand side as the
+shadow residual, and lets each vector go before the operator forms the
+next.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, bicgstab
 
 from .errors import SolverError
 from .grids import Grid, _cross_views, _shift, second_difference
@@ -205,6 +209,71 @@ def make_sine_preconditioner(grid: Grid, s_pairs) -> "callable":
     return apply
 
 
+def bicgstab(matvec, psolve, b: np.ndarray, rtol: float,
+             maxiter: int) -> tuple:
+    """Solve A x = b from x = 0 by right-preconditioned BiCGStab; returns
+    (x, info).
+
+    scipy.sparse.linalg.bicgstab with atol 0: the same recurrences,
+    breakdown tests and operation order, so x and info are scipy's bit for
+    bit (info 0 when converged, maxiter on a miss, -10 or -11 on a rho or
+    omega breakdown; a zero b is returned as x).  b is only read, and
+    serves as the shadow residual; s is r itself, since scipy's s is a
+    copy of r that is read before r moves on.  matvec and psolve return
+    new arrays, which it owns: each vector is let go as soon as it is
+    spent, before the operator or psolve forms the next, and a vector
+    whose last use is a scaled update is scaled in place first.
+    """
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0:
+        return b, 0
+    atol = rtol * float(bnorm)
+    breakdown = np.finfo(np.float64).eps ** 2
+    x = np.zeros_like(b)
+    r = b.copy()
+    for iteration in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, 0
+        rho = np.dot(b, r)
+        if np.abs(rho) < breakdown:
+            return x, -10
+        if iteration == 0:
+            p = r.copy()
+        else:
+            if np.abs(omega) < breakdown:
+                return x, -11
+            beta = (rho / rho_prev) * (alpha / omega)
+            v *= omega
+            p -= v
+            del v
+            p *= beta
+            p += r
+        phat = psolve(p)
+        v = matvec(phat)
+        rv = np.dot(b, v)
+        if rv == 0:
+            return x, -11
+        alpha = rho / rv
+        r -= alpha * v
+        # x is read nowhere before scipy adds alpha phat and omega shat in
+        # turn, so alpha phat goes in now and phat is let go
+        phat *= alpha
+        x += phat
+        del phat
+        if np.linalg.norm(r) < atol:
+            return x, 0
+        shat = psolve(r)
+        t = matvec(shat)
+        omega = np.dot(t, r) / np.dot(t, t)
+        shat *= omega
+        x += shat
+        t *= omega
+        r -= t
+        del shat, t
+        rho_prev = rho
+    return x, maxiter
+
+
 # the Newton correction solves are inexact: a correction only needs to
 # beat the line search's damping granularity, and the Newton loop measures
 # the true nonlinear residual anyway, so a 1e-3 relative solve changes
@@ -220,17 +289,17 @@ def solve_hermitian_system(grid: Grid, coeffs, rhs: np.ndarray,
                            scale: float) -> np.ndarray:
     """Solve L v = rhs with zero Dirichlet data; returns interior values.
 
-    coeffs = (a, g, br, bi) per interior node.  BiCGStab with the sine
-    preconditioner, to CORRECTION_RTOL within CORRECTION_MAXITER steps.
-    A solve that BiCGStab reports converged is returned as is; only when
-    it reports a miss is the true relative residual formed (one more
-    operator application), and the solve raises if that residual is
-    above CORRECTION_ACCEPT_RTOL.
+    coeffs = (a, g, br, bi) per interior node.  The module's BiCGStab with
+    the sine preconditioner, to CORRECTION_RTOL within CORRECTION_MAXITER
+    steps; rhs is only read (it is the shadow residual).  A solve that
+    BiCGStab reports converged is returned as is; only when it reports a
+    miss is the true relative residual formed (one more operator
+    application), and the solve raises if that residual is above
+    CORRECTION_ACCEPT_RTOL.
     """
     a, g, br, bi = coeffs
     core = grid.interior
     interior = grid.interior_shape
-    size = int(np.prod(interior))
     s_pairs = (scale * max(float(a.mean()), 1e-300),
                scale * max(float(g.mean()), 1e-300))
     precond = make_sine_preconditioner(grid, s_pairs)
@@ -256,14 +325,12 @@ def solve_hermitian_system(grid: Grid, coeffs, rhs: np.ndarray,
         z *= inv_s
         return z.ravel()
 
-    A = LinearOperator((size, size), matvec=matvec, dtype=np.float64)
-    M = LinearOperator((size, size), matvec=psolve, dtype=np.float64)
     b = rhs.ravel()
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros(interior)
-    x, info = bicgstab(A, b, rtol=CORRECTION_RTOL, atol=0.0,
-                       maxiter=CORRECTION_MAXITER, M=M)
+    x, info = bicgstab(matvec, psolve, b, rtol=CORRECTION_RTOL,
+                       maxiter=CORRECTION_MAXITER)
     if info != 0:
         achieved = float(np.linalg.norm(b - matvec(x)) / bnorm)
         if achieved > CORRECTION_ACCEPT_RTOL:

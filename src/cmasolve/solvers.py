@@ -162,7 +162,10 @@ def solve_poisson(g, boundary: ScalarField,
 #   evaluate(u)         (sup residual, lambda_min or None, state) at u;
 #                       None skips the eigenvalue guard and the psh test;
 #   correct(u, state, rsup)   the Newton correction at the unknowns; each
-#                       state is passed to it once and may be spent;
+#                       state is passed to it once and is spent there:
+#                       correct may form its system in the state's arrays
+#                       and empty it, and no other trial's state, nor the
+#                       previous correction, is held through the call;
 #   cold(cfg)           a solve from the backend's own start, returning
 #                       what _newton_stage returns.
 
@@ -192,27 +195,11 @@ def _newton_stage(backend, u: np.ndarray, stage_tol: float,
             if iters >= cfg.max_newton:
                 raise NewtonIterationError(rsup, u)
             iters += 1
-            delta = backend.correct(u, state, rsup)
-
-            step = fallback = None
-            alpha = 1.0
-            while alpha >= MIN_STEP:
-                trial = u.copy()
-                trial[backend.index] += alpha * delta
-                t_rsup, t_lam1, t_state = backend.evaluate(trial)
-                if t_rsup <= (1.0 - 1e-4 * alpha) * rsup:
-                    # never ask a trial to be more psh than its starting
-                    # point: from the surrogate (lam1 far below the guard)
-                    # shorter steps would fail the guard too, to MIN_STEP
-                    if t_lam1 is None or t_lam1 >= min(guard, lam1):
-                        step = (trial, t_rsup, t_lam1, t_state)
-                        break
-                    if fallback is None:
-                        fallback = (trial, t_rsup, t_lam1, t_state)
-                alpha *= DAMPING
-            # every decreasing trial made lam1 worse than the guard and the
-            # iterate's own: take the first of them, psh_defect reports it
-            step = step or fallback
+            # the correction and the rejected trials live only in the line
+            # search's frame, so none of them is alive through the next
+            # correction's Krylov solve
+            step = _line_search(backend, u, backend.correct(u, state, rsup),
+                                rsup, lam1, guard)
             if step is None:
                 raise NewtonStagnationError(rsup, u, "line search")
             u, rsup, lam1, state = step
@@ -220,6 +207,30 @@ def _newton_stage(backend, u: np.ndarray, stage_tol: float,
         err.iters = iters
         raise
     return u, rsup, iters, lam1
+
+
+def _line_search(backend, u, delta, rsup: float, lam1, guard: float):
+    """The trial u + alpha delta that _newton_stage takes, with what
+    evaluate returned at it, as (trial, rsup, lambda_min, state); None when
+    no alpha down to MIN_STEP decreases the residual."""
+    fallback = None
+    alpha = 1.0
+    while alpha >= MIN_STEP:
+        trial = u.copy()
+        trial[backend.index] += alpha * delta
+        t_rsup, t_lam1, t_state = backend.evaluate(trial)
+        if t_rsup <= (1.0 - 1e-4 * alpha) * rsup:
+            # never ask a trial to be more psh than its starting point:
+            # from the surrogate (lam1 far below the guard) shorter steps
+            # would fail the guard too, to MIN_STEP
+            if t_lam1 is None or t_lam1 >= min(guard, lam1):
+                return trial, t_rsup, t_lam1, t_state
+            if fallback is None:
+                fallback = (trial, t_rsup, t_lam1, t_state)
+        alpha *= DAMPING
+    # every decreasing trial made lam1 worse than the guard and the
+    # iterate's own: take the first of them, psh_defect reports it
+    return fallback
 
 
 def _newton_solve(backend, cfg: SolverConfig, init: np.ndarray | None = None):
@@ -251,42 +262,55 @@ def _newton_solve(backend, cfg: SolverConfig, init: np.ndarray | None = None):
 # -- the n = 2 grid backend ---------------------------------------------------
 
 def _floored_cofactor(entries, lam1, lam2, floor: float) -> tuple:
-    """Coefficients of cof(H) with H's eigenvalues floored at `floor`.
+    """Coefficients of cof(H) with H's eigenvalues floored at `floor`,
+    formed over H's spent entries (h11, h22, Re H12, Im H12) and lam2,
+    and returned as those entry buffers.
 
     lam1 <= lam2 are H's eigenvalues per node.  For 2x2 Hermitian H the
-    cofactor is tr(H) I - H with eigenvalues swapped relative to H, so
-    flooring H's spectrum floors the cofactor's.  Keeps the linearized
-    operator uniformly elliptic near degeneracy.
+    cofactor [[h22, -H12], [-conj H12, h11]] is tr(H) I - H with
+    eigenvalues swapped relative to H, so flooring H's spectrum floors the
+    cofactor's; it is H's entries relabelled, with H12's sign flipped.
+    Keeps the linearized operator uniformly elliptic near degeneracy.
     """
     h11, h22, re12, im12 = entries
-    a11 = h22.copy()
-    a22 = h11.copy()
-    ar = -re12.copy()
-    ai = -im12.copy()
-
     both = lam2 < floor
     one = (~both) & (lam1 < floor)
     if np.any(one):
-        # add (floor - lam1) times the projector onto the lam2 eigenspace
-        gap = np.where(one, lam2 - lam1, 1.0)
-        w = np.where(one, (floor - lam1) / gap, 0.0)
-        a11 += w * (h11 - lam1)
-        a22 += w * (h22 - lam1)
-        ar += w * re12
-        ai += w * im12
+        # add (floor - lam1) times the projector onto the lam2 eigenspace,
+        # w (H - lam1 I), to the cofactor.  gap, and then w (h11 - lam1),
+        # go in lam2's buffer; w is the one scratch array
+        gap = np.subtract(lam2, lam1, out=lam2)
+        np.copyto(gap, 1.0, where=~one)
+        w = np.subtract(floor, lam1)
+        w /= gap
+        np.copyto(w, 0.0, where=~one)
+        dh = np.subtract(h11, lam1, out=gap)
+        dh *= w
+        h11 += w * (h22 - lam1)
+        h22 += dh
+        np.multiply(w, re12, out=dh)
+        np.negative(re12, out=re12)
+        re12 += dh
+        w *= im12
+        np.negative(im12, out=im12)
+        im12 += w
+    else:
+        np.negative(re12, out=re12)
+        np.negative(im12, out=im12)
     if np.any(both):
-        a11 = np.where(both, floor, a11)
-        a22 = np.where(both, floor, a22)
-        ar = np.where(both, 0.0, ar)
-        ai = np.where(both, 0.0, ai)
-    return a11, a22, ar, ai
+        for c, value in ((h22, floor), (h11, floor), (re12, 0.0),
+                         (im12, 0.0)):
+            np.copyto(c, value, where=both)
+    return h22, h11, re12, im12
 
 
 def _policy_coefficients(entries, lam1) -> tuple:
     """Coefficients of xi xi*, xi H's lambda_min eigenvector per node: (b,
     lam1 - h11) where h11 >= h22, else (lam1 - h22, conj b), with b = H12.
     Either way conj(xi1) xi2 = conj(b) k for the real k below, so every
-    coefficient is real.  At an umbilic node (H = lam1 I) xi = (1, 0)."""
+    coefficient is real.  At an umbilic node (H = lam1 I) xi = (1, 0).
+    They are formed over H's spent entries and returned as those buffers.
+    """
     h11, h22, re12, im12 = entries
     k = lam1 - np.maximum(h11, h22)
     off = re12 ** 2 + im12 ** 2
@@ -295,11 +319,16 @@ def _policy_coefficients(entries, lam1) -> tuple:
     umbilic = length == 0.0
     length[umbilic] = 1.0
     first = h11 >= h22
-    a = np.where(first, off, kk) / length
-    g = np.where(first, kk, off) / length
-    a[umbilic] = 1.0
+    # a = (off where first, else kk) / length and g the other way round
+    for c, picked, other in ((h11, off, kk), (h22, kk, off)):
+        np.copyto(c, other)
+        np.copyto(c, picked, where=first)
+        c /= length
+    h11[umbilic] = 1.0
     k /= length
-    return a, g, re12 * k, im12 * k
+    re12 *= k
+    im12 *= k
+    return h11, h22, re12, im12
 
 
 class _GridNewton:
@@ -311,8 +340,10 @@ class _GridNewton:
     iteration, with residual 32 max(|det H|, |lambda_min|) and correction
     xi* H[delta] xi = -lambda_min.  One correction solve takes both, the
     det rows scaled by 1/32.  Zero rows are found once: a positive density
-    keeps no mask, and a zero one (f) forms no cofactor.  The state is
-    (entries, eigenvalues, residual or None)."""
+    keeps no mask, and a zero one (f) forms no cofactor.  The state is the
+    list [entries, lambda_min, lambda_max or None, residual or None];
+    correct forms the coefficients and right-hand side in its arrays and
+    empties it."""
 
     def __init__(self, density: np.ndarray, boundary: ScalarField):
         self.grid = boundary.grid
@@ -334,39 +365,53 @@ class _GridNewton:
         if zero is True:
             rsup = self.norm * max(float(np.abs(det).max()),
                                    float(np.abs(lam1).max()))
-            return rsup, float(lam1.min()), (entries, [lam1], None)
-        resid = np.subtract(self.norm * det, self.density)
+            return rsup, float(lam1.min()), [entries, lam1, None, None]
+        resid = det
+        resid *= self.norm
+        resid -= self.density
         rsup = float(np.abs(resid).max())
         if zero is not False:
             # a zero row's resid is already 32 det H
             rsup = max(rsup, self.norm * float(np.abs(lam1[zero]).max()))
-        return rsup, float(lam1.min()), (entries, [lam1, lam2], resid)
+        return rsup, float(lam1.min()), [entries, lam1, lam2, resid]
 
     def correct(self, u, state, rsup):
-        entries, eigs, resid = state
+        coeffs, rhs = self._system(*state, rsup)
+        # the system is formed in the state's arrays: emptying the state
+        # lets go of the eigenvalues, so the Krylov solve's peak memory
+        # holds no Hessian or eigenvalue array beyond coeffs and rhs
+        state.clear()
+        return solve_hermitian_system(self.grid, coeffs, rhs, scale=0.25)
+
+    def _system(self, entries, lam1, lam2, resid, rsup):
+        """(coefficients, right-hand side) of the correction, in the
+        state's buffers: the entries, and the residual or, for f,
+        lambda_min's."""
         zero = self.zero
         if zero is True:
-            coeffs, resid = _policy_coefficients(entries, eigs[0]), -eigs[0]
-        else:
-            # residual-proportional eigenvalue floor: near degenerate
-            # limits the cofactor loses rank and unfloored steps degrade
-            # to the Krylov solver's accept threshold; tying the floor to
-            # the current defect keeps the linearization uniformly
-            # invertible while vanishing at the solution.  rsup is in det
-            # units, so far from the solution it is capped at the density's
-            # own eigenvalue scale: a floor above every eigenvalue of H
-            # turns the step into a short Laplacian one
-            floor = max(PSD_FLOOR, min(rsup / self.norm, self.cap))
-            coeffs = _floored_cofactor(entries, *eigs, floor)
-            resid /= -self.norm
-            if zero is not False:
-                coeffs = tuple(np.where(zero, p, c) for p, c in zip(
-                    _policy_coefficients(entries, eigs[0]), coeffs))
-                resid = np.where(zero, -eigs[0], resid)
-        # the state is spent once the coefficients are formed: dropping
-        # the eigenvalues keeps them out of the Krylov solve's peak memory
-        eigs.clear()
-        return solve_hermitian_system(self.grid, coeffs, resid, scale=0.25)
+            coeffs = _policy_coefficients(entries, lam1)
+            return coeffs, np.negative(lam1, out=lam1)
+        if zero is not False:
+            # the zero rows' policy coefficients, from compact copies of
+            # their entries before the cofactor overwrites them
+            policy = _policy_coefficients(tuple(e[zero] for e in entries),
+                                          lam1[zero])
+        # residual-proportional eigenvalue floor: near degenerate limits
+        # the cofactor loses rank and unfloored steps degrade to the
+        # Krylov solver's accept threshold; tying the floor to the current
+        # defect keeps the linearization uniformly invertible while
+        # vanishing at the solution.  rsup is in det units, so far from
+        # the solution it is capped at the density's own eigenvalue scale:
+        # a floor above every eigenvalue of H turns the step into a short
+        # Laplacian one
+        floor = max(PSD_FLOOR, min(rsup / self.norm, self.cap))
+        coeffs = _floored_cofactor(entries, lam1, lam2, floor)
+        resid /= -self.norm
+        if zero is not False:
+            for c, p in zip(coeffs, policy):
+                c[zero] = p
+            resid[zero] = -lam1[zero]
+        return coeffs, resid
 
     def _bumped(self, ring: np.ndarray, cfg: SolverConfig):
         # lap u = 4n (dens/norm)^(1/n) at n = 2, the isotropic surrogate

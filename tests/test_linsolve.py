@@ -4,6 +4,8 @@ Krylov solve of the Newton corrections."""
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import LinearOperator
+from scipy.sparse.linalg import bicgstab as scipy_bicgstab
 
 from cmasolve.grids import (
     Box,
@@ -222,3 +224,53 @@ class TestHermitianSolve:
             solve_hermitian_system(grid, coeffs, rhs, self.scale)
         assert 1e-14 < exc.value.residual < 1.0
         assert f"{exc.value.residual:.3e}" in str(exc.value)
+
+
+class TestBicgstab:
+    """linsolve.bicgstab is scipy.sparse.linalg.bicgstab (atol 0) bit for
+    bit, in x and in info, on the correction solve's own operator and
+    preconditioner."""
+
+    scale = TestHermitianSolve.scale
+
+    def operators(self, grid, coeffs):
+        a, g, br, bi = coeffs
+        work = np.zeros(grid.shape)
+        inverse = make_sine_preconditioner(
+            grid, (self.scale * a.mean(), self.scale * g.mean()))
+
+        def matvec(v):
+            work[grid.interior] = v.reshape(grid.interior_shape)
+            return hermitian_form_apply(work, grid.spacing, *coeffs,
+                                        self.scale).ravel()
+
+        def psolve(v):
+            return inverse(v.reshape(grid.interior_shape)).ravel()
+
+        return matvec, psolve
+
+    @pytest.mark.parametrize("rtol, maxiter, zero, want_info", [
+        (1e-3, 500, False, 0),
+        (1e-8, 500, False, 0),
+        (1e-3, 1, False, 1),
+        (1e-3, 500, True, 0),
+    ], ids=["rtol1e-3", "rtol1e-8", "capped-miss", "zero-rhs"])
+    def test_reproduces_scipy(self, rtol, maxiter, zero, want_info):
+        grid, coeffs, rhs = TestHermitianSolve().system()
+        if zero:
+            rhs = np.zeros_like(rhs)
+        matvec, psolve = self.operators(grid, coeffs)
+        b = rhs.ravel()
+        n = b.size
+        want, info = scipy_bicgstab(
+            LinearOperator((n, n), matvec=matvec, dtype=np.float64),
+            b.copy(), rtol=rtol, atol=0.0, maxiter=maxiter,
+            M=LinearOperator((n, n), matvec=psolve, dtype=np.float64))
+        assert info == want_info
+        kept = b.copy()
+        got, got_info = linsolve.bicgstab(matvec, psolve, b, rtol=rtol,
+                                          maxiter=maxiter)
+        assert got_info == info
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        # b is only read: it is the shadow residual
+        assert np.array_equal(b, kept)

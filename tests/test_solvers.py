@@ -1,13 +1,17 @@
 """Poisson and fixed-density Monge-Ampere solves."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cmasolve.solvers
 from cmasolve.grids import (
     ScalarField,
+    _det_and_eigenvalues,
     build_grid,
     ma_density,
     unit_box,
@@ -26,7 +30,10 @@ from cmasolve.solvers import (
     NewtonIterationError,
     NewtonStagnationError,
     SolverConfig,
+    _floored_cofactor,
+    _GridNewton,
     _newton_stage,
+    _policy_coefficients,
     maximal_extension,
     solve_ma_fixed_rhs,
     solve_poisson,
@@ -671,3 +678,198 @@ class TestMaximalExtension:
         g = build_grid(unit_box(2), 9)
         with pytest.raises(NewtonStagnationError, match="line search"):
             maximal_extension(sq_norm_minus_one(g))
+
+
+# -- the correction system, formed in the spent state -------------------------
+#
+# The copying formulas that _floored_cofactor, _policy_coefficients and the
+# merge of zero and positive rows replaced, kept as their reference.
+
+def reference_floored_cofactor(entries, lam1, lam2, floor):
+    h11, h22, re12, im12 = entries
+    a11 = h22.copy()
+    a22 = h11.copy()
+    ar = -re12.copy()
+    ai = -im12.copy()
+    both = lam2 < floor
+    one = (~both) & (lam1 < floor)
+    if np.any(one):
+        gap = np.where(one, lam2 - lam1, 1.0)
+        w = np.where(one, (floor - lam1) / gap, 0.0)
+        a11 += w * (h11 - lam1)
+        a22 += w * (h22 - lam1)
+        ar += w * re12
+        ai += w * im12
+    if np.any(both):
+        a11 = np.where(both, floor, a11)
+        a22 = np.where(both, floor, a22)
+        ar = np.where(both, 0.0, ar)
+        ai = np.where(both, 0.0, ai)
+    return a11, a22, ar, ai
+
+
+def reference_policy_coefficients(entries, lam1):
+    h11, h22, re12, im12 = entries
+    k = lam1 - np.maximum(h11, h22)
+    off = re12 ** 2 + im12 ** 2
+    kk = k * k
+    length = off + kk
+    umbilic = length == 0.0
+    length[umbilic] = 1.0
+    first = h11 >= h22
+    a = np.where(first, off, kk) / length
+    g = np.where(first, kk, off) / length
+    a[umbilic] = 1.0
+    k /= length
+    return a, g, re12 * k, im12 * k
+
+
+def reference_system(backend, entries, lam1, lam2, resid, rsup):
+    zero = backend.density == 0.0
+    if zero.all():
+        return reference_policy_coefficients(entries, lam1), -lam1
+    floor = max(PSD_FLOOR, min(rsup / backend.norm, backend.cap))
+    coeffs = reference_floored_cofactor(entries, lam1, lam2, floor)
+    resid = resid / -backend.norm
+    if zero.any():
+        coeffs = tuple(np.where(zero, p, c) for p, c in zip(
+            reference_policy_coefficients(entries, lam1), coeffs))
+        resid = np.where(zero, -lam1, resid)
+    return coeffs, resid
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape
+            and np.array_equal(got.view(np.int64), want.view(np.int64)))
+
+
+def hermitian_entries(rng, size):
+    """(h11, h22, Re H12, Im H12) of random 2x2 Hermitian matrices: a
+    quarter umbilic (H = lam I), a quarter singular, the rest with spread
+    eigenvalues of either sign."""
+    lam = np.sort(rng.normal(0.0, 3.0, (2, size)), axis=0)
+    kind = rng.integers(0, 4, size)
+    lam[0, kind == 1] = 0.0
+    lam[1, kind == 1] = np.abs(lam[1, kind == 1])
+    lam[1, kind == 0] = lam[0, kind == 0]
+    theta = rng.uniform(0.0, np.pi, size)
+    phase = rng.uniform(0.0, 2.0 * np.pi, size)
+    # H = lam1 v1 v1* + lam2 v2 v2*, v1 = (cos theta, e^{i phase} sin theta)
+    c, s = np.cos(theta), np.sin(theta)
+    h11 = lam[0] * c * c + lam[1] * s * s
+    h22 = lam[0] * s * s + lam[1] * c * c
+    h12 = (lam[0] - lam[1]) * c * s * np.exp(-1j * phase)
+    h11[kind == 0] = h22[kind == 0] = lam[0, kind == 0]
+    h12[kind == 0] = 0.0
+    return h11, h22, h12.real.copy(), h12.imag.copy()
+
+
+class TestCorrectionSystemInPlace:
+    """The coefficients and right-hand side of a grid Newton correction
+    are the copying formulas' bit for bit, formed in the state's
+    buffers."""
+
+    # q = 0 puts no eigenvalue below the floor, q = 1 nearly every one
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 64),
+           q=st.floats(0.0, 1.0))
+    @example(seed=3, size=64, q=0.0)
+    @example(seed=3, size=64, q=0.5)
+    @example(seed=3, size=64, q=1.0)
+    def test_floored_cofactor_is_the_copying_formula(self, seed, size, q):
+        entries = hermitian_entries(np.random.default_rng(seed), size)
+        _, lam1, lam2 = _det_and_eigenvalues(entries)
+        floor = float(np.quantile(np.concatenate([lam1, lam2]), q))
+        want = reference_floored_cofactor(entries, lam1, lam2, floor)
+        kept = lam1.copy()
+        got = _floored_cofactor(entries, lam1, lam2, floor)
+        h11, h22, re12, im12 = entries
+        assert [id(c) for c in got] == [id(h22), id(h11), id(re12),
+                                        id(im12)]
+        for g_, w_ in zip(got, want):
+            assert same_bits(g_, w_)
+        assert same_bits(lam1, kept)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 64))
+    def test_policy_coefficients_are_the_copying_formula(self, seed, size):
+        entries = hermitian_entries(np.random.default_rng(seed), size)
+        _, lam1, _ = _det_and_eigenvalues(entries)
+        want = reference_policy_coefficients(entries, lam1)
+        kept = lam1.copy()
+        got = _policy_coefficients(entries, lam1)
+        assert [id(c) for c in got] == [id(e) for e in entries]
+        for g_, w_ in zip(got, want):
+            assert same_bits(g_, w_)
+        assert same_bits(lam1, kept)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           zero_share=st.sampled_from([0.0, 0.3, 1.0]))
+    def test_correct_spends_the_state(self, seed, zero_share):
+        # zero_share 0 is a positive density, 1 is f's and 0.3 mixes zero
+        # and positive rows
+        grid = build_grid(unit_box(2), 5)
+        rng = np.random.default_rng(seed)
+        density = 50.0 * rng.random(grid.interior_shape)
+        density[rng.random(grid.interior_shape) < zero_share] = 0.0
+        u = (sq_norm_minus_one(grid).values
+             + 0.05 * rng.standard_normal(grid.shape))
+        backend = _GridNewton(density, ScalarField(grid, u))
+        rsup, _, state = backend.evaluate(u)
+        entries, lam1, lam2, resid = state
+        want_coeffs, want_rhs = reference_system(
+            backend, [e.copy() for e in entries], lam1.copy(),
+            *(None if a is None else a.copy() for a in (lam2, resid)), rsup)
+        systems = []
+
+        def captured(grid_, coeffs, rhs, scale):
+            systems.append((coeffs, rhs, scale))
+            return np.zeros(grid_.interior_shape)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cmasolve.solvers, "solve_hermitian_system", captured)
+            backend.correct(u, state, rsup)
+        assert state == []
+        (coeffs, rhs, scale), = systems
+        assert scale == 0.25
+        assert sorted(map(id, coeffs)) == sorted(map(id, entries))
+        assert rhs is (lam1 if zero_share == 1.0 else resid)
+        for g_, w_ in zip(coeffs, want_coeffs):
+            assert same_bits(g_, w_)
+        assert same_bits(rhs, want_rhs)
+
+
+class TestPeakMemory:
+    """Live memory of the grid Newton correction, counted in arrays of the
+    interior's size: n = 2 grids are four-dimensional, so this count
+    times res^4 sets the resolution at which a solve runs out of memory."""
+
+    # the traced peak read 21.6 interior arrays (numpy 2.4); the bound
+    # allows two more.  It read 30.6 while the correction kept the spent
+    # Hessian, copies of it and scipy's BiCGStab's extra vectors alive
+    WARM_MEMBER_ARRAYS = 21.6 + 2.0
+
+    def test_warm_member_solve_peak(self):
+        grid = build_grid(unit_box(2), 17)
+        boundary = sq_norm_minus_one(grid)
+        r2 = boundary.values[grid.interior] + 1.0
+        base = 32.0 * np.exp(1.0 - r2)
+        family = FrozenFamily(boundary)
+        family.solve(0.0, base)
+        density = base * (1.0 + 0.5 * np.sin(np.pi * r2))
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        try:
+            res = family.solve(0.5, density)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert res.residual < SolverConfig().tol_inner
+        arrays = peak / (8 * np.prod(grid.interior_shape))
+        assert arrays <= self.WARM_MEMBER_ARRAYS
