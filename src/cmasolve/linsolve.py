@@ -22,6 +22,18 @@ and operation order, so its iterates are scipy's bit for bit, but it holds
 only the vectors its recurrences need, reads the right-hand side as the
 shadow residual, and lets each vector go before the operator forms the
 next.
+
+The correction solves run in single precision; the Poisson solves stay in
+double.  A Newton correction is only asked for a 1e-3 relative residual
+(an inexact Newton step, Dembo, Eisenstat & Steihaug, SIAM J. Numer.
+Anal. 19, 1982), four orders of magnitude above float32's round-off,
+while the residual that decides convergence is formed in float64 by the
+Newton loop (Carson & Higham, SIAM J. Sci. Comput. 40, 2018).  The stencil
+and the sine transforms are bound by memory traffic, so float32 halves
+the bytes every Krylov iteration moves.  Coefficients and right-hand side
+are scaled by powers of two into float32's range, which is exact.  The
+Poisson solve is a direct solve refined to about 1e-13, which float32
+cannot reach.
 """
 
 from __future__ import annotations
@@ -107,12 +119,15 @@ def hermitian_form_apply(full: np.ndarray, spacing, a, g, br, bi,
     derivatives it enters.  scale and the spacings are folded into scalar
     weights, so no per-node weight array is formed.
     """
-    h = spacing
+    # the weights are Python floats and the scratch takes full's dtype, so
+    # a single-precision operator forms no double-precision temporary
+    scale = float(scale)
+    h = [float(hk) for hk in spacing]
     c = [scale / (hk * hk) for hk in h]
     core = _shift(full, {})
-    out = np.empty(core.shape)
-    acc = np.empty(core.shape)
-    tmp = np.empty(core.shape)
+    out = np.empty(core.shape, full.dtype)
+    acc = np.empty(core.shape, full.dtype)
+    tmp = np.empty(core.shape, full.dtype)
     # a (v_x1x1 + v_y1y1) + g (v_x2x2 + v_y2y2)
     for coef, axes, dst in ((a, (0, 1), out), (g, (2, 3), acc)):
         np.multiply(core, -2.0 * (c[axes[0]] + c[axes[1]]), out=dst)
@@ -158,14 +173,19 @@ def _sine_eigenvalues(m: int, h: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _sine_matrix(m: int) -> np.ndarray:
+def _sine_matrix(m: int, dtype: type = np.float64) -> np.ndarray:
     """Orthonormal DST-I matrix: symmetric and its own inverse; cached per
-    size and read-only.
+    size and dtype, and read-only.  A float32 matrix is the float64 one
+    rounded.
 
     The phase j k pi / (m + 1) is reduced modulo 2 pi in integers first:
     sin of the unreduced phase (up to about m pi) carries an absolute error
     of order m eps, which left the matrix orthogonal only to about m eps.
     """
+    if np.dtype(dtype) != np.float64:
+        mat = _sine_matrix(m, np.float64).astype(dtype)
+        mat.setflags(write=False)
+        return mat
     k = np.arange(1, m + 1)
     phase = np.outer(k, k) % (2 * (m + 1))
     mat = np.sqrt(2.0 / (m + 1)) * np.sin(phase * (np.pi / (m + 1)))
@@ -173,7 +193,8 @@ def _sine_matrix(m: int) -> np.ndarray:
     return mat
 
 
-def make_sine_preconditioner(grid: Grid, s_pairs) -> "callable":
+def make_sine_preconditioner(grid: Grid, s_pairs,
+                             dtype: type = np.float64) -> "callable":
     """Inverse of sum_j s_j (d2/dx_j^2 + d2/dy_j^2) on the interior.
 
     s_pairs holds one positive coefficient per complex coordinate.  With
@@ -183,16 +204,18 @@ def make_sine_preconditioner(grid: Grid, s_pairs) -> "callable":
     dropped and coefficients averaged.  The sine basis is applied as one
     matmul per axis on a C-order view of shape (pre, m, post): the
     symmetric matrix multiplies the last axis from the right and any other
-    from the left, so the axes never move.
+    from the left, so the axes never move.  Its tables are in dtype, the
+    dtype of the arrays it is applied to: the eigenvalue sums are formed
+    in float64 and rounded once.
     """
     interior = grid.interior_shape
     denom = np.zeros(interior)
     for a, m in enumerate(interior):
         lam = s_pairs[a // 2] * _sine_eigenvalues(m, grid.spacing[a])
         denom = denom + lam.reshape((1,) * a + (m,) + (1,) * (len(interior) - a - 1))
-    inv_denom = 1.0 / denom
-    views = [(_sine_matrix(m), (math.prod(interior[:a]), m,
-                                math.prod(interior[a + 1:])))
+    inv_denom = (1.0 / denom).astype(dtype, copy=False)
+    views = [(_sine_matrix(m, dtype), (math.prod(interior[:a]), m,
+                                       math.prod(interior[a + 1:])))
              for a, m in enumerate(interior)]
 
     def transform(r: np.ndarray) -> np.ndarray:
@@ -217,18 +240,19 @@ def bicgstab(matvec, psolve, b: np.ndarray, rtol: float,
     scipy.sparse.linalg.bicgstab with atol 0: the same recurrences,
     breakdown tests and operation order, so x and info are scipy's bit for
     bit (info 0 when converged, maxiter on a miss, -10 or -11 on a rho or
-    omega breakdown; a zero b is returned as x).  b is only read, and
-    serves as the shadow residual; s is r itself, since scipy's s is a
-    copy of r that is read before r moves on.  matvec and psolve return
-    new arrays, which it owns: each vector is let go as soon as it is
-    spent, before the operator or psolve forms the next, and a vector
-    whose last use is a scaled update is scaled in place first.
+    omega breakdown; a zero b is returned as x).  It runs in b's dtype,
+    from which it takes, like scipy, its breakdown tolerance eps**2.  b is
+    only read, and serves as the shadow residual; s is r itself, since
+    scipy's s is a copy of r that is read before r moves on.  matvec and
+    psolve return new arrays, which it owns: each vector is let go as soon
+    as it is spent, before the operator or psolve forms the next, and a
+    vector whose last use is a scaled update is scaled in place first.
     """
     bnorm = np.linalg.norm(b)
     if bnorm == 0:
         return b, 0
     atol = rtol * float(bnorm)
-    breakdown = np.finfo(np.float64).eps ** 2
+    breakdown = np.finfo(b.dtype).eps ** 2
     x = np.zeros_like(b)
     r = b.copy()
     for iteration in range(maxiter):
@@ -285,35 +309,71 @@ CORRECTION_MAXITER = 500
 CORRECTION_ACCEPT_RTOL = 1e-2
 
 
+def _exponent(arrays) -> int:
+    """The e with max |x| over the arrays in [2^(e-1), 2^e): 2^-e brings
+    that max into [1/2, 1).  0 for zero or non-finite data."""
+    top = max(max(float(x.max()), -float(x.min())) for x in arrays)
+    return math.frexp(top)[1]
+
+
+def _single(x: np.ndarray, shift: int) -> np.ndarray:
+    """x 2^shift in float32, rounded once and formed without a float64
+    temporary: the power of two is exact."""
+    out = np.empty(x.shape, np.float32)
+    np.ldexp(x, shift, out=out, casting="same_kind")
+    return out
+
+
 def solve_hermitian_system(grid: Grid, coeffs, rhs: np.ndarray,
                            scale: float) -> np.ndarray:
     """Solve L v = rhs with zero Dirichlet data; returns interior values.
 
-    coeffs = (a, g, br, bi) per interior node.  The module's BiCGStab with
-    the sine preconditioner, to CORRECTION_RTOL within CORRECTION_MAXITER
-    steps; rhs is only read (it is the shadow residual).  A solve that
-    BiCGStab reports converged is returned as is; only when it reports a
-    miss is the true relative residual formed (one more operator
-    application), and the solve raises if that residual is above
-    CORRECTION_ACCEPT_RTOL.
+    coeffs = (a, g, br, bi) per interior node, and rhs, in float64; the
+    correction is returned in float64.  The solve runs in float32
+    (coefficients, equilibration, preconditioner tables and every Krylov
+    vector; see the module docstring).  The coefficients and rhs are each
+    scaled by a power of two to max-abs near 1 before they are rounded,
+    and the correction scaled back: the scaling is exact, and data beyond
+    float32's range cannot overflow.
+
+    rhs is only read.  A list of coefficients is handed over: it is
+    emptied once they are rounded, so a caller holding no other reference
+    lets the float64 arrays go before the Krylov iterations start.
+
+    The module's BiCGStab with the sine preconditioner, to CORRECTION_RTOL
+    within CORRECTION_MAXITER steps; the scaled rhs is the shadow
+    residual.  A solve that BiCGStab reports converged is returned as is;
+    only when it reports a miss is the true relative residual formed (one
+    more operator application, in float32), and the solve raises if that
+    residual is above CORRECTION_ACCEPT_RTOL.
     """
-    a, g, br, bi = coeffs
     core = grid.interior
     interior = grid.interior_shape
+    if not rhs.any():
+        return np.zeros(interior)
+    # L is linear in the coefficients: scaling them by 2^-c_exp and rhs by
+    # 2^-b_exp solves for the correction times 2^(c_exp - b_exp)
+    c_exp = _exponent(coeffs)
+    b_exp = _exponent((rhs,))
+    a, g, br, bi = [_single(c, -c_exp) for c in coeffs]
+    if isinstance(coeffs, list):
+        coeffs.clear()
+    b = _single(rhs, -b_exp).ravel()
     s_pairs = (scale * max(float(a.mean()), 1e-300),
                scale * max(float(g.mean()), 1e-300))
-    precond = make_sine_preconditioner(grid, s_pairs)
+    precond = make_sine_preconditioner(grid, s_pairs, np.float32)
     # diagonal equilibration wrapped around the spectral solve: the sine
     # basis inverts a constant-coefficient surrogate, so whiten the local
     # coefficient scale first (A ~ S L S with S the square root of the
     # diagonal ratio); reduces to the plain spectral solve for constant
-    # coefficients
-    h = grid.spacing
+    # coefficients.  Every weight is a Python float, so nothing is
+    # promoted to float64
+    h = [float(hk) for hk in grid.spacing]
     w01 = 1.0 / h[0] ** 2 + 1.0 / h[1] ** 2
     w23 = 1.0 / h[2] ** 2 + 1.0 / h[3] ** 2
     dconst = s_pairs[0] * w01 + s_pairs[1] * w23
     inv_s = 1.0 / np.sqrt(scale * (a * w01 + g * w23) / dconst)
-    work = np.zeros(grid.shape)
+    work = np.zeros(grid.shape, np.float32)
 
     def matvec(v: np.ndarray) -> np.ndarray:
         work[core] = v.reshape(interior)
@@ -325,15 +385,12 @@ def solve_hermitian_system(grid: Grid, coeffs, rhs: np.ndarray,
         z *= inv_s
         return z.ravel()
 
-    b = rhs.ravel()
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return np.zeros(interior)
     x, info = bicgstab(matvec, psolve, b, rtol=CORRECTION_RTOL,
                        maxiter=CORRECTION_MAXITER)
     if info != 0:
-        achieved = float(np.linalg.norm(b - matvec(x)) / bnorm)
+        achieved = float(np.linalg.norm(b - matvec(x)) / np.linalg.norm(b))
         if achieved > CORRECTION_ACCEPT_RTOL:
             raise LinearSolveError("newton correction solve did not "
                                    "converge", achieved)
-    return x.reshape(interior)
+    x = x.reshape(interior).astype(np.float64)
+    return np.ldexp(x, b_exp - c_exp, out=x)

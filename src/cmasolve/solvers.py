@@ -9,7 +9,11 @@ no regularization: the determinant is linearized through
 the cofactor of H (d det = tr(cof(H) dH)), each correction solves a
 Hermitian-form system with zero boundary data, and a backtracking line
 search enforces both residual decrease and an eigenvalue guard keeping
-the iterate plurisubharmonic up to the residual.
+the iterate plurisubharmonic up to the residual.  The correction solve
+alone runs in single precision (linsolve.solve_hermitian_system): it
+needs a 1e-3 relative residual, while the iterate, the Hessian, the
+residual, the eigenvalue guard and the line search stay in double, so
+the accuracy the solve reaches is set by the float64 residual.
 
 Where g = 0, det H = g is a double root, on which Newton converges only
 linearly (Decker, Keller & Kelley, SIAM J. Numer. Anal. 20, 1983).  For
@@ -378,19 +382,21 @@ class _GridNewton:
     def correct(self, u, state, rsup):
         coeffs, rhs = self._system(*state, rsup)
         # the system is formed in the state's arrays: emptying the state
-        # lets go of the eigenvalues, so the Krylov solve's peak memory
-        # holds no Hessian or eigenvalue array beyond coeffs and rhs
+        # lets go of the eigenvalues, and the coefficient list is handed
+        # over to the solve, which empties it once it has rounded them to
+        # single precision, so the Krylov iterations hold no Hessian,
+        # eigenvalue or float64 coefficient array; only rhs stays
         state.clear()
         return solve_hermitian_system(self.grid, coeffs, rhs, scale=0.25)
 
     def _system(self, entries, lam1, lam2, resid, rsup):
-        """(coefficients, right-hand side) of the correction, in the
+        """(coefficient list, right-hand side) of the correction, in the
         state's buffers: the entries, and the residual or, for f,
         lambda_min's."""
         zero = self.zero
         if zero is True:
             coeffs = _policy_coefficients(entries, lam1)
-            return coeffs, np.negative(lam1, out=lam1)
+            return list(coeffs), np.negative(lam1, out=lam1)
         if zero is not False:
             # the zero rows' policy coefficients, from compact copies of
             # their entries before the cofactor overwrites them
@@ -411,7 +417,7 @@ class _GridNewton:
             for c, p in zip(coeffs, policy):
                 c[zero] = p
             resid[zero] = -lam1[zero]
-        return coeffs, resid
+        return list(coeffs), resid
 
     def _bumped(self, ring: np.ndarray, cfg: SolverConfig):
         # lap u = 4n (dens/norm)^(1/n) at n = 2, the isotropic surrogate
@@ -456,7 +462,8 @@ class _GridNewton:
 
 def solve_ma_fixed_rhs(g, boundary: ScalarField,
                        cfg: SolverConfig | None = None,
-                       init: ScalarField | None = None) -> MaSolveResult:
+                       init: ScalarField | np.ndarray | None = None
+                       ) -> MaSolveResult:
     """Solve 4^n n! det H[u] = g with Dirichlet data, frozen density g.
 
     n = 1 delegates to the Poisson solver.  n = 2 runs damped Newton
@@ -464,7 +471,9 @@ def solve_ma_fixed_rhs(g, boundary: ScalarField,
     iteration on lambda_min(H[u]) = 0 where g = 0, so a g that is
     identically zero is f's problem.  init, when given, supplies the
     interior of a warm start; Newton from the Laplacian surrogate is the
-    fallback.
+    fallback.  A field is copied; a full-grid array is taken over as the
+    start, its ring overwritten with the boundary data in place, so the
+    solve holds one start array.
     """
     cfg = cfg or SolverConfig()
     grid = boundary.grid
@@ -482,8 +491,8 @@ def solve_ma_fixed_rhs(g, boundary: ScalarField,
 
     warm = None
     if init is not None:
-        warm = np.array(boundary.values)
-        warm[grid.interior] = init.values[grid.interior]
+        warm = init if isinstance(init, np.ndarray) else np.array(init.values)
+        np.copyto(warm, boundary.values, where=~grid.interior_mask())
     u, rsup, iters, lam1 = _newton_solve(_GridNewton(g_arr, boundary), cfg,
                                          warm)
     return MaSolveResult(ScalarField(grid, u), rsup, iters, max(0.0, -lam1))
@@ -516,6 +525,15 @@ class FrozenFamily:
         """The start of the member at t, or None when none is solved: the
         Lagrange polynomial in t through the solved members, exact on
         members at most quadratic in t."""
+        start = self._start(t)
+        if isinstance(start, np.ndarray):
+            return ScalarField(self.boundary.grid, start)
+        return start
+
+    def _start(self, t: float) -> ScalarField | np.ndarray | None:
+        """predict's start: a member as it is stored, a polynomial as a
+        bare array of its own, which solve hands over to the Newton solve
+        as its one start array."""
         if not self.members:
             return None
         solved = dict(self.members)
@@ -527,12 +545,12 @@ class FrozenFamily:
         for t_i, u_i in self.members:
             start += math.prod((t - t_j) / (t_i - t_j)
                                for t_j in solved if t_j != t_i) * u_i.values
-        return ScalarField(self.boundary.grid, start)
+        return start
 
     def solve(self, t: float, g) -> MaSolveResult:
         t = float(t)
         res = solve_ma_fixed_rhs(g, self.boundary, self.cfg,
-                                 init=self.predict(t))
+                                 init=self._start(t))
         members = [m for m in self.members if m[0] != t] + [(t, res.u)]
         if len(members) > self.KEEP:
             members.remove(max(members, key=lambda m: abs(m[0] - t)))

@@ -200,6 +200,48 @@ class TestSolve:
         assert "after 1 steps" in payload["error"]
 
 
+# the ten degree-2 monomials in (x1, y1, x2, y2)
+_VARS = ("x1", "y1", "x2", "y2")
+_MONOMIALS = tuple((i, j) for i in range(4) for j in range(i, 4))
+
+
+class TestRandomQuadraticBoundaries:
+    """Through main(), solve at n = 2 on random nonpositive quadratic
+    boundary data exits 0 with residual_ok: the restarts of f and of the
+    frozen solves from psh starts leave no draw at exit 3."""
+
+    @given(coeffs=st.lists(st.floats(-1.0, 1.0), min_size=10, max_size=10),
+           margin=st.floats(0.01, 1.5), resolution=st.integers(5, 7))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_solve_exits_0_with_residual_ok(self, coeffs, margin,
+                                            resolution):
+        # the constant puts the data's largest value on the grid's ring at
+        # -margin, so every draw passes the boundary sign check
+        ticks = np.linspace(-0.5, 0.5, resolution)
+        z = np.stack(np.meshgrid(*(ticks,) * 4, indexing="ij"))
+        quadratic = sum(c * z[i] * z[j]
+                        for c, (i, j) in zip(coeffs, _MONOMIALS))
+        ring = np.ones(quadratic.shape, dtype=bool)
+        ring[(slice(1, -1),) * 4] = False
+        constant = -float(quadratic[ring].max()) - margin
+        boundary = " + ".join(
+            [f"{c!r} * {_VARS[i]} * {_VARS[j]}"
+             for c, (i, j) in zip(coeffs, _MONOMIALS)] + [repr(constant)])
+        raw = {"n": 2, "domain": {"box": {"lo": [-0.5] * 4,
+                                          "hi": [0.5] * 4}},
+               "resolution": resolution, "boundary": boundary,
+               "rhs": {"family": "exponential", "kappa": 1.0,
+                       "weight": "4"}}
+        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+            with open("run.json", "w", encoding="utf-8") as fh:
+                json.dump(raw, fh)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["solve", "run.json"])
+        assert code == 0, out.getvalue()
+        assert strict_loads(out.getvalue())["residual_ok"] is True
+
+
 class TestRadial:
     def test_happy_path(self, tmp_path, capsys):
         csv_path = tmp_path / "profile.csv"

@@ -2,6 +2,8 @@
 operator, the sine-basis inverse of the Laplacian and the preconditioned
 Krylov solve of the Newton corrections."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import LinearOperator
@@ -23,6 +25,7 @@ from cmasolve.linsolve import (
     laplacian_apply,
     make_sine_preconditioner,
     solve_hermitian_system,
+    solve_poisson_system,
 )
 
 ANISOTROPIC = Box((0.0, 0.0, 0.0, 0.0), (0.5, 0.3, 0.7, 0.4))
@@ -229,15 +232,24 @@ class TestHermitianSolve:
 class TestBicgstab:
     """linsolve.bicgstab is scipy.sparse.linalg.bicgstab (atol 0) bit for
     bit, in x and in info, on the correction solve's own operator and
-    preconditioner."""
+    preconditioner, in float64 and in the float32 the correction solve
+    runs in."""
 
     scale = TestHermitianSolve.scale
+    CASES = pytest.mark.parametrize("rtol, maxiter, zero, want_info", [
+        (1e-3, 500, False, 0),
+        (1e-8, 500, False, 0),
+        (1e-3, 1, False, 1),
+        (1e-3, 500, True, 0),
+    ], ids=["rtol1e-3", "rtol1e-8", "capped-miss", "zero-rhs"])
 
-    def operators(self, grid, coeffs):
+    def operators(self, grid, coeffs, dtype):
+        coeffs = [c.astype(dtype) for c in coeffs]
         a, g, br, bi = coeffs
-        work = np.zeros(grid.shape)
+        work = np.zeros(grid.shape, dtype)
         inverse = make_sine_preconditioner(
-            grid, (self.scale * a.mean(), self.scale * g.mean()))
+            grid, (self.scale * float(a.mean()), self.scale * float(g.mean())),
+            dtype)
 
         def matvec(v):
             work[grid.interior] = v.reshape(grid.interior_shape)
@@ -249,28 +261,133 @@ class TestBicgstab:
 
         return matvec, psolve
 
-    @pytest.mark.parametrize("rtol, maxiter, zero, want_info", [
-        (1e-3, 500, False, 0),
-        (1e-8, 500, False, 0),
-        (1e-3, 1, False, 1),
-        (1e-3, 500, True, 0),
-    ], ids=["rtol1e-3", "rtol1e-8", "capped-miss", "zero-rhs"])
-    def test_reproduces_scipy(self, rtol, maxiter, zero, want_info):
+    def reproduces_scipy(self, rtol, maxiter, zero, want_info, dtype):
         grid, coeffs, rhs = TestHermitianSolve().system()
         if zero:
             rhs = np.zeros_like(rhs)
-        matvec, psolve = self.operators(grid, coeffs)
-        b = rhs.ravel()
+        matvec, psolve = self.operators(grid, coeffs, dtype)
+        b = rhs.ravel().astype(dtype)
         n = b.size
         want, info = scipy_bicgstab(
-            LinearOperator((n, n), matvec=matvec, dtype=np.float64),
+            LinearOperator((n, n), matvec=matvec, dtype=dtype),
             b.copy(), rtol=rtol, atol=0.0, maxiter=maxiter,
-            M=LinearOperator((n, n), matvec=psolve, dtype=np.float64))
+            M=LinearOperator((n, n), matvec=psolve, dtype=dtype))
         assert info == want_info
+        assert want.dtype == dtype
         kept = b.copy()
         got, got_info = linsolve.bicgstab(matvec, psolve, b, rtol=rtol,
                                           maxiter=maxiter)
         assert got_info == info
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert got.dtype == dtype
+        assert got.tobytes() == want.tobytes()
         # b is only read: it is the shadow residual
         assert np.array_equal(b, kept)
+
+    @CASES
+    def test_reproduces_scipy(self, rtol, maxiter, zero, want_info):
+        self.reproduces_scipy(rtol, maxiter, zero, want_info, np.float64)
+
+    @CASES
+    def test_reproduces_scipy_in_single_precision(self, rtol, maxiter, zero,
+                                                  want_info):
+        self.reproduces_scipy(rtol, maxiter, zero, want_info, np.float32)
+
+
+def held_arrays(fn):
+    """Every array a closure holds, through nested closures, lists and
+    tuples."""
+    found, todo, seen = [], [fn], set()
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        elif isinstance(obj, (list, tuple)):
+            todo.extend(obj)
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            todo.extend(cell.cell_contents for cell in obj.__closure__)
+    return found
+
+
+class TestSinglePrecision:
+    """The Newton correction solve runs in float32 and returns float64;
+    the Poisson solve stays in float64."""
+
+    scale = TestHermitianSolve.scale
+
+    def recorded(self, monkeypatch):
+        """Patch the operator and the preconditioner; returns the list of
+        every array they are given, return or hold."""
+        seen = []
+        apply = linsolve.hermitian_form_apply
+        make = linsolve.make_sine_preconditioner
+
+        def recorded_apply(full, spacing, *args):
+            out = apply(full, spacing, *args)
+            seen.extend([full, *args[:4], out])
+            return out
+
+        def recorded_make(*args, **kwargs):
+            inverse = make(*args, **kwargs)
+            seen.extend(held_arrays(inverse))
+
+            def recorded_inverse(r):
+                z = inverse(r)
+                seen.extend([r, z])
+                return z
+
+            return recorded_inverse
+
+        monkeypatch.setattr(linsolve, "hermitian_form_apply", recorded_apply)
+        monkeypatch.setattr(linsolve, "make_sine_preconditioner",
+                            recorded_make)
+        return seen
+
+    def test_correction_solve_runs_in_float32(self, monkeypatch):
+        grid, coeffs, rhs = TestHermitianSolve().system()
+        seen = self.recorded(monkeypatch)
+        x = solve_hermitian_system(grid, coeffs, rhs, self.scale)
+        # the operator's 6 arrays per call, and the preconditioner's
+        # tables, inputs and outputs
+        assert len(seen) > 6
+        assert {a.dtype for a in seen} == {np.dtype(np.float32)}
+        assert x.dtype == np.float64
+
+    def test_poisson_solve_stays_float64(self, monkeypatch):
+        grid = build_grid(unit_box(2), 9)
+        rhs = np.random.default_rng(12).standard_normal(grid.interior_shape)
+        seen = self.recorded(monkeypatch)
+        u = solve_poisson_system(grid, rhs, np.zeros(grid.shape))
+        assert len(seen) > 2
+        assert {a.dtype for a in seen} == {np.dtype(np.float64)}
+        assert u.dtype == np.float64
+
+    def test_handed_over_coefficients_are_let_go(self):
+        grid, coeffs, rhs = TestHermitianSolve().system()
+        handed = list(coeffs)
+        x = solve_hermitian_system(grid, handed, rhs, self.scale)
+        assert handed == []
+        assert np.array_equal(
+            x, solve_hermitian_system(grid, coeffs, rhs, self.scale))
+
+    @pytest.mark.parametrize("c_shift, b_shift", [
+        (140, 0), (-140, 0), (0, 140), (0, -140), (140, -140), (-140, 140),
+    ])
+    def test_power_of_two_scaling_is_exact(self, c_shift, b_shift):
+        # data far outside float32's range (about 2^+-126 to 2^128) are
+        # scaled into it exactly, and the correction scaled back
+        solve = TestHermitianSolve()
+        grid, coeffs, rhs = solve.system()
+        x = solve_hermitian_system(grid, coeffs, rhs, self.scale)
+        coeffs_s = tuple(np.ldexp(c, c_shift) for c in coeffs)
+        rhs_s = np.ldexp(rhs, b_shift)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            x_s = solve_hermitian_system(grid, coeffs_s, rhs_s, self.scale)
+        assert np.array_equal(x_s, np.ldexp(x, b_shift - c_shift))
+        achieved = solve.relative_residual(grid, coeffs, rhs, x)
+        assert achieved <= linsolve.CORRECTION_ACCEPT_RTOL
+        assert solve.relative_residual(grid, coeffs_s, rhs_s, x_s) \
+            == pytest.approx(achieved, rel=1e-12)

@@ -465,6 +465,35 @@ class TestFrozenFamily:
         assert np.abs(res.u.values - cold.u.values).max() \
             <= 10 * cfg.tol_inner
 
+    def test_prediction_goes_over_as_one_array(self, monkeypatch):
+        # a prediction of its own reaches the solve as a bare array, whose
+        # ring the solve overwrites in place; the members stay untouched,
+        # and the solve is the one a field start gives, bit for bit
+        g = build_grid(unit_box(2), 7)
+        bdry = sq_norm_minus_one(g)
+        family = FrozenFamily(bdry)
+        family.solve(0.0, 32.0)
+        family.solve(1.0, 40.0)
+        kept = [m.values.copy() for _, m in family.members]
+        predicted = family.predict(0.5)
+        inits = []
+
+        def recorded(g_, boundary, cfg=None, init=None):
+            inits.append(init)
+            return solve_ma_fixed_rhs(g_, boundary, cfg, init)
+
+        monkeypatch.setattr(cmasolve.solvers, "solve_ma_fixed_rhs", recorded)
+        res = family.solve(0.5, 36.0)
+        init, = inits
+        assert type(init) is np.ndarray
+        ring = ~g.interior_mask()
+        assert np.array_equal(init[ring], bdry.values[ring])
+        assert all(np.array_equal(k, m.values)
+                   for k, (_, m) in zip(kept, family.members))
+        want = solve_ma_fixed_rhs(36.0, bdry, family.cfg, init=predicted)
+        assert np.array_equal(res.u.values, want.u.values)
+        assert res.newton_iters == want.newton_iters
+
 
 class ScriptedBackend:
     """One unknown x, by default always corrected by +1, so the trial at
@@ -846,10 +875,11 @@ class TestPeakMemory:
     interior's size: n = 2 grids are four-dimensional, so this count
     times res^4 sets the resolution at which a solve runs out of memory."""
 
-    # the traced peak read 21.6 interior arrays (numpy 2.4); the bound
-    # allows two more.  It read 30.6 while the correction kept the spent
-    # Hessian, copies of it and scipy's BiCGStab's extra vectors alive
-    WARM_MEMBER_ARRAYS = 21.6 + 2.0
+    # the traced peak read 14.0 interior arrays (numpy 2.4); the bound
+    # allows two more.  It read 21.6 while the correction solve ran in
+    # float64, and 30.6 while the correction kept the spent Hessian,
+    # copies of it and scipy's BiCGStab's extra vectors alive
+    WARM_MEMBER_ARRAYS = 14.0 + 2.0
 
     def test_warm_member_solve_peak(self):
         grid = build_grid(unit_box(2), 17)
