@@ -22,14 +22,16 @@ the nested 4-point cross formula for mixed terms.  Both are exact on
 quadratics, which makes every polynomial of degree <= 2 a useful oracle.
 
 second_difference and mixed_difference give those stencils one at a
-time.  _hessian_entries, which Newton's residual, ma_density and the
-checks all read, fuses them into one kernel that accumulates in place, as
-linsolve.hermitian_form_apply does: each diagonal pair of second
+time, for the Poisson Laplacian and as the tests' reference.
+_hessian_entries, the one complex-Hessian kernel, which Newton's
+residual, the correction operator, ma_density and the checks all read,
+fuses them and accumulates in place: each diagonal pair of second
 differences shares one centre term, the four mixed terms come from two
 first differences, along axes 0 and 1, each entering two of them, and the
 factor 1/4 and the spacings fold into scalar weights.  Beyond its four
-outputs it holds one scratch array and the first-difference buffer, and
-it agrees with the composed stencils to rounding.
+outputs, in its input's dtype, it holds one scratch array and the
+first-difference buffer, and it agrees with the composed stencils to
+rounding.
 """
 
 from __future__ import annotations
@@ -232,7 +234,8 @@ def _hessian_entries(vals: np.ndarray, h) -> tuple:
     if vals.ndim not in (2, 4):
         raise GridError("complex Hessians are implemented for n in {1, 2}")
     core = _shift(vals, {})
-    tmp = np.empty(core.shape)
+    # scratch in vals' dtype: float32 input forms no float64 array
+    tmp = np.empty(core.shape, vals.dtype)
     entries = []
     for a, b in ((0, 1), (2, 3))[:vals.ndim // 2]:
         # 0.25 (u_aa + u_bb) = c [(u_+a + u_-a) + r (u_+b + u_-b)
@@ -254,7 +257,7 @@ def _hessian_entries(vals: np.ndarray, h) -> tuple:
     # the axis-0 terms go in first, relative to the weight of their axis-1
     # partner, so the axis-1 first difference reuses the buffer and is
     # added in place.  The scratch array ends as Im H12
-    re12 = np.empty(core.shape)
+    re12 = np.empty(core.shape, vals.dtype)
     d = np.subtract(vals[2:, 1:-1], vals[:-2, 1:-1])
     for part, p, q in ((re12, 2, 3), (tmp, 3, 2)):
         np.subtract(*_cross_views(d, p), out=part)

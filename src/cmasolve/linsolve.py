@@ -15,13 +15,14 @@ matrices and eigenvalue vectors are built once per size and shared,
 read-only, by every preconditioner.  The Newton correction systems
 for n = 2 carry variable coefficients and mixed second derivatives, so
 those are solved with BiCGStab preconditioned by the same sine-basis
-inverse of a constant-coefficient surrogate; their operator is applied by
-one fused stencil kernel that accumulates in place.  The BiCGStab is the
-module's own: scipy.sparse.linalg.bicgstab's recurrences, breakdown tests
-and operation order, so its iterates are scipy's bit for bit, but it holds
-only the vectors its recurrences need, reads the right-hand side as the
-shadow residual, and lets each vector go before the operator forms the
-next.
+inverse of a constant-coefficient surrogate; their operator contracts
+the Hessian entries the Newton residual reads (grids._hessian_entries),
+so the module has no complex-Hessian stencil of its own.  The BiCGStab is
+the module's own: scipy.sparse.linalg.bicgstab's recurrences, breakdown
+tests and operation order, so its iterates are scipy's bit for bit, but
+it holds only the vectors its recurrences need, reads the right-hand side
+as the shadow residual, and lets each vector go before the operator forms
+the next.
 
 The correction solves run in single precision; the Poisson solves stay in
 double.  A Newton correction is only asked for a 1e-3 relative residual
@@ -44,7 +45,7 @@ import math
 import numpy as np
 
 from .errors import SolverError
-from .grids import Grid, _cross_views, _shift, second_difference
+from .grids import Grid, _hessian_entries, second_difference
 
 
 class LinearSolveError(SolverError):
@@ -102,61 +103,25 @@ def solve_poisson_system(grid: Grid, rhs: np.ndarray, boundary: np.ndarray,
 # ---------------------------------------------------------------------------
 # Variable-coefficient Hermitian-form operator for n = 2 Newton steps:
 #
-#   L v = scale * [ a (v_x1x1 + v_y1y1) + g (v_x2x2 + v_y2y2)
-#                   + 2 br (v_x1x2 + v_y1y2) + 2 bi (v_x1y2 - v_y1x2) ]
+#   L v = tr(C H[v]) = a H11 + g H22 + 2 (br Re H12 + bi Im H12)
 #
-# where (a, g, br + i bi) are the entries of a Hermitian psd coefficient
-# matrix per interior node (the cofactor of the current complex Hessian)
-# and scale = 4^n n! / 4.
+# where H[v] is the discrete complex Hessian and (a, g, br + i bi) are the
+# entries of a Hermitian psd coefficient matrix C per interior node (the
+# cofactor of the current complex Hessian).
 
-def hermitian_form_apply(full: np.ndarray, spacing, a, g, br, bi,
-                         scale: float) -> np.ndarray:
-    """L v on the interior block, for v given on the full grid.
-
-    Accumulates in place into interior-sized buffers: each pair of second
-    differences shares one centre term, and the four mixed terms come from
-    two first differences, along axes 0 and 1, each shared by the two mixed
-    derivatives it enters.  scale and the spacings are folded into scalar
-    weights, so no per-node weight array is formed.
-    """
-    # the weights are Python floats and the scratch takes full's dtype, so
-    # a single-precision operator forms no double-precision temporary
-    scale = float(scale)
-    h = [float(hk) for hk in spacing]
-    c = [scale / (hk * hk) for hk in h]
-    core = _shift(full, {})
-    out = np.empty(core.shape, full.dtype)
-    acc = np.empty(core.shape, full.dtype)
-    tmp = np.empty(core.shape, full.dtype)
-    # a (v_x1x1 + v_y1y1) + g (v_x2x2 + v_y2y2)
-    for coef, axes, dst in ((a, (0, 1), out), (g, (2, 3), acc)):
-        np.multiply(core, -2.0 * (c[axes[0]] + c[axes[1]]), out=dst)
-        for ax in axes:
-            np.add(_shift(full, {ax: 1}), _shift(full, {ax: -1}), out=tmp)
-            tmp *= c[ax]
-            dst += tmp
-        dst *= coef
-    out += acc
-    # 2 br (v_x1x2 + v_y1y2) + 2 bi (v_x1y2 - v_y1x2).  A mixed derivative
-    # is a centred difference of a first difference over 4 h_j h_k, so with
-    # the factor 2 its weight is scale / (2 h_j h_k).  br pairs axes (0, 2)
-    # with (1, 3) and bi pairs (0, 3) with -(1, 2): the axis-0 terms go in
-    # first, relative to the weight of their axis-1 partner, so the axis-1
-    # first difference can reuse the buffer and be added in place.
-    terms = ((acc, 2, scale / (2.0 * h[1] * h[3]), br),
-             (tmp, 3, -scale / (2.0 * h[1] * h[2]), bi))
-    d = np.subtract(full[2:, 1:-1], full[:-2, 1:-1])
-    for part, p, weight, _ in terms:
-        np.subtract(*_cross_views(d, p), out=part)
-        part *= scale / (2.0 * h[0] * h[p]) / weight
-    np.subtract(full[1:-1, 2:], full[1:-1, :-2], out=d)
-    for part, p, weight, coef in terms:
-        plus, minus = _cross_views(d, 5 - p)
-        part += plus
-        part -= minus
-        part *= weight
-        part *= coef
-        out += part
+def hermitian_form_apply(full: np.ndarray, spacing,
+                         a, g, br, bi) -> np.ndarray:
+    """L v on the interior block, for v given on the full grid: the
+    entries of _hessian_entries, in full's dtype, contracted in place."""
+    out, h22, re12, im12 = _hessian_entries(full, spacing)
+    out *= a
+    h22 *= g
+    out += h22
+    re12 *= br
+    im12 *= bi
+    re12 += im12
+    re12 *= 2.0
+    out += re12
     return out
 
 
@@ -301,9 +266,7 @@ def bicgstab(matvec, psolve, b: np.ndarray, rtol: float,
 # the Newton correction solves are inexact: a correction only needs to
 # beat the line search's damping granularity, and the Newton loop measures
 # the true nonlinear residual anyway, so a 1e-3 relative solve changes
-# nothing but the Krylov iteration count (1e-12 requests hit the cap on
-# degenerate regularization rungs and fell back to ~1e-4 quality
-# regardless)
+# nothing but the Krylov iteration count
 CORRECTION_RTOL = 1e-3
 CORRECTION_MAXITER = 500
 CORRECTION_ACCEPT_RTOL = 1e-2
@@ -324,8 +287,8 @@ def _single(x: np.ndarray, shift: int) -> np.ndarray:
     return out
 
 
-def solve_hermitian_system(grid: Grid, coeffs, rhs: np.ndarray,
-                           scale: float) -> np.ndarray:
+def solve_hermitian_system(grid: Grid, coeffs, rhs: np.ndarray
+                           ) -> np.ndarray:
     """Solve L v = rhs with zero Dirichlet data; returns interior values.
 
     coeffs = (a, g, br, bi) per interior node, and rhs, in float64; the
@@ -359,8 +322,10 @@ def solve_hermitian_system(grid: Grid, coeffs, rhs: np.ndarray,
     if isinstance(coeffs, list):
         coeffs.clear()
     b = _single(rhs, -b_exp).ravel()
-    s_pairs = (scale * max(float(a.mean()), 1e-300),
-               scale * max(float(g.mean()), 1e-300))
+    # H_jj is a quarter of the pair Laplacian d2/dx_j^2 + d2/dy_j^2, so the
+    # surrogate is (a/4) lap_1 + (g/4) lap_2 with a and g averaged
+    s_pairs = (0.25 * max(float(a.mean()), 1e-300),
+               0.25 * max(float(g.mean()), 1e-300))
     precond = make_sine_preconditioner(grid, s_pairs, np.float32)
     # diagonal equilibration wrapped around the spectral solve: the sine
     # basis inverts a constant-coefficient surrogate, so whiten the local
@@ -372,13 +337,13 @@ def solve_hermitian_system(grid: Grid, coeffs, rhs: np.ndarray,
     w01 = 1.0 / h[0] ** 2 + 1.0 / h[1] ** 2
     w23 = 1.0 / h[2] ** 2 + 1.0 / h[3] ** 2
     dconst = s_pairs[0] * w01 + s_pairs[1] * w23
-    inv_s = 1.0 / np.sqrt(scale * (a * w01 + g * w23) / dconst)
+    inv_s = 1.0 / np.sqrt(0.25 * (a * w01 + g * w23) / dconst)
     work = np.zeros(grid.shape, np.float32)
 
     def matvec(v: np.ndarray) -> np.ndarray:
         work[core] = v.reshape(interior)
-        return hermitian_form_apply(work, grid.spacing, a, g, br, bi,
-                                    scale).ravel()
+        return hermitian_form_apply(work, grid.spacing, a, g, br,
+                                    bi).ravel()
 
     def psolve(v: np.ndarray) -> np.ndarray:
         z = precond(v.reshape(interior) * inv_s)

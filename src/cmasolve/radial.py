@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .grids import ScalarField, ma_normalization
 from .solvers import (PSD_FLOOR, MaSolveResult, NewtonStagnationError,
@@ -183,6 +182,8 @@ def _solve_tridiag(lower, diag, upper, rhs_vec):
     partial pivoting), the routine solve_banded runs for (1, 1) bands,
     without its per-call copies and finiteness checks; rhs_vec is
     overwritten.  A zero pivot raises LinAlgError."""
+    # imported here so that box problems, which never get here, load no scipy
+    from scipy.linalg.lapack import dgtsv
     *_, x, info = dgtsv(lower[1:], diag, upper[:-1], rhs_vec,
                         overwrite_b=True)
     if info > 0:

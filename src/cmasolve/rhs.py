@@ -140,7 +140,7 @@ class BoundRhs:
         self._expr: Expression | None = expr
         self._env = env
         if expr is not None:
-            self.t_independent = "t" not in expr.variables
+            self.t_independent = not expr.uses_t
         else:
             self.t_independent = bool(family.t_independent)
 

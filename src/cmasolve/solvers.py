@@ -387,7 +387,7 @@ class _GridNewton:
         # single precision, so the Krylov iterations hold no Hessian,
         # eigenvalue or float64 coefficient array; only rhs stays
         state.clear()
-        return solve_hermitian_system(self.grid, coeffs, rhs, scale=0.25)
+        return solve_hermitian_system(self.grid, coeffs, rhs)
 
     def _system(self, entries, lam1, lam2, resid, rsup):
         """(coefficient list, right-hand side) of the correction, in the

@@ -101,6 +101,27 @@ class TestSolve:
         assert payload["chains_ok"] is True
         assert payload["outer_iters"] <= 25
 
+    def test_box_solve_loads_no_scipy(self):
+        # only ball problems reach scipy (the radial tridiagonal solve), so
+        # a box command in a fresh interpreter must not pay for its import
+        import subprocess
+        import sys
+
+        here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(here, "src"))
+        probe = (
+            "import contextlib, io, sys\n"
+            "from cmasolve.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['solve', sys.argv[1]])\n"
+            "print(code, sorted(m for m in sys.modules\n"
+            "                   if m.split('.')[0] == 'scipy'))\n")
+        out = subprocess.run(
+            [sys.executable, "-c", probe,
+             os.path.join(CONFIG_DIR, "cheng_yau_n2.json")],
+            env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "0 []"
+
     def test_deterministic_output(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
         _, out1, _ = run(capsys, "solve", cfg)

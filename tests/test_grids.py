@@ -218,6 +218,14 @@ def complex_matrix_hessian(u):
     return H
 
 
+def hessian_entries_of(H):
+    """The real entries _hessian_entries gives, read off the matrix."""
+    if H.shape[-1] == 1:
+        return (H[..., 0, 0].real,)
+    return (H[..., 0, 0].real, H[..., 1, 1].real, H[..., 0, 1].real,
+            H[..., 0, 1].imag)
+
+
 def matrix_det_and_eigenvalues(H):
     """det H and its smallest and largest eigenvalues, from the matrix."""
     a = H[..., 0, 0].real
@@ -284,6 +292,14 @@ class TestHessianKernel:
         ref = complex_matrix_hessian(u)
         assert np.abs(hessian_matrix(u) - ref).max() \
             <= 1e-14 * np.abs(ref).max()
+        # the Newton correction's operator runs the kernel in float32: the
+        # entries stay float32 and carry float32 rounding only (the worst
+        # of 300 random grids read 1.5 eps)
+        single = _hessian_entries(u.values.astype(np.float32), g.spacing)
+        assert {e.dtype for e in single} == {np.dtype(np.float32)}
+        for got, want in zip(single, hessian_entries_of(ref)):
+            assert np.abs(got - want).max() \
+                <= 8 * np.finfo(np.float32).eps * np.abs(ref).max()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=10, deadline=None)

@@ -31,8 +31,9 @@ from cmasolve.linsolve import (
 ANISOTROPIC = Box((0.0, 0.0, 0.0, 0.0), (0.5, 0.3, 0.7, 0.4))
 
 
-def reference_form(full, h, a, g, br, bi, scale):
-    """The operator term by term from the grid's own stencils."""
+def reference_form(full, h, a, g, br, bi):
+    """The operator tr(C H[v]) term by term from the grid's own stencils:
+    each entry of H is a quarter of the real derivatives' sum."""
     out = a * (second_difference(full, 0, h[0])
                + second_difference(full, 1, h[1]))
     out += g * (second_difference(full, 2, h[2])
@@ -41,7 +42,7 @@ def reference_form(full, h, a, g, br, bi, scale):
                          + mixed_difference(full, 1, 3, h[1], h[3]))
     out += (2.0 * bi) * (mixed_difference(full, 0, 3, h[0], h[3])
                          - mixed_difference(full, 1, 2, h[1], h[2]))
-    return scale * out
+    return 0.25 * out
 
 
 class TestHermitianFormApply:
@@ -55,8 +56,8 @@ class TestHermitianFormApply:
         full = rng.standard_normal(grid.shape)
         a, g = (rng.random(grid.interior_shape) + 0.1 for _ in range(2))
         br, bi = (rng.standard_normal(grid.interior_shape) for _ in range(2))
-        got = hermitian_form_apply(full, grid.spacing, a, g, br, bi, 8.0)
-        want = reference_form(full, grid.spacing, a, g, br, bi, 8.0)
+        got = hermitian_form_apply(full, grid.spacing, a, g, br, bi)
+        want = reference_form(full, grid.spacing, a, g, br, bi)
         assert got.shape == grid.interior_shape
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -66,8 +67,8 @@ class TestHermitianFormApply:
         full = rng.standard_normal(grid.shape)
         coeffs = [rng.random(grid.interior_shape) for _ in range(4)]
         before = [full.copy()] + [c.copy() for c in coeffs]
-        first = hermitian_form_apply(full, grid.spacing, *coeffs, 2.0)
-        second = hermitian_form_apply(full, grid.spacing, *coeffs, 2.0)
+        first = hermitian_form_apply(full, grid.spacing, *coeffs)
+        second = hermitian_form_apply(full, grid.spacing, *coeffs)
         assert first is not second
         assert np.array_equal(first, second)
         for old, new in zip(before, [full] + coeffs):
@@ -159,8 +160,6 @@ class TestHermitianSolve:
     """solve_hermitian_system on a cofactor-like system: positive diagonal
     coefficients and off-diagonal ones small enough for a psd matrix."""
 
-    scale = 8.0
-
     def system(self, seed=11):
         grid = build_grid(ANISOTROPIC, 9)
         rng = np.random.default_rng(seed)
@@ -173,8 +172,7 @@ class TestHermitianSolve:
     def relative_residual(self, grid, coeffs, rhs, x):
         full = np.zeros(grid.shape)
         full[grid.interior] = x
-        r = rhs - hermitian_form_apply(full, grid.spacing, *coeffs,
-                                       self.scale)
+        r = rhs - hermitian_form_apply(full, grid.spacing, *coeffs)
         return float(np.linalg.norm(r) / np.linalg.norm(rhs))
 
     def test_converged_solve_applies_the_operator_only_in_bicgstab(
@@ -201,7 +199,7 @@ class TestHermitianSolve:
         monkeypatch.setattr(linsolve, "hermitian_form_apply", counting_apply)
         monkeypatch.setattr(linsolve, "bicgstab", tracked_bicgstab)
         monkeypatch.setattr(linsolve, "CORRECTION_RTOL", 1e-8)
-        solve_hermitian_system(grid, coeffs, rhs, self.scale)
+        solve_hermitian_system(grid, coeffs, rhs)
         assert infos == [0]
         assert calls["inside"] > 0
         assert calls["outside"] == 0
@@ -213,7 +211,7 @@ class TestHermitianSolve:
         grid, coeffs, rhs = self.system()
         monkeypatch.setattr(linsolve, "CORRECTION_RTOL", rtol)
         monkeypatch.setattr(linsolve, "CORRECTION_ACCEPT_RTOL", accept_rtol)
-        x = solve_hermitian_system(grid, coeffs, rhs, self.scale)
+        x = solve_hermitian_system(grid, coeffs, rhs)
         assert x.shape == grid.interior_shape
         assert self.relative_residual(grid, coeffs, rhs, x) <= accept_rtol
 
@@ -224,7 +222,7 @@ class TestHermitianSolve:
         monkeypatch.setattr(linsolve, "CORRECTION_MAXITER", 1)
         monkeypatch.setattr(linsolve, "CORRECTION_ACCEPT_RTOL", 1e-14)
         with pytest.raises(LinearSolveError, match="did not converge") as exc:
-            solve_hermitian_system(grid, coeffs, rhs, self.scale)
+            solve_hermitian_system(grid, coeffs, rhs)
         assert 1e-14 < exc.value.residual < 1.0
         assert f"{exc.value.residual:.3e}" in str(exc.value)
 
@@ -235,7 +233,6 @@ class TestBicgstab:
     preconditioner, in float64 and in the float32 the correction solve
     runs in."""
 
-    scale = TestHermitianSolve.scale
     CASES = pytest.mark.parametrize("rtol, maxiter, zero, want_info", [
         (1e-3, 500, False, 0),
         (1e-8, 500, False, 0),
@@ -248,13 +245,12 @@ class TestBicgstab:
         a, g, br, bi = coeffs
         work = np.zeros(grid.shape, dtype)
         inverse = make_sine_preconditioner(
-            grid, (self.scale * float(a.mean()), self.scale * float(g.mean())),
-            dtype)
+            grid, (0.25 * float(a.mean()), 0.25 * float(g.mean())), dtype)
 
         def matvec(v):
             work[grid.interior] = v.reshape(grid.interior_shape)
-            return hermitian_form_apply(work, grid.spacing, *coeffs,
-                                        self.scale).ravel()
+            return hermitian_form_apply(work, grid.spacing,
+                                        *coeffs).ravel()
 
         def psolve(v):
             return inverse(v.reshape(grid.interior_shape)).ravel()
@@ -315,18 +311,23 @@ class TestSinglePrecision:
     """The Newton correction solve runs in float32 and returns float64;
     the Poisson solve stays in float64."""
 
-    scale = TestHermitianSolve.scale
-
     def recorded(self, monkeypatch):
-        """Patch the operator and the preconditioner; returns the list of
-        every array they are given, return or hold."""
+        """Patch the operator, the Hessian entries it contracts and the
+        preconditioner; returns the list of every array they are given,
+        return or hold."""
         seen = []
         apply = linsolve.hermitian_form_apply
+        entries = linsolve._hessian_entries
         make = linsolve.make_sine_preconditioner
 
         def recorded_apply(full, spacing, *args):
             out = apply(full, spacing, *args)
-            seen.extend([full, *args[:4], out])
+            seen.extend([full, *args, out])
+            return out
+
+        def recorded_entries(full, spacing):
+            out = entries(full, spacing)
+            seen.extend(out)
             return out
 
         def recorded_make(*args, **kwargs):
@@ -341,6 +342,7 @@ class TestSinglePrecision:
             return recorded_inverse
 
         monkeypatch.setattr(linsolve, "hermitian_form_apply", recorded_apply)
+        monkeypatch.setattr(linsolve, "_hessian_entries", recorded_entries)
         monkeypatch.setattr(linsolve, "make_sine_preconditioner",
                             recorded_make)
         return seen
@@ -348,10 +350,10 @@ class TestSinglePrecision:
     def test_correction_solve_runs_in_float32(self, monkeypatch):
         grid, coeffs, rhs = TestHermitianSolve().system()
         seen = self.recorded(monkeypatch)
-        x = solve_hermitian_system(grid, coeffs, rhs, self.scale)
-        # the operator's 6 arrays per call, and the preconditioner's
-        # tables, inputs and outputs
-        assert len(seen) > 6
+        x = solve_hermitian_system(grid, coeffs, rhs)
+        # the operator's 6 arrays and the 4 Hessian entries per call, and
+        # the preconditioner's tables, inputs and outputs
+        assert len(seen) > 10
         assert {a.dtype for a in seen} == {np.dtype(np.float32)}
         assert x.dtype == np.float64
 
@@ -367,10 +369,10 @@ class TestSinglePrecision:
     def test_handed_over_coefficients_are_let_go(self):
         grid, coeffs, rhs = TestHermitianSolve().system()
         handed = list(coeffs)
-        x = solve_hermitian_system(grid, handed, rhs, self.scale)
+        x = solve_hermitian_system(grid, handed, rhs)
         assert handed == []
         assert np.array_equal(
-            x, solve_hermitian_system(grid, coeffs, rhs, self.scale))
+            x, solve_hermitian_system(grid, coeffs, rhs))
 
     @pytest.mark.parametrize("c_shift, b_shift", [
         (140, 0), (-140, 0), (0, 140), (0, -140), (140, -140), (-140, 140),
@@ -380,12 +382,12 @@ class TestSinglePrecision:
         # scaled into it exactly, and the correction scaled back
         solve = TestHermitianSolve()
         grid, coeffs, rhs = solve.system()
-        x = solve_hermitian_system(grid, coeffs, rhs, self.scale)
+        x = solve_hermitian_system(grid, coeffs, rhs)
         coeffs_s = tuple(np.ldexp(c, c_shift) for c in coeffs)
         rhs_s = np.ldexp(rhs, b_shift)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            x_s = solve_hermitian_system(grid, coeffs_s, rhs_s, self.scale)
+            x_s = solve_hermitian_system(grid, coeffs_s, rhs_s)
         assert np.array_equal(x_s, np.ldexp(x, b_shift - c_shift))
         achieved = solve.relative_residual(grid, coeffs, rhs, x)
         assert achieved <= linsolve.CORRECTION_ACCEPT_RTOL

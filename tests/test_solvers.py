@@ -853,16 +853,15 @@ class TestCorrectionSystemInPlace:
             *(None if a is None else a.copy() for a in (lam2, resid)), rsup)
         systems = []
 
-        def captured(grid_, coeffs, rhs, scale):
-            systems.append((coeffs, rhs, scale))
+        def captured(grid_, coeffs, rhs):
+            systems.append((coeffs, rhs))
             return np.zeros(grid_.interior_shape)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cmasolve.solvers, "solve_hermitian_system", captured)
             backend.correct(u, state, rsup)
         assert state == []
-        (coeffs, rhs, scale), = systems
-        assert scale == 0.25
+        (coeffs, rhs), = systems
         assert sorted(map(id, coeffs)) == sorted(map(id, entries))
         assert rhs is (lam1 if zero_share == 1.0 else resid)
         for g_, w_ in zip(coeffs, want_coeffs):
