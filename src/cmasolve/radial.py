@@ -10,13 +10,14 @@ Like solve_ma_fixed_rhs, solve_radial takes a frozen density: a number or
 an array over the mesh nodes r < R.  A solution-dependent right-hand side
 is frozen at each iterate by the outer loop (iteration._picard), so F's
 hypotheses are checked only where it is bound (rhs.BoundRhs).  The
-discrete system is solved by the grid solver's damped Newton loop
+discrete system is solved by the grid solver's damped Newton driver
 (solvers._newton_solve) with a tridiagonal Jacobian, each correction one
 call of LAPACK's tridiagonal solver gtsv: radial iterates take no
-eigenvalue guard and no psh test.  Where the density dips to 1e-2 but is
-not zero everywhere, the cold solve walks the rungs density + eps of
-REG_LADDER: without them, Newton on a double root stalls at round-off
-(the cubic profiles at n = 3 and 4).
+eigenvalue guard and no psh test.  Its tries are the warm start, the
+quadratic profile of the mean density, and last _march, which solves the
+discrete system exactly (it is triangular in the slopes) up to round-off
+that Newton then polishes.  The march, a pure-Python loop, is the
+fallback for the double roots where a density vanishes, not the first try.
 
 A ball problem's domain is a BallMesh: an iteration.ProblemSpec over it
 runs the outer loop a box problem runs, with solve_radial as its
@@ -40,13 +41,10 @@ import numpy as np
 
 from .grids import ScalarField, ma_normalization
 from .solvers import (PSD_FLOOR, MaSolveResult, NewtonStagnationError,
-                      SolverConfig, _frozen_density, _newton_solve,
-                      _newton_stage)
+                      SolverConfig, _frozen_density, _newton_solve)
 
 __all__ = ["BallMesh", "radial_residual", "solve_radial"]
 
-# the regularization rungs of a cold solve, ending at the true problem
-REG_LADDER = (1e-2, 1e-4, 1e-6, 0.0)
 # fewest mesh intervals a BallMesh accepts
 MIN_MESH = 32
 # how far below zero the slope of a profile may dip while the profile
@@ -147,24 +145,24 @@ def _residual_parts(w, ball: BallMesh):
     return op, A, B
 
 
-def _jacobian_bands(ball: BallMesh, A, B, floor):
+def _jacobian_bands(ball: BallMesh, A, B):
     """Tridiagonal Jacobian of the operator as one (3, M) array whose rows
     are lower (coupling to node i-1), diag and upper (to node i+1).
 
-    B is floored inside the coefficients so the linearization stays
-    invertible where the profile flattens; the floor never enters the
-    residual itself.
+    B is floored at PSD_FLOOR inside the coefficients so the linearization
+    stays invertible where the profile flattens; the floor never enters
+    the residual itself.
     """
     n, h = ball.n, ball.h
     fact = math.factorial(n)
     m = A.size
-    Bf = np.maximum(B, floor)
+    Bf = np.maximum(B, PSD_FLOOR)
     Bp = np.power(Bf, n - 1)
     bands = np.zeros((3, m))
     lower, diag, upper = bands
 
     # axis row: F0 = n! (2 vpp0)^n, so dF0 = 2 n! n (2 vpp0)^{n-1} d(vpp0)
-    base0 = 2.0 * fact * n * np.power(np.maximum(B[0], floor), n - 1)
+    base0 = 2.0 * fact * n * np.power(Bf[0], n - 1)
     diag[0] = base0 * (-2.0 / h ** 2)
     upper[0] = base0 * (2.0 / h ** 2)
 
@@ -191,30 +189,65 @@ def _solve_tridiag(lower, diag, upper, rhs_vec):
     return x
 
 
+def _march(ball: BallMesh, g: np.ndarray, bval: float) -> np.ndarray:
+    """The node values that solve the discrete radial system with density
+    g and value bval at r = R, by one outward sweep over the slopes.
+
+    With D_i = (w_{i+1} - w_i) / h the centred stencil telescopes: row i
+    reads (r_{i+1/2} D_i - r_{i-1/2} D_{i-1}) (D_i + D_{i-1})^(n-1) =
+    g_i h r_i^n / n!, and the axis row n! (4 D_0 / h)^n = g_0.  Given
+    D_{i-1} >= 0, the left side of row i is increasing and convex in D_i
+    from its zero at b / a, a = r_{i+1/2} and b = r_{i-1/2} D_{i-1}, so
+    the row has one root on the psh branch.  Scalar Newton from above,
+    from b / a + (k / a)^(1/n) with k the right side, decreases to it and
+    stops once a step no longer lowers the iterate; a zero right side has
+    the root b / a itself.  The slopes are then summed inward from w(R).
+    """
+    n, h = ball.n, ball.h
+    fact = math.factorial(n)
+    r = ball.r.tolist()
+    rhs = (g * h * ball.r[:-1] ** n / fact).tolist()
+    slopes = [0.25 * h * (float(g[0]) / fact) ** (1.0 / n)]
+    for i in range(1, ball.mesh):
+        d = slopes[-1]
+        a = r[i] + 0.5 * h
+        b = (r[i] - 0.5 * h) * d
+        k = rhs[i]
+        x = b / a
+        if k > 0.0:
+            # the root lies above b / a, so x + d > 0 along the way
+            x += (k / a) ** (1.0 / n)
+            while True:
+                lin, s = a * x - b, x + d
+                power = s ** (n - 1)
+                lower = x - (lin * power - k) / (
+                    a * power + (n - 1) * lin * power / s)
+                if not lower < x:
+                    break
+                x = lower
+        slopes.append(x)
+    drops = np.cumsum(h * np.array(slopes[::-1]))[::-1]
+    return np.append(bval - drops, bval)
+
+
 class _RadialNewton:
-    """The radial system at density + eps on a BallMesh, eps the cold
-    solve's current rung (else 0): tridiagonal Jacobian corrections, and
-    the quadratic profile of the mean density as surrogate.  The state is
-    (residual, A, B)."""
+    """The radial system on a BallMesh: tridiagonal Jacobian corrections,
+    the quadratic profile of the mean density as surrogate, and _march's
+    profile as restart.  The state is (residual, A, B)."""
 
     def __init__(self, ball: BallMesh, density, bval):
         self.ball, self.density, self.bval = ball, density, bval
         self.norm = ma_normalization(ball.n)
         self.index = ball.interior
-        self.mean_density = float(density.mean())
-        self.eps = 0.0
 
     def evaluate(self, w):
         op, A, B = _residual_parts(w, self.ball)
-        F = op - (self.density + self.eps)
+        F = op - self.density
         return float(np.abs(F).max()), None, (F, A, B)
 
     def correct(self, w, state, rsup):
         F, A, B = state
-        # at a regularized solution B sits near (eps/norm)^{1/n}-scale
-        floor = max(PSD_FLOOR,
-                    0.25 * (self.eps / self.norm) ** (1.0 / self.ball.n))
-        bands = _jacobian_bands(self.ball, A, B, floor)
+        bands = _jacobian_bands(self.ball, A, B)
         try:
             step = _solve_tridiag(*bands, -F)
         except np.linalg.LinAlgError as exc:
@@ -227,25 +260,15 @@ class _RadialNewton:
                                         "radial Newton step is not finite")
         return step
 
-    def surrogate(self):
+    def surrogate(self, cfg: SolverConfig):
         ball = self.ball
-        c = ((self.mean_density + self.eps) / self.norm) ** (1.0 / ball.n)
+        c = (float(self.density.mean()) / self.norm) ** (1.0 / ball.n)
         w = self.bval + c * (ball.r ** 2 - ball.R ** 2)
         w[-1] = self.bval
         return w
 
-    def cold(self, cfg: SolverConfig):
-        # the ladder when the density reaches down to its first rung and
-        # is not identically zero, each rung warm-starting the next
-        ladder = (REG_LADDER if self.density.any()
-                  and self.density.min() <= REG_LADDER[0] else (0.0,))
-        self.eps = ladder[0]
-        w, iters = self.surrogate(), 0
-        for self.eps in ladder:
-            stage_tol = max(cfg.tol_inner, 1e-2 * self.eps)
-            w, rsup, k, lam1 = _newton_stage(self, w, stage_tol, cfg)
-            iters += k
-        return w, rsup, iters, lam1
+    def restart(self, cfg: SolverConfig):
+        return _march(self.ball, self.density, self.bval), 0
 
 
 def solve_radial(density, boundary: ScalarField,

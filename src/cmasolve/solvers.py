@@ -29,9 +29,10 @@ f)^n = 0 (Bedford & Taylor, Invent. Math. 37, 1976), so f is
 solve_ma_fixed_rhs(0, boundary).  On this stencil, no M-matrix, policy
 iteration has no convergence proof: the line search, cap and stall stay.
 
-The Newton loop (_newton_stage) and its warm-or-cold driver
-(_newton_solve) are the only ones in the package; the radial solver runs
-them with a backend of its own.  Their safeguards are module constants:
+The Newton loop (_newton_stage) and its driver (_newton_solve) are the
+only ones in the package; the radial solver runs them with a backend of
+its own, and tries the warm start, the backend's surrogate and its
+restart in turn.  Their safeguards are module constants:
 DAMPING (the backtracking factor), MIN_STEP (the shortest trial step) and
 PSD_FLOOR (the least eigenvalue floor of a linearization).  SolverConfig
 holds only the tolerances and iteration caps a caller chooses.
@@ -156,7 +157,7 @@ def solve_poisson(g, boundary: ScalarField,
     return ScalarField(boundary.grid, vals)
 
 
-# -- one Newton loop, from a warm start or cold -------------------------------
+# -- one Newton loop and its three tries --------------------------------------
 #
 # A backend discretizes one frozen-density problem: its density is an
 # array over the unknowns, checked once by _frozen_density, so neither the
@@ -170,13 +171,13 @@ def solve_poisson(g, boundary: ScalarField,
 #                       correct may form its system in the state's arrays
 #                       and empty it, and no other trial's state, nor the
 #                       previous correction, is held through the call;
-#   cold(cfg)           a solve from the backend's own start, returning
-#                       what _newton_stage returns.
+#   surrogate(cfg)      the start of the first cold try;
+#   restart(cfg)        (start, steps spent forming it): the start of the
+#                       last try, after Newton from the surrogate failed.
 
-def _newton_stage(backend, u: np.ndarray, stage_tol: float,
-                  cfg: SolverConfig):
-    """Damped Newton from u, to sup residual below stage_tol; returns (u,
-    rsup, iters, lambda_min).
+def _newton_stage(backend, u: np.ndarray, cfg: SolverConfig):
+    """Damped Newton from u, to sup residual below cfg.tol_inner; returns
+    (u, rsup, iters, lambda_min).
 
     Each step backtracks on the sup residual with the Armijo test
     (1 - 1e-4 alpha).  With an eigenvalue guard, a trial passes when its
@@ -186,16 +187,16 @@ def _newton_stage(backend, u: np.ndarray, stage_tol: float,
     passes.  A stall or the iteration cap raises with the error's iters
     set to the steps this stage took, the failing one included.
     """
-    # the stage_tol/norm allowance keeps the guard feasible in a
+    # the tol_inner/norm allowance keeps the guard feasible in a
     # degenerate endgame: the residual of a row in lambda_min form (f's
-    # policy iteration) holds -lambda_min only to about stage_tol / norm,
+    # policy iteration) holds -lambda_min only to about tol_inner / norm,
     # and without the allowance backtracking prefers crawling near-zero
     # steps that keep lam1 positive over full Newton steps
-    guard = PSD_FLOOR - stage_tol / backend.norm
+    guard = PSD_FLOOR - cfg.tol_inner / backend.norm
     rsup, lam1, state = backend.evaluate(u)
     iters = 0
     try:
-        while rsup >= stage_tol:
+        while rsup >= cfg.tol_inner:
             if iters >= cfg.max_newton:
                 raise NewtonIterationError(rsup, u)
             iters += 1
@@ -240,10 +241,11 @@ def _line_search(backend, u, delta, rsup: float, lam1, guard: float):
 def _newton_solve(backend, cfg: SolverConfig, init: np.ndarray | None = None):
     """Solve backend's problem; returns (u, rsup, iters, lambda_min).
 
-    With init, Newton runs from it first.  If it stalls, hits its cap or
-    loses psh-ness, the warm iterate is what failed, so the solve starts
-    over with the backend's cold solve; the steps of the failed try count
-    in the returned iters.
+    Newton runs from up to three starts, each tried when the one before
+    stalls or hits its cap: init when given, backend.surrogate(cfg), and
+    backend.restart(cfg).  A warm iterate that ends non-psh failed too.
+    The steps of the failed tries, and those restart spent, count in the
+    returned iters.
     """
     # degenerate accepts need psh-ness as well as a small residual; sqrt
     # scale because det is quadratic in the Hessian near flat iterates
@@ -251,16 +253,22 @@ def _newton_solve(backend, cfg: SolverConfig, init: np.ndarray | None = None):
     failed = 0
     if init is not None:
         try:
-            u, rsup, iters, lam1 = _newton_stage(backend, init,
-                                                 cfg.tol_inner, cfg)
+            u, rsup, iters, lam1 = _newton_stage(backend, init, cfg)
         except (NewtonStagnationError, NewtonIterationError) as err:
             failed = err.iters
         else:
             if lam1 is None or lam1 >= -psh_slack:
                 return u, rsup, iters, lam1
             failed = iters
-    u, rsup, iters, lam1 = backend.cold(cfg)
-    return u, rsup, failed + iters, lam1
+    try:
+        u, rsup, iters, lam1 = _newton_stage(backend, backend.surrogate(cfg),
+                                             cfg)
+        return u, rsup, failed + iters, lam1
+    except (NewtonStagnationError, NewtonIterationError) as err:
+        failed += err.iters
+    start, spent = backend.restart(cfg)
+    u, rsup, iters, lam1 = _newton_stage(backend, start, cfg)
+    return u, rsup, failed + spent + iters, lam1
 
 
 # -- the n = 2 grid backend ---------------------------------------------------
@@ -443,21 +451,9 @@ class _GridNewton:
             start = np.array(b)
             start[self.index] = b[~self.grid.interior_mask()].min()
             return start, 0
-        f, _, iters, _ = _GridNewton(np.zeros_like(self.density),
-                                     self.boundary).cold(cfg)
+        f, _, iters, _ = _newton_solve(
+            _GridNewton(np.zeros_like(self.density), self.boundary), cfg)
         return f + self._bumped(np.zeros_like(b), cfg), iters
-
-    def cold(self, cfg: SolverConfig):
-        # the surrogate first; after a stall or the cap, once more from
-        # a psh start, with the failed steps counted in
-        try:
-            return _newton_stage(self, self.surrogate(cfg), cfg.tol_inner,
-                                 cfg)
-        except (NewtonStagnationError, NewtonIterationError) as err:
-            failed = err.iters
-        start, spent = self.restart(cfg)
-        u, rsup, iters, lam1 = _newton_stage(self, start, cfg.tol_inner, cfg)
-        return u, rsup, failed + spent + iters, lam1
 
 
 def solve_ma_fixed_rhs(g, boundary: ScalarField,

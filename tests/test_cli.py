@@ -288,6 +288,20 @@ class TestRadial:
         assert float(r_last) == 1.0
         assert abs(float(v_last)) < 1e-9
 
+    def test_density_vanishing_near_the_axis_converges(self, tmp_path,
+                                                       capsys):
+        # n! 4^n max(r2 - 0.25, 0) at n = 3 vanishes on the inner ball:
+        # each frozen solve converges from the surrogate or, after a
+        # stall, from the exact march
+        cfg = write_cfg(tmp_path, n=3, domain={"ball": {"radius": 1.0}},
+                        resolution=64, boundary=-1.0,
+                        rhs={"expression": "384 * max(r2 - 0.25, 0)"})
+        code, out, _ = run(capsys, "radial", cfg)
+        assert code == 0, out
+        payload = json.loads(out)
+        assert payload["residual_ok"] is True
+        assert payload["monotone_ok"] is True
+
     def test_rejects_box_config(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
         code, _, err = run(capsys, "radial", cfg)

@@ -127,8 +127,10 @@ def test_frozen_solve_scaling():
     assert np.abs(u_lam - lam * u).max() <= exact_slack(lam)
 
 
-# at n >= 2 the scaled solve stalls at its round-off floor, above the
-# absolute tol_inner (ROADMAP item 1); strict, so a fix shows here
+# at n >= 2 a solve of each pair stalls at its round-off floor, above the
+# absolute tol_inner (ROADMAP item 1): Newton from the surrogate stalls,
+# and so does its polish of the exact march's profile, at 1.0e-10 (n = 2,
+# the scaled solve) and 2.9e-10 (n = 3); strict, so a fix shows here
 _FLOOR_STALL = pytest.mark.xfail(
     raises=NewtonStagnationError, strict=True,
     reason="radial Newton stalls at its round-off floor above tol_inner")

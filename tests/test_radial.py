@@ -3,6 +3,7 @@
 import json
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -166,10 +167,13 @@ class TestNewtonFailures:
     @staticmethod
     def reverse_corrections(monkeypatch):
         # every Newton step points uphill, so no trial of the line search
-        # lowers the residual
+        # lowers the residual; the restart starts from the surrogate
+        # again, since the march would land inside tol_inner
         correct = cmasolve.radial._RadialNewton.correct
         monkeypatch.setattr(cmasolve.radial._RadialNewton, "correct",
                             lambda self, *args: -correct(self, *args))
+        monkeypatch.setattr(cmasolve.radial._RadialNewton, "restart",
+                            lambda self, cfg: (self.surrogate(cfg), 0))
 
     def test_stall_raises_a_solver_error(self, monkeypatch):
         self.reverse_corrections(monkeypatch)
@@ -203,30 +207,40 @@ class TestNewtonFailures:
 
     @pytest.mark.parametrize("error", [NewtonStagnationError,
                                        NewtonIterationError])
-    def test_warm_start_stall_falls_back_to_the_ladder(self, monkeypatch,
-                                                       error):
-        # vanishing density at the axis: the cold solve walks the ladder
+    def test_two_failed_tries_fall_back_to_the_march(
+            self, monkeypatch, error):
+        # vanishing density at the axis
         dens = 108.0 * np.linspace(0.0, 1.0, 65)[:-1] ** 2
         cold = solve_unit_ball(2, dens, mesh=64)
+        ball = cold.u.grid
         stage = cmasolve.solvers._newton_stage
-        calls = []
+        starts = []
 
-        def stall_first(backend, w, *args, **kwargs):
-            calls.append(backend.eps)
-            if len(calls) == 1:
-                raise error(1.0, np.array(w))
-            return stage(backend, w, *args, **kwargs)
+        def fail_twice(backend, w, cfg):
+            starts.append(np.array(w))
+            if len(starts) <= 2:
+                err = error(1.0, np.array(w))
+                err.iters = 2
+                raise err
+            return stage(backend, w, cfg)
 
-        monkeypatch.setattr(cmasolve.solvers, "_newton_stage", stall_first)
-        monkeypatch.setattr(cmasolve.radial, "_newton_stage", stall_first)
-        warm = solve_radial(dens, constant_data(cold.u.grid), init=cold.u)
-        # the failed warm try at eps 0, then every rung of the cold
-        # solve's ladder
-        assert calls == [0.0, *cmasolve.radial.REG_LADDER]
+        monkeypatch.setattr(cmasolve.solvers, "_newton_stage", fail_twice)
+        warm = solve_radial(dens, constant_data(ball), init=cold.u)
+        # the warm start, the surrogate, then the march's profile
+        march = cmasolve.radial._march(ball, dens, 0.0)
+        assert len(starts) == 3
+        assert np.array_equal(starts[0], cold.u.values)
+        assert np.array_equal(starts[2], march)
+        # the failed tries' steps count with the polish from the march
+        _, _, polish, _ = stage(cmasolve.radial._RadialNewton(ball, dens, 0.0),
+                                march, SolverConfig())
+        assert warm.newton_iters == 4 + polish
         assert warm.residual <= SolverConfig().tol_inner
-        assert np.abs(warm.u.values - cold.u.values).max() <= 1e-6
+        # the density's double root at the axis leaves the cold solve's
+        # values there uncertain to about 1e-10 at this residual
+        assert np.abs(warm.u.values - cold.u.values).max() <= 1e-8
 
-    def test_convergence_on_the_last_allowed_step_returns(self):
+    def test_convergence_on_the_last_allowed_step_returns(self, monkeypatch):
         # this solve needs exactly 4 Newton steps; a cap of 4 must admit
         # the iterate the fourth step reaches
         r = np.linspace(0.0, 1.0, 65)
@@ -237,8 +251,63 @@ class TestNewtonFailures:
         res = solve_unit_ball(2, dens, mesh=64, cfg=cfg)
         assert res.newton_iters == 4
         assert res.residual < cfg.tol_inner
+        # a cap of 3 stops the surrogate's try, and the march lands inside
+        # tol_inner, so the solve returns with the 3 failed steps
+        cfg = SolverConfig(max_newton=3)
+        res = solve_unit_ball(2, dens, mesh=64, cfg=cfg)
+        assert res.newton_iters == 3
+        assert res.residual < cfg.tol_inner
+        # with the march defeated, the cap raises
+        monkeypatch.setattr(cmasolve.radial._RadialNewton, "restart",
+                            lambda self, cfg: (self.surrogate(cfg), 0))
         with pytest.raises(NewtonIterationError):
-            solve_unit_ball(2, dens, mesh=64, cfg=SolverConfig(max_newton=3))
+            solve_unit_ball(2, dens, mesh=64, cfg=cfg)
+
+
+class TestMarch:
+    """_march, the exact outward sweep behind the radial restart."""
+
+    @pytest.mark.parametrize("mesh", [32, 512])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_recovers_the_parabola(self, n, mesh):
+        # the centred stencil is exact on r^2 - 1, whose density is n! 4^n
+        ball = BallMesh(n, 1.0, mesh)
+        g = np.full(mesh, math.factorial(n) * 4.0 ** n)
+        w = cmasolve.radial._march(ball, g, 0.0)
+        assert np.abs(w - (ball.r ** 2 - 1.0)).max() <= 1e-14
+        assert w[-1] == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_zero_density_core_has_zero_slopes(self, n):
+        # rows where the previous slope and the density are both 0 have
+        # the root 0 itself: no 0 / 0 in Newton's quotient
+        ball = BallMesh(n, 1.0, 64)
+        g = math.factorial(n) * 4.0 ** n * np.maximum(ball.r[:-1] ** 2
+                                                      - 0.25, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            w = cmasolve.radial._march(ball, g, -1.0)
+        zero = g == 0.0
+        assert zero[:32].all() and not zero[33:].any()
+        slopes = np.diff(w)
+        assert np.all(slopes[zero] == 0.0) and np.all(slopes[~zero] > 0.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_every_row_solved_to_round_off(self, n):
+        # Newton in each row stops once a step no longer lowers the
+        # iterate, also on densities across many scales, and the profile
+        # solves the discrete system to within a few times the round-off
+        # of its residual, 4 eps |w| / h^2 n! B^(n-1)
+        ball = BallMesh(n, 1.0, 256)
+        rng = np.random.default_rng(n)
+        for scale in (1e-6, 1.0, 1e6):
+            g = scale * rng.uniform(0.0, 2.0, ball.mesh)
+            w = cmasolve.radial._march(ball, g, -1.0)
+            _, _, B = cmasolve.radial._residual_parts(w, ball)
+            floor = (4.0 * np.finfo(float).eps * np.abs(w).max() / ball.h ** 2
+                     * math.factorial(n) * np.abs(B).max() ** (n - 1))
+            assert np.all(np.diff(w) >= 0.0)
+            assert radial_residual(ScalarField(ball, w), g) <= 8.0 * floor
 
 
 class TestTridiagonalSolve:
@@ -260,7 +329,7 @@ class TestTridiagonalSolve:
         mesh = 64
         backend = cmasolve.radial._RadialNewton(
             BallMesh(2, 1.0, mesh), np.full(mesh, 32.0), 0.0)
-        w = backend.surrogate()
+        w = backend.surrogate(SolverConfig())
         rsup, _, state = backend.evaluate(w)
         monkeypatch.setattr(cmasolve.radial, "_jacobian_bands",
                             lambda *args: bands(mesh))
@@ -289,7 +358,7 @@ class TestMeshReuse:
     the BallMesh, shared by every solve on it, and never written."""
 
     def solve(self, ball):
-        # vanishing density at the axis: the cold solve walks the ladder
+        # vanishing density at the axis
         dens = 108.0 * ball.r[:-1] ** 2
         return solve_radial(dens, constant_data(ball))
 

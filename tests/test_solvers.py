@@ -21,7 +21,6 @@ from cmasolve.linsolve import (
     laplacian_apply,
     solve_poisson_system,
 )
-from cmasolve.radial import REG_LADDER
 from cmasolve.solvers import (
     DAMPING,
     MIN_STEP,
@@ -62,11 +61,7 @@ def sq_norm_minus_one(grid):
 class TestSolverConfig:
     def test_defaults_valid(self):
         SolverConfig()
-        # the fixed safeguards: a nonincreasing, nonnegative ladder (the
-        # ball's cold solve) that ends at the true problem, and
-        # backtracking inside (0, 1)
-        assert REG_LADDER[-1] == 0.0 and min(REG_LADDER) >= 0.0
-        assert all(a >= b for a, b in zip(REG_LADDER, REG_LADDER[1:]))
+        # the fixed safeguards: backtracking inside (0, 1), a positive floor
         assert 0 < DAMPING < 1 and 0 < MIN_STEP < 1 and PSD_FLOOR > 0
 
     def test_only_tolerances_and_caps(self):
@@ -530,9 +525,8 @@ class TestEigenvalueGuard:
 
     def stage(self, script, tol=None, correction=None, start=0.0):
         backend = ScriptedBackend(script, correction)
-        u, rsup, iters, lam1 = _newton_stage(backend, np.full(1, start),
-                                             tol or self.cfg.tol_inner,
-                                             self.cfg)
+        cfg = SolverConfig(tol_inner=tol) if tol else self.cfg
+        u, rsup, iters, lam1 = _newton_stage(backend, np.full(1, start), cfg)
         return float(u[0]), lam1, iters, backend.evaluated
 
     def test_start_outside_the_guard_takes_a_step_no_less_psh(self):
@@ -564,7 +558,7 @@ class TestEigenvalueGuard:
         pytest.param(np.nextafter(GUARD, -1.0), 0.5, id="below-the-guard"),
         (-2e-5, 0.5)])
     def test_last_rung_guard_is_the_acceptance_slack(self, lam_full, taken):
-        # a full step is refused below PSD_FLOOR - stage_tol / norm
+        # a full step is refused below PSD_FLOOR - tol_inner / norm
         def script(x):
             if x == 0.0:
                 return 1.0, 1e-3
