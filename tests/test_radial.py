@@ -165,15 +165,19 @@ class TestHypotheses:
 
 class TestNewtonFailures:
     @staticmethod
-    def reverse_corrections(monkeypatch):
+    def defeat_march(monkeypatch):
+        # the march lands inside tol_inner, so a forced failure restarts
+        # from the surrogate instead
+        monkeypatch.setattr(cmasolve.radial._RadialNewton, "restart",
+                            lambda self, cfg: (self.surrogate(cfg), 0))
+
+    def reverse_corrections(self, monkeypatch):
         # every Newton step points uphill, so no trial of the line search
-        # lowers the residual; the restart starts from the surrogate
-        # again, since the march would land inside tol_inner
+        # lowers the residual
         correct = cmasolve.radial._RadialNewton.correct
         monkeypatch.setattr(cmasolve.radial._RadialNewton, "correct",
                             lambda self, *args: -correct(self, *args))
-        monkeypatch.setattr(cmasolve.radial._RadialNewton, "restart",
-                            lambda self, cfg: (self.surrogate(cfg), 0))
+        self.defeat_march(monkeypatch)
 
     def test_stall_raises_a_solver_error(self, monkeypatch):
         self.reverse_corrections(monkeypatch)
@@ -258,8 +262,7 @@ class TestNewtonFailures:
         assert res.newton_iters == 3
         assert res.residual < cfg.tol_inner
         # with the march defeated, the cap raises
-        monkeypatch.setattr(cmasolve.radial._RadialNewton, "restart",
-                            lambda self, cfg: (self.surrogate(cfg), 0))
+        self.defeat_march(monkeypatch)
         with pytest.raises(NewtonIterationError):
             solve_unit_ball(2, dens, mesh=64, cfg=cfg)
 
