@@ -36,6 +36,7 @@ rounding.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -189,27 +190,35 @@ class ScalarField:
         return self.values[self.grid.interior]
 
 
-def _shift(values: np.ndarray, offsets: dict[int, int]) -> np.ndarray:
-    """View of `values` shifted by `offsets` and cropped to the interior block."""
-    ndim = values.ndim
-    sl = [slice(1, values.shape[a] - 1) for a in range(ndim)]
-    for a, o in offsets.items():
-        sl[a] = slice(1 + o, values.shape[a] - 1 + o)
-    return values[tuple(sl)]
+# a process meets a few grid shapes, each with a few dozen offsets; the
+# bound only keeps a long-lived process sweeping shapes from holding them all
+@functools.lru_cache(maxsize=512)
+def _shift_slices(shape: tuple, offsets: tuple) -> tuple:
+    sl = [slice(1, m - 1) for m in shape]
+    for a, o in offsets:
+        sl[a] = slice(1 + o, shape[a] - 1 + o)
+    return tuple(sl)
+
+
+def _shift(values: np.ndarray, *offsets: tuple[int, int]) -> np.ndarray:
+    """View of `values` shifted by the (axis, offset) pairs and cropped to
+    the interior block; the slices are cached per shape and offsets."""
+    return values[_shift_slices(values.shape, offsets)]
 
 
 def second_difference(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     """Centered d^2/da^2 onto the interior block."""
-    return (_shift(values, {axis: 1}) - 2.0 * _shift(values, {})
-            + _shift(values, {axis: -1})) / (h * h)
+    return (_shift(values, (axis, 1)) - 2.0 * _shift(values)
+            + _shift(values, (axis, -1))) / (h * h)
 
 
 def mixed_difference(values: np.ndarray, ax_a: int, ax_b: int,
                      h_a: float, h_b: float) -> np.ndarray:
     """Nested centered d^2/da db onto the interior block (4-point cross)."""
-    return (_shift(values, {ax_a: 1, ax_b: 1}) - _shift(values, {ax_a: 1, ax_b: -1})
-            - _shift(values, {ax_a: -1, ax_b: 1})
-            + _shift(values, {ax_a: -1, ax_b: -1})) / (4.0 * h_a * h_b)
+    return (_shift(values, (ax_a, 1), (ax_b, 1))
+            - _shift(values, (ax_a, 1), (ax_b, -1))
+            - _shift(values, (ax_a, -1), (ax_b, 1))
+            + _shift(values, (ax_a, -1), (ax_b, -1))) / (4.0 * h_a * h_b)
 
 
 def _cross_views(d: np.ndarray, axis: int):
@@ -233,7 +242,7 @@ def _hessian_entries(vals: np.ndarray, h) -> tuple:
     """
     if vals.ndim not in (2, 4):
         raise GridError("complex Hessians are implemented for n in {1, 2}")
-    core = _shift(vals, {})
+    core = _shift(vals)
     # scratch in vals' dtype: float32 input forms no float64 array
     tmp = np.empty(core.shape, vals.dtype)
     entries = []
@@ -242,8 +251,8 @@ def _hessian_entries(vals: np.ndarray, h) -> tuple:
         # - 2 (1 + r) u] with c = 1 / (4 h_a^2) and r = h_a^2 / h_b^2: one
         # centre term for the pair
         r = (h[a] * h[a]) / (h[b] * h[b])
-        out = np.add(_shift(vals, {a: 1}), _shift(vals, {a: -1}))
-        np.add(_shift(vals, {b: 1}), _shift(vals, {b: -1}), out=tmp)
+        out = np.add(_shift(vals, (a, 1)), _shift(vals, (a, -1)))
+        np.add(_shift(vals, (b, 1)), _shift(vals, (b, -1)), out=tmp)
         tmp *= r
         out += tmp
         np.multiply(core, 2.0 * (1.0 + r), out=tmp)
@@ -353,20 +362,24 @@ def _csv_header(n: int) -> str:
 
 def write_field_csv(field: ScalarField, path) -> None:
     grid = field.grid
-    coords = [[repr(float(c)) for c in axis] for axis in grid.axes]
+    # each coordinate carries its separator, and the tail of every row
+    # is its interior flag and the line end
+    coords = [[repr(float(c)) + "," for c in axis] for axis in grid.axes]
+    tails = (",0\n", ",1\n")
     # storage order is lexicographic in the axes, the order product yields;
     # rows are formatted and written one slab of the first axis at a time,
-    # so no Python list of the whole field is held.  Each slab takes its
-    # own count of the shared prefixes: an unbounded zip would draw, and
-    # drop, one more at the end of every slab
-    prefixes = map(",".join, itertools.product(*coords))
+    # so no Python list of the whole field is held.  Every slab shares the
+    # coordinates of the other axes, joined once, and is one join of its
+    # rows' pieces
+    rest = list(map("".join, itertools.product(*coords[1:])))
     with open(path, "w") as fh:
         fh.write(_csv_header(grid.n) + "\n")
-        for slab, inner in zip(field.values, grid.interior_mask()):
-            rows = zip(itertools.islice(prefixes, slab.size),
-                       map(repr, slab.ravel().tolist()),
-                       map("01".__getitem__, inner.ravel().tolist()))
-            fh.write("\n".join(map(",".join, rows)) + "\n")
+        for first, slab, inner in zip(coords[0], field.values,
+                                      grid.interior_mask()):
+            fh.write("".join(itertools.chain.from_iterable(zip(
+                itertools.repeat(first), rest,
+                map(repr, slab.ravel().tolist()),
+                map(tails.__getitem__, inner.ravel().tolist())))))
 
 
 def read_field_csv(path, grid: Grid | None = None) -> ScalarField:

@@ -11,6 +11,10 @@ recorded: on a stall they are returned as a sub/supersolution bracket
 instead of a bare failure.  _picard is the only place where the density
 depends on the solution: the frozen solves take a density array, and G's
 hypotheses are checked where it is bound and sampled (rhs.BoundRhs).
+Each frozen solve is warm-started (_start): from the chain's
+extrapolation where the frozen density is positive, else from the
+iterate of the same parity; the start changes the Newton path of a
+step, not the solution it converges to.
 
 A ProblemSpec lives on a box Grid or a radial.BallMesh, and both run
 one pipeline: one prepared state, one loop (_picard) and one Solution.
@@ -25,7 +29,8 @@ its prepared state (u0, the t-range and the outer residual tolerance).
 All are computed on first use and kept on that spec, so the solves,
 checks and verifiers that share one spec bind G once and solve f at most
 once, and not at all when nothing reads it: a t-independent density
-freezes to the same values at f as at 0.
+freezes to the same values at f as at 0.  A box frozen solve that
+restarts from f + w reads the same f.
 
 The balayage step performs the classical local improvement: re-solve on a
 sub-box with the current iterate as boundary data and glue, which never
@@ -81,11 +86,17 @@ class _BoxBackend:
     def bind(self, rhs, w_mu) -> BoundRhs:
         return bind_on_grid(rhs, self.boundary.grid, w_mu)
 
-    def solve(self, dens, init: ScalarField | None = None) -> MaSolveResult:
-        """The frozen solve for dens, warm-started from the field init."""
-        return solve_ma_fixed_rhs(dens, self.boundary, self.cfg, init=init)
+    def solve(self, dens, init: ScalarField | np.ndarray | None = None
+              ) -> MaSolveResult:
+        """The frozen solve for dens, warm-started from init (an array is
+        taken over)."""
+        return solve_ma_fixed_rhs(dens, self.boundary, self.cfg, init=init,
+                                  f=lambda: self.f)
 
+    @cached_property
     def f(self) -> ScalarField:
+        """f, solved on first use and kept; a frozen solve that restarts
+        from f + w reads it too."""
         return maximal_extension(self.boundary, self.cfg)
 
     def final(self, u: ScalarField, bound: BoundRhs, last: OuterStep):
@@ -114,9 +125,11 @@ class _BallBackend:
     def bind(self, rhs, w_mu) -> BoundRhs:
         return bind_on_mesh(rhs, self.ball.r[:-1], w_mu)
 
-    def solve(self, dens, init: ScalarField | None = None) -> MaSolveResult:
+    def solve(self, dens, init: ScalarField | np.ndarray | None = None
+              ) -> MaSolveResult:
         return solve_radial(dens, self.boundary, self.cfg, init=init)
 
+    @cached_property
     def f(self) -> ScalarField:
         # only the value at R is boundary data; the interior values of the
         # boundary field are not f's
@@ -180,7 +193,7 @@ class ProblemSpec:
         if _boundary_max(self.boundary) > 0:
             warnings.warn("boundary data is not nonpositive; comparison-"
                           "based checks may not apply", stacklevel=3)
-        return self._backend.f()
+        return self._backend.f
 
     @cached_property
     def _state(self) -> dict:
@@ -324,15 +337,47 @@ def _prepare_state(p: ProblemSpec) -> dict:
                 tol_outer_residual=tol_res)
 
 
+def _start(u_cur: ScalarField, prev: ScalarField | None, dens,
+           history: list) -> ScalarField | np.ndarray:
+    """Where a Picard step's frozen solve starts: u_cur = u_{k-1} at step
+    1, prev = u_{k-2} while fewer than two changes are known or the frozen
+    density dens has a zero node, else u_{k-1} - rho (u_{k-1} - u_{k-2}) as
+    a new array.
+
+    The iterates converge linearly with alternating sign, u_k - u_{k-1}
+    about -rho (u_{k-1} - u_{k-2}), so the ratio rho of the last two sup
+    changes extrapolates the chain (Aitken, Proc. R. Soc. Edinb. 46,
+    1926); rho = 1 is the k - 2 start.  Step k's density is frozen at
+    u_{k-1}, so the start moves only the Newton path, not the solution.
+    On a box, zero-density rows run policy iteration, whose solution is
+    not smooth in the iterate, so there the extrapolation can land
+    farther off than iterate k - 2 and that start is kept; the ball takes
+    the same rule.
+    """
+    if prev is None:
+        return u_cur
+    if len(history) < 2 or not np.min(dens) > 0.0:
+        return prev
+    # the loop stops at the first change below tol_outer, so the older
+    # change is positive
+    rho = min(1.0, history[-1].change / history[-2].change)
+    start = np.subtract(u_cur.values, prev.values)
+    start *= -rho
+    start += u_cur.values
+    return start
+
+
 def _picard(solve, bound: BoundRhs, cfg: SolverConfig, u0: ScalarField):
     """Fixed-point loop with even/odd chain accounting, to successive
     iterates within cfg.tol_outer or cfg.max_outer steps.
 
     solve(dens, init) is the backend's frozen-density solve for the
-    density dens, warm-started from the field init; it returns the
-    solver's MaSolveResult.  The density is evaluated at the interior
-    nodes of the iterate.  Step k warm-starts from iterate k - 2, and
-    step 1 from u0.  Returns (u, converged, steps, history, lower_env,
+    density dens, warm-started from init, a field or a full-node array
+    the solve takes over; it returns the solver's MaSolveResult.  The
+    density is evaluated at the interior nodes of the iterate.  Step k
+    starts where _start says: u0 at steps 1 and 2, then the chain's
+    extrapolation, or iterate k - 2 where the frozen density has a zero
+    node.  Returns (u, converged, steps, history, lower_env,
     upper_env, chains_ok), u a ScalarField.  Envelopes are full-shape
     arrays: the running max of even iterates (a climbing subsolution
     chain) and min of odd iterates.
@@ -350,8 +395,8 @@ def _picard(solve, bound: BoundRhs, cfg: SolverConfig, u0: ScalarField):
     for k in range(1, cfg.max_outer + 1):
         parity = k % 2
         prev = last_by_parity[parity]
-        res = solve(bound(u_cur.values[interior]),
-                    u_cur if prev is None else prev)
+        dens = bound(u_cur.values[interior])
+        res = solve(dens, _start(u_cur, prev, dens, history))
         new_vals = res.u.values
         change = float(np.abs(new_vals - u_cur.values).max())
         # the odd iterates descend and the even ones climb
@@ -492,7 +537,7 @@ def balayage_step(u: ScalarField, sub, p: ProblemSpec) -> ScalarField:
     # the local maximal extension and initial iterate mirror the global
     # construction with u's restriction as data
     local = _BoxBackend(local_boundary, cfg)
-    u0_local, t_hi = _first_iterate(local, local_bound, local.f)
+    u0_local, t_hi = _first_iterate(local, local_bound, lambda: local.f)
     t_lo = float(u0_local.values.min()) - 1.0
     local_bound.validate(t_lo, t_hi)
 

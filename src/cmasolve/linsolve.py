@@ -158,6 +158,23 @@ def _sine_matrix(m: int, dtype: type = np.float64) -> np.ndarray:
     return mat
 
 
+def _inverse_eigenvalues(grid: Grid, s_pairs, dtype) -> np.ndarray:
+    """1 / sum_a s_(a // 2) lam_a per interior node, in dtype: the sum is
+    formed in float64, left to right over the axes, and rounded once.
+
+    Each partial sum is an outer sum on the open grid of the axes so far,
+    so only the last is full-size, and the reciprocal is taken in its
+    buffer or rounded straight into a float32 table: one full float64
+    array, where a running sum of broadcasts allocated one per axis."""
+    denom = functools.reduce(np.add.outer, (
+        s_pairs[a // 2] * _sine_eigenvalues(m, grid.spacing[a])
+        for a, m in enumerate(grid.interior_shape)))
+    # a float32 out takes the float64 quotient, rounded once
+    out = (denom if np.dtype(dtype) == np.float64
+           else np.empty(denom.shape, dtype))
+    return np.divide(1.0, denom, out=out)
+
+
 def make_sine_preconditioner(grid: Grid, s_pairs,
                              dtype: type = np.float64) -> "callable":
     """Inverse of sum_j s_j (d2/dx_j^2 + d2/dy_j^2) on the interior.
@@ -170,15 +187,10 @@ def make_sine_preconditioner(grid: Grid, s_pairs,
     matmul per axis on a C-order view of shape (pre, m, post): the
     symmetric matrix multiplies the last axis from the right and any other
     from the left, so the axes never move.  Its tables are in dtype, the
-    dtype of the arrays it is applied to: the eigenvalue sums are formed
-    in float64 and rounded once.
+    dtype of the arrays it is applied to (see _inverse_eigenvalues).
     """
     interior = grid.interior_shape
-    denom = np.zeros(interior)
-    for a, m in enumerate(interior):
-        lam = s_pairs[a // 2] * _sine_eigenvalues(m, grid.spacing[a])
-        denom = denom + lam.reshape((1,) * a + (m,) + (1,) * (len(interior) - a - 1))
-    inv_denom = (1.0 / denom).astype(dtype, copy=False)
+    inv_denom = _inverse_eigenvalues(grid, s_pairs, dtype)
     views = [(_sine_matrix(m, dtype), (math.prod(interior[:a]), m,
                                        math.prod(interior[a + 1:])))
              for a, m in enumerate(interior)]
@@ -337,7 +349,13 @@ def solve_hermitian_system(grid: Grid, coeffs, rhs: np.ndarray
     w01 = 1.0 / h[0] ** 2 + 1.0 / h[1] ** 2
     w23 = 1.0 / h[2] ** 2 + 1.0 / h[3] ** 2
     dconst = s_pairs[0] * w01 + s_pairs[1] * w23
-    inv_s = 1.0 / np.sqrt(0.25 * (a * w01 + g * w23) / dconst)
+    # 1 / sqrt(0.25 (a w01 + g w23) / dconst), in place in that order
+    inv_s = np.multiply(a, w01)
+    inv_s += g * w23
+    inv_s *= 0.25
+    inv_s /= dconst
+    np.sqrt(inv_s, out=inv_s)
+    np.divide(1.0, inv_s, out=inv_s)
     work = np.zeros(grid.shape, np.float32)
 
     def matvec(v: np.ndarray) -> np.ndarray:

@@ -273,7 +273,8 @@ class _RadialNewton:
 
 def solve_radial(density, boundary: ScalarField,
                  cfg: SolverConfig | None = None,
-                 init: ScalarField | None = None) -> MaSolveResult:
+                 init: ScalarField | np.ndarray | None = None
+                 ) -> MaSolveResult:
     """Solve n!(v'' + v'/r)(2v'/r)^(n-1) = density on the BallMesh of
     boundary, whose value at r = R fixes v(R).
 
@@ -281,7 +282,8 @@ def solve_radial(density, boundary: ScalarField,
     finite and nonnegative.  The sign of the boundary value is a
     hypothesis of the outer problem, checked by ProblemSpec, not here.
     v'(0) = 0 is built into the axis stencil.  init, when given, supplies
-    the interior of a warm start, as in solve_ma_fixed_rhs.  The result's
+    the interior of a warm start, as in solve_ma_fixed_rhs: a field is
+    copied, and a full-node array is taken over.  The result's
     psh_defect is max(0, -min v'), how far the profile's slope dips below
     zero.
     """
@@ -291,8 +293,8 @@ def solve_radial(density, boundary: ScalarField,
 
     warm = None
     if init is not None:
-        warm = np.array(boundary.values)
-        warm[ball.interior] = init.values[ball.interior]
+        warm = init if isinstance(init, np.ndarray) else np.array(init.values)
+        np.copyto(warm, boundary.values, where=~ball.interior_mask())
     backend = _RadialNewton(ball, density, float(boundary.values[-1]))
     w, rsup, iters, _ = _newton_solve(backend, cfg, warm)
     vprime_min = float(np.gradient(w, ball.h).min())

@@ -222,7 +222,7 @@ def _line_search(backend, u, delta, rsup: float, lam1, guard: float):
     alpha = 1.0
     while alpha >= MIN_STEP:
         trial = u.copy()
-        trial[backend.index] += alpha * delta
+        trial[backend.index] += delta if alpha == 1.0 else alpha * delta
         t_rsup, t_lam1, t_state = backend.evaluate(trial)
         if t_rsup <= (1.0 - 1e-4 * alpha) * rsup:
             # never ask a trial to be more psh than its starting point:
@@ -272,6 +272,12 @@ def _newton_solve(backend, cfg: SolverConfig, init: np.ndarray | None = None):
 
 
 # -- the n = 2 grid backend ---------------------------------------------------
+
+def _sup(x: np.ndarray) -> float:
+    """max |x|, from x's max and min with no |x| temporary; NaN when x
+    holds one."""
+    return max(abs(float(x.max())), abs(float(x.min())))
+
 
 def _floored_cofactor(entries, lam1, lam2, floor: float) -> tuple:
     """Coefficients of cof(H) with H's eigenvalues floored at `floor`,
@@ -357,10 +363,12 @@ class _GridNewton:
     correct forms the coefficients and right-hand side in its arrays and
     empties it."""
 
-    def __init__(self, density: np.ndarray, boundary: ScalarField):
+    def __init__(self, density: np.ndarray, boundary: ScalarField,
+                 f=None):
         self.grid = boundary.grid
         self.boundary = boundary
         self.density = density
+        self.f = f
         self.norm = ma_normalization(2)
         self.index = self.grid.interior
         zero = density == 0.0
@@ -375,16 +383,15 @@ class _GridNewton:
         det, lam1, lam2 = _det_and_eigenvalues(entries)
         zero = self.zero
         if zero is True:
-            rsup = self.norm * max(float(np.abs(det).max()),
-                                   float(np.abs(lam1).max()))
+            rsup = self.norm * max(_sup(det), _sup(lam1))
             return rsup, float(lam1.min()), [entries, lam1, None, None]
         resid = det
         resid *= self.norm
         resid -= self.density
-        rsup = float(np.abs(resid).max())
+        rsup = _sup(resid)
         if zero is not False:
             # a zero row's resid is already 32 det H
-            rsup = max(rsup, self.norm * float(np.abs(lam1[zero]).max()))
+            rsup = max(rsup, self.norm * _sup(lam1[zero]))
         return rsup, float(lam1.min()), [entries, lam1, lam2, resid]
 
     def correct(self, u, state, rsup):
@@ -444,22 +451,27 @@ class _GridNewton:
         At zero density the flat start: min b inside, the data on the
         ring, a subsolution of f's problem.  Otherwise f + w, with w the
         surrogate's bump (lap w = 8 sqrt(g / 32), zero on the ring): f is
-        psh with the right boundary values, and its solve's steps count.
+        psh with the right boundary values.  f is read from self.f when
+        the solve was given it, and its steps count only when it is solved
+        here.
         """
         b = self.boundary.values
         if self.zero is True:
             start = np.array(b)
             start[self.index] = b[~self.grid.interior_mask()].min()
             return start, 0
-        f, _, iters, _ = _newton_solve(
-            _GridNewton(np.zeros_like(self.density), self.boundary), cfg)
+        if self.f is None:
+            f, _, iters, _ = _newton_solve(
+                _GridNewton(np.zeros_like(self.density), self.boundary), cfg)
+        else:
+            f, iters = self.f().values, 0
         return f + self._bumped(np.zeros_like(b), cfg), iters
 
 
 def solve_ma_fixed_rhs(g, boundary: ScalarField,
                        cfg: SolverConfig | None = None,
-                       init: ScalarField | np.ndarray | None = None
-                       ) -> MaSolveResult:
+                       init: ScalarField | np.ndarray | None = None,
+                       f=None) -> MaSolveResult:
     """Solve 4^n n! det H[u] = g with Dirichlet data, frozen density g.
 
     n = 1 delegates to the Poisson solver.  n = 2 runs damped Newton
@@ -469,7 +481,9 @@ def solve_ma_fixed_rhs(g, boundary: ScalarField,
     interior of a warm start; Newton from the Laplacian surrogate is the
     fallback.  A field is copied; a full-grid array is taken over as the
     start, its ring overwritten with the boundary data in place, so the
-    solve holds one start array.
+    solve holds one start array.  f, when given, is a callable returning
+    the boundary's maximal extension as a field: a restart from f + w
+    (see _GridNewton.restart) reads it rather than solving f again.
     """
     cfg = cfg or SolverConfig()
     grid = boundary.grid
@@ -489,8 +503,8 @@ def solve_ma_fixed_rhs(g, boundary: ScalarField,
     if init is not None:
         warm = init if isinstance(init, np.ndarray) else np.array(init.values)
         np.copyto(warm, boundary.values, where=~grid.interior_mask())
-    u, rsup, iters, lam1 = _newton_solve(_GridNewton(g_arr, boundary), cfg,
-                                         warm)
+    u, rsup, iters, lam1 = _newton_solve(_GridNewton(g_arr, boundary, f),
+                                         cfg, warm)
     return MaSolveResult(ScalarField(grid, u), rsup, iters, max(0.0, -lam1))
 
 

@@ -181,6 +181,35 @@ class TestSolve:
         assert payload["converged"] is True
         assert payload["residual_ok"] is True
 
+    def test_restart_from_f_plus_w_reuses_the_problems_f(self, tmp_path,
+                                                         capsys):
+        # u0's frozen solve on draw 19 restarts from f + w; the restart
+        # reads the f its problem has solved, so f is solved once
+        import cmasolve.solvers as solvers
+
+        zero_density, restarts = [], []
+
+        class Counted(solvers._GridNewton):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                zero_density.append(self.zero is True)
+
+            def restart(self, cfg):
+                restarts.append(self.zero is True)
+                return super().restart(cfg)
+
+        cfg = write_cfg(tmp_path, n=2,
+                        domain={"box": {"lo": [-0.5] * 4, "hi": [0.5] * 4}},
+                        resolution=7, boundary=_DRAW_19,
+                        rhs={"family": "exponential", "kappa": 1.0,
+                             "weight": "4"})
+        with mock.patch.object(solvers, "_GridNewton", Counted):
+            code, out, _ = run(capsys, "solve", cfg)
+        assert code == 0
+        assert json.loads(out)["residual_ok"] is True
+        assert restarts == [False]
+        assert zero_density.count(True) == 1
+
     @pytest.mark.parametrize("resolution, boundary, rhs, mu", [
         pytest.param(17, "r2 - 1", {"family": "constant", "weight": 32.0},
                      "4 * x1 * x1", id="mu-vanishing-on-x1=0"),

@@ -411,7 +411,8 @@ class TestIntegrateAndDumps:
     @pytest.mark.parametrize("box, res", [
         (Box((-0.3, 0.1), (0.7, 1.9)), (9, 13)),
         (unit_box(2), 7),
-    ], ids=["n1-anisotropic", "n2"])
+        (Box((-0.3, 0.1, -1.0, 0.2), (0.7, 1.9, 0.1, 0.5)), (6, 7, 5, 8)),
+    ], ids=["n1-anisotropic", "n2", "n2-anisotropic"])
     def test_csv_rows_match_per_row_format(self, tmp_path, box, res):
         # one row per node in storage order: repr of every coordinate, of
         # the value, and the interior flag as 0/1

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import cmasolve.iteration as iteration
 from cmasolve.config import load_config
 from cmasolve.errors import HypothesisViolation
 from cmasolve.grids import ScalarField, build_grid, ma_density, unit_box
@@ -143,6 +144,84 @@ class TestPowerPlus:
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="p >= 1"):
             PowerPlusRhs(p=0.5)
+
+
+class TestExtrapolatedStart:
+    """From step 3 on, a Picard step starts from the chain's extrapolation
+    u_{k-1} - rho (u_{k-1} - u_{k-2}), unless its frozen density has a zero
+    node; the k - 2 start is the reference it is measured against."""
+
+    @staticmethod
+    def k_minus_2(u_cur, prev, dens, history):
+        return u_cur if prev is None else prev
+
+    def solve_both(self, p, monkeypatch):
+        """solve_mam(p) with the extrapolated and with the k - 2 starts,
+        and the kinds of start the first one took."""
+        kinds = []
+        start = iteration._start
+
+        def recorded(*args):
+            out = start(*args)
+            kinds.append(type(out).__name__)
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(iteration, "_start", recorded)
+            new = solve_mam(p)
+        with monkeypatch.context() as m:
+            m.setattr(iteration, "_start", self.k_minus_2)
+            old = solve_mam(p)
+        return new, old, kinds
+
+    @staticmethod
+    def newton_steps(sol):
+        return sum(step.newton_iters for step in sol.history)
+
+    def test_cheng_yau_takes_fewer_newton_steps(self, monkeypatch):
+        p = cheng_yau_problem(res=9)
+        new, old, kinds = self.solve_both(p, monkeypatch)
+        assert "ndarray" in kinds
+        assert self.newton_steps(new) < self.newton_steps(old)
+        assert new.outer_iters == old.outer_iters
+        assert new.converged and new.residual_ok and new.sandwich_ok
+        assert new.chains_ok and old.chains_ok
+        # the start moves the Newton path only: the frozen solves meet
+        # tol_inner from either start
+        slack = 10.0 * p.config.tol_inner
+        assert np.abs(new.u.values - old.u.values).max() <= slack
+
+    def test_zero_density_keeps_the_k_minus_2_start(self, monkeypatch):
+        # max(u + 0.5, 0) vanishes wherever an iterate dips below -0.5, so
+        # every frozen density has zero nodes and the guard holds
+        grid = build_grid(unit_box(2), 9)
+        p = ProblemSpec(boundary=sq_minus_one(grid),
+                        rhs=PowerPlusRhs(p=1.0, c=0.5, w=64.0))
+        new, old, kinds = self.solve_both(p, monkeypatch)
+        assert len(kinds) >= 3 and "ndarray" not in kinds
+        assert new.history == old.history
+        assert np.array_equal(new.u.values, old.u.values)
+        assert new.converged and new.residual_ok
+        assert new.chains_ok == old.chains_ok
+
+    def test_start_rule(self):
+        grid = build_grid(unit_box(2), 5)
+        u1, u2 = (ScalarField(grid, c * sq_minus_one(grid).values)
+                  for c in (2.0, 1.5))
+        steps = [iteration.OuterStep(0.4, 0.0, 1, 0.0),
+                 iteration.OuterStep(0.1, 0.0, 1, 0.0)]
+        positive = np.ones(grid.interior_shape)
+        zero_node = np.array(positive)
+        zero_node[0, 0, 0, 0] = 0.0
+        assert iteration._start(u2, None, positive, []) is u2
+        assert iteration._start(u2, u1, positive, steps[:1]) is u1
+        assert iteration._start(u2, u1, zero_node, steps) is u1
+        got = iteration._start(u2, u1, positive, steps)
+        assert np.array_equal(got, u2.values - 0.25 * (u2.values - u1.values))
+        # rho is clipped at 1, the k - 2 start
+        grown = steps[::-1]
+        assert np.array_equal(iteration._start(u2, u1, positive, grown),
+                              u1.values)
 
 
 class TestRadialBackend:

@@ -147,6 +147,29 @@ class TestSineBasis:
             for inverse, expected in zip(shared, fresh):
                 assert np.array_equal(inverse(r), expected)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("box, res, s_pairs", [
+        (Box((-0.3, 0.1), (0.7, 1.9)), (33, 17), (0.7,)),
+        (ANISOTROPIC, (9, 7, 11, 8), (3.0, 0.25)),
+        (ANISOTROPIC, 17, (0.1234567, 5.4321)),
+    ], ids=["n1", "n2-mixed-res", "n2"])
+    def test_table_matches_the_broadcast_sum(self, box, res, s_pairs,
+                                             dtype):
+        # the table as it was built before the outer sums: a running sum
+        # of one broadcast eigenvalue vector per axis, from zeros, then
+        # the float64 reciprocal rounded to dtype
+        grid = build_grid(box, res)
+        interior = grid.interior_shape
+        denom = np.zeros(interior)
+        for a, m in enumerate(interior):
+            lam = s_pairs[a // 2] * _sine_eigenvalues(m, grid.spacing[a])
+            denom = denom + lam.reshape(
+                (1,) * a + (m,) + (1,) * (len(interior) - a - 1))
+        want = (1.0 / denom).astype(dtype, copy=False)
+        got = linsolve._inverse_eigenvalues(grid, s_pairs, dtype)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
     def test_input_is_not_modified(self):
         grid = build_grid(unit_box(2), 9)
         inverse = make_sine_preconditioner(grid, (1.0, 2.0))
