@@ -40,8 +40,7 @@ _EXPORTS = {
     "subsolution_check": "iteration",
     # checks
     "CheckReport": "checks", "StabilityTable": "checks",
-    "comparison_check": "checks", "comparison_pair": "checks",
-    "convergence_study": "checks",
+    "comparison_check": "checks", "convergence_study": "checks",
     "demailly_max_check": "checks", "stability_experiment": "checks",
     "uniqueness_check": "checks",
     # config

@@ -18,7 +18,6 @@ independent starts, which are its point.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import warnings
@@ -38,7 +37,6 @@ __all__ = [
     "StabilityTable",
     "StudyRow",
     "comparison_check",
-    "comparison_pair",
     "convergence_study",
     "demailly_max_check",
     "stability_experiment",
@@ -101,17 +99,13 @@ def _max_abs_row_sum(entries) -> float:
 
 def comparison_check(u: ScalarField, v: ScalarField,
                      tol: float | None = None,
-                     cfg: SolverConfig | None = None, *,
-                     densities=None) -> CheckReport:
+                     cfg: SolverConfig | None = None) -> CheckReport:
     """Mass comparison over the strict sublevel set {u < v}.
 
     Forms S = {interior nodes : u < v - 2 tol_inner} and reports
     margin = integral over S of (ma(u) - ma(v)); for ordered data the
     set where u dips below v must carry at least as much mass for u.
     Passes when margin >= -tol with tol defaulting to 10 h^2 |S| cellvol.
-    densities, when given, returns the pair (ma(u), ma(v)) in place of
-    ma_density's (comparison_pair shares one pair between both
-    directions); it is called only when S is nonempty.
     """
     cfg = cfg or SolverConfig()
     if u.grid != v.grid:
@@ -135,28 +129,14 @@ def comparison_check(u: ScalarField, v: ScalarField,
     if count == 0:
         return CheckReport.from_margin("comparison", 0.0, None, tol)
 
-    if densities is None:
-        dens_u, dens_v = ma_density(u)[0], ma_density(v)[0]
-    else:
-        dens_u, dens_v = densities()
+    dens_u, _ = ma_density(u)
+    dens_v, _ = ma_density(v)
     margin = float((dens_u[sel] - dens_v[sel]).sum()) * cell
 
     deficit = np.where(sel, dens_u - dens_v, np.inf)
     worst = np.unravel_index(int(np.argmin(deficit)), deficit.shape)
     return CheckReport.from_margin("comparison", margin,
                                    _node_coords(grid, worst), tol)
-
-
-def comparison_pair(u: ScalarField, v: ScalarField,
-                    tol: float | None = None,
-                    cfg: SolverConfig | None = None
-                    ) -> tuple[CheckReport, CheckReport]:
-    """(comparison_check(u, v), comparison_check(v, u)), the same reports,
-    with each field's density formed at most once for both."""
-    both = functools.cache(lambda: (ma_density(u)[0], ma_density(v)[0]))
-    return (comparison_check(u, v, tol, cfg, densities=both),
-            comparison_check(v, u, tol, cfg,
-                             densities=lambda: both()[::-1]))
 
 
 # -- smoothed maximum inequality ----------------------------------------------

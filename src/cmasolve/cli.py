@@ -168,7 +168,7 @@ def _cmd_solve(cfg, command: str) -> int:
 def _verify_comparison(cfg, p):
     import numpy as np
 
-    from .checks import comparison_pair
+    from .checks import comparison_check
     from .solvers import FrozenFamily
 
     rng = np.random.default_rng(cfg.rng_seed)
@@ -184,8 +184,8 @@ def _verify_comparison(cfg, p):
         extra = float(rng.uniform(0.0, 0.5)) * norm_scale
         u = family.solve(base + extra, base + extra).u
         v = family.solve(base, base).u
-        rows += [rep.to_dict()
-                 for rep in comparison_pair(u, v, cfg=p.config)]
+        rows.append(comparison_check(u, v, cfg=p.config).to_dict())
+        rows.append(comparison_check(v, u, cfg=p.config).to_dict())
     return rows
 
 

@@ -36,7 +36,6 @@ rounding.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -190,35 +189,27 @@ class ScalarField:
         return self.values[self.grid.interior]
 
 
-# a process meets a few grid shapes, each with a few dozen offsets; the
-# bound only keeps a long-lived process sweeping shapes from holding them all
-@functools.lru_cache(maxsize=512)
-def _shift_slices(shape: tuple, offsets: tuple) -> tuple:
-    sl = [slice(1, m - 1) for m in shape]
-    for a, o in offsets:
-        sl[a] = slice(1 + o, shape[a] - 1 + o)
-    return tuple(sl)
-
-
-def _shift(values: np.ndarray, *offsets: tuple[int, int]) -> np.ndarray:
-    """View of `values` shifted by the (axis, offset) pairs and cropped to
-    the interior block; the slices are cached per shape and offsets."""
-    return values[_shift_slices(values.shape, offsets)]
+def _shift(values: np.ndarray, offsets: dict[int, int]) -> np.ndarray:
+    """View of `values` shifted by `offsets` and cropped to the interior block."""
+    ndim = values.ndim
+    sl = [slice(1, values.shape[a] - 1) for a in range(ndim)]
+    for a, o in offsets.items():
+        sl[a] = slice(1 + o, values.shape[a] - 1 + o)
+    return values[tuple(sl)]
 
 
 def second_difference(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     """Centered d^2/da^2 onto the interior block."""
-    return (_shift(values, (axis, 1)) - 2.0 * _shift(values)
-            + _shift(values, (axis, -1))) / (h * h)
+    return (_shift(values, {axis: 1}) - 2.0 * _shift(values, {})
+            + _shift(values, {axis: -1})) / (h * h)
 
 
 def mixed_difference(values: np.ndarray, ax_a: int, ax_b: int,
                      h_a: float, h_b: float) -> np.ndarray:
     """Nested centered d^2/da db onto the interior block (4-point cross)."""
-    return (_shift(values, (ax_a, 1), (ax_b, 1))
-            - _shift(values, (ax_a, 1), (ax_b, -1))
-            - _shift(values, (ax_a, -1), (ax_b, 1))
-            + _shift(values, (ax_a, -1), (ax_b, -1))) / (4.0 * h_a * h_b)
+    return (_shift(values, {ax_a: 1, ax_b: 1}) - _shift(values, {ax_a: 1, ax_b: -1})
+            - _shift(values, {ax_a: -1, ax_b: 1})
+            + _shift(values, {ax_a: -1, ax_b: -1})) / (4.0 * h_a * h_b)
 
 
 def _cross_views(d: np.ndarray, axis: int):
@@ -242,7 +233,7 @@ def _hessian_entries(vals: np.ndarray, h) -> tuple:
     """
     if vals.ndim not in (2, 4):
         raise GridError("complex Hessians are implemented for n in {1, 2}")
-    core = _shift(vals)
+    core = _shift(vals, {})
     # scratch in vals' dtype: float32 input forms no float64 array
     tmp = np.empty(core.shape, vals.dtype)
     entries = []
@@ -251,8 +242,8 @@ def _hessian_entries(vals: np.ndarray, h) -> tuple:
         # - 2 (1 + r) u] with c = 1 / (4 h_a^2) and r = h_a^2 / h_b^2: one
         # centre term for the pair
         r = (h[a] * h[a]) / (h[b] * h[b])
-        out = np.add(_shift(vals, (a, 1)), _shift(vals, (a, -1)))
-        np.add(_shift(vals, (b, 1)), _shift(vals, (b, -1)), out=tmp)
+        out = np.add(_shift(vals, {a: 1}), _shift(vals, {a: -1}))
+        np.add(_shift(vals, {b: 1}), _shift(vals, {b: -1}), out=tmp)
         tmp *= r
         out += tmp
         np.multiply(core, 2.0 * (1.0 + r), out=tmp)

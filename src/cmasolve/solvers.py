@@ -222,7 +222,7 @@ def _line_search(backend, u, delta, rsup: float, lam1, guard: float):
     alpha = 1.0
     while alpha >= MIN_STEP:
         trial = u.copy()
-        trial[backend.index] += delta if alpha == 1.0 else alpha * delta
+        trial[backend.index] += alpha * delta
         t_rsup, t_lam1, t_state = backend.evaluate(trial)
         if t_rsup <= (1.0 - 1e-4 * alpha) * rsup:
             # never ask a trial to be more psh than its starting point:
@@ -272,12 +272,6 @@ def _newton_solve(backend, cfg: SolverConfig, init: np.ndarray | None = None):
 
 
 # -- the n = 2 grid backend ---------------------------------------------------
-
-def _sup(x: np.ndarray) -> float:
-    """max |x|, from x's max and min with no |x| temporary; NaN when x
-    holds one."""
-    return max(abs(float(x.max())), abs(float(x.min())))
-
 
 def _floored_cofactor(entries, lam1, lam2, floor: float) -> tuple:
     """Coefficients of cof(H) with H's eigenvalues floored at `floor`,
@@ -383,15 +377,16 @@ class _GridNewton:
         det, lam1, lam2 = _det_and_eigenvalues(entries)
         zero = self.zero
         if zero is True:
-            rsup = self.norm * max(_sup(det), _sup(lam1))
+            rsup = self.norm * max(float(np.abs(det).max()),
+                                   float(np.abs(lam1).max()))
             return rsup, float(lam1.min()), [entries, lam1, None, None]
         resid = det
         resid *= self.norm
         resid -= self.density
-        rsup = _sup(resid)
+        rsup = float(np.abs(resid).max())
         if zero is not False:
             # a zero row's resid is already 32 det H
-            rsup = max(rsup, self.norm * _sup(lam1[zero]))
+            rsup = max(rsup, self.norm * float(np.abs(lam1[zero]).max()))
         return rsup, float(lam1.min()), [entries, lam1, lam2, resid]
 
     def correct(self, u, state, rsup):
@@ -451,26 +446,34 @@ class _GridNewton:
         At zero density the flat start: min b inside, the data on the
         ring, a subsolution of f's problem.  Otherwise f + w, with w the
         surrogate's bump (lap w = 8 sqrt(g / 32), zero on the ring): f is
-        psh with the right boundary values.  f is read from self.f when
-        the solve was given it, and its steps count only when it is solved
-        here.
+        psh with the right boundary values.  f is solved here, and its
+        steps count, unless the solve was given f (self.f).  A given f's
+        steps count in its own solve, also when this read is what solves
+        it, so no step is counted twice; it must live on this grid and
+        carry this boundary data on the ring.
         """
         b = self.boundary.values
+        ring = ~self.grid.interior_mask()
         if self.zero is True:
             start = np.array(b)
-            start[self.index] = b[~self.grid.interior_mask()].min()
+            start[self.index] = b[ring].min()
             return start, 0
         if self.f is None:
             f, _, iters, _ = _newton_solve(
                 _GridNewton(np.zeros_like(self.density), self.boundary), cfg)
         else:
-            f, iters = self.f().values, 0
+            given, iters = self.f(), 0
+            if (given.grid != self.grid
+                    or not np.array_equal(given.values[ring], b[ring])):
+                raise ValueError("the given maximal extension does not "
+                                 "extend this boundary data")
+            f = given.values
         return f + self._bumped(np.zeros_like(b), cfg), iters
 
 
 def solve_ma_fixed_rhs(g, boundary: ScalarField,
                        cfg: SolverConfig | None = None,
-                       init: ScalarField | np.ndarray | None = None,
+                       init: ScalarField | np.ndarray | None = None, *,
                        f=None) -> MaSolveResult:
     """Solve 4^n n! det H[u] = g with Dirichlet data, frozen density g.
 
@@ -482,8 +485,10 @@ def solve_ma_fixed_rhs(g, boundary: ScalarField,
     fallback.  A field is copied; a full-grid array is taken over as the
     start, its ring overwritten with the boundary data in place, so the
     solve holds one start array.  f, when given, is a callable returning
-    the boundary's maximal extension as a field: a restart from f + w
-    (see _GridNewton.restart) reads it rather than solving f again.
+    boundary's maximal extension as a field, solved and counted in its
+    own solve: a restart from f + w (see _GridNewton.restart) reads it
+    rather than solving f again, and raises ValueError when its grid or
+    ring data differ from boundary's.
     """
     cfg = cfg or SolverConfig()
     grid = boundary.grid

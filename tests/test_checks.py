@@ -88,31 +88,6 @@ class TestComparison:
         dv, _ = ma_density(ScalarField(grid, c * u.values))
         assert np.allclose(dv, c ** 2 * du, rtol=1e-12)
 
-    def test_pair_forms_each_density_once(self, monkeypatch):
-        # fields that cross, so both strict sets are nonempty and both
-        # directions read both densities: the pair forms each once and
-        # reports the rows of two separate checks byte for byte
-        grid = build_grid(unit_box(2), 9)
-        u = sq_minus_one(grid)
-        pts = grid.points()
-        bump = pts[..., 0] * np.prod(0.25 - pts ** 2, axis=-1)
-        v = ScalarField(grid, u.values + 40.0 * bump)
-        formed = []
-
-        def counted(field):
-            formed.append(field)
-            return ma_density(field)
-
-        monkeypatch.setattr(checks, "ma_density", counted)
-        pair = checks.comparison_pair(u, v)
-        assert len(formed) == 2
-        formed.clear()
-        apart = (comparison_check(u, v), comparison_check(v, u))
-        assert len(formed) == 4
-        assert all(rep.locus is not None for rep in apart)
-        assert ([json.dumps(rep.to_dict()) for rep in pair]
-                == [json.dumps(rep.to_dict()) for rep in apart])
-
     def test_grid_mismatch_rejected(self):
         u = sq_minus_one(build_grid(unit_box(2), 7))
         v = sq_minus_one(build_grid(unit_box(2), 9))

@@ -340,6 +340,30 @@ class TestMaFixedRhs:
         assert res.residual < cfg.tol_inner
         assert res.psh_defect <= np.sqrt(cfg.tol_inner)
 
+    def test_given_f_is_read_by_the_restart_and_checked(self):
+        # the f + w restart reads a given f instead of solving it: the
+        # same solution, less f's steps, which its own solve counts; an f
+        # of other boundary data or of another grid is refused
+        coef, const, res = RESTART_DATA["f + w"]
+        g = build_grid(unit_box(2), res)
+        monomials = itertools.combinations_with_replacement(
+            np.moveaxis(g.points(), -1, 0), 2)
+        bdry = ScalarField(g, const + sum(
+            c * a * b for c, (a, b) in zip(coef, monomials)))
+        f_solve = solve_ma_fixed_rhs(0.0, bdry)
+        dens = 4.0 * np.exp(f_solve.u.values[g.interior])
+        own = solve_ma_fixed_rhs(dens, bdry)
+        given = solve_ma_fixed_rhs(dens, bdry, f=lambda: f_solve.u)
+        assert np.array_equal(given.u.values, own.u.values)
+        assert given.newton_iters == own.newton_iters - f_solve.newton_iters
+        assert f_solve.newton_iters > 0
+
+        shifted = ScalarField(g, f_solve.u.values - 0.1)
+        other_grid = sq_norm_minus_one(build_grid(unit_box(2), res + 2))
+        for wrong in (shifted, other_grid):
+            with pytest.raises(ValueError, match="boundary data"):
+                solve_ma_fixed_rhs(dens, bdry, f=lambda: wrong)
+
     def test_negative_density_rejected(self):
         g = build_grid(unit_box(2), 7)
         with pytest.raises(ValueError, match="nonnegative"):
